@@ -266,3 +266,40 @@ func TestRunValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStreamsGolden pins one small campaign's outcome bit for bit.
+// Every input the per-session streams decide — trace choice, abandon
+// gate and point, vibration scale, outage gate and outage seed — lands
+// in these figures, so they move if any session's stream does.
+func TestRunStreamsGolden(t *testing.T) {
+	res, err := Run(Config{
+		Traces:   testTraces(t),
+		Sessions: 24,
+		Seed:     42,
+		Shards:   2,
+		Algorithms: []AlgorithmSpec{
+			{Name: "Youtube", New: func() (abr.Algorithm, error) { return abr.NewYoutube(), nil }},
+			{Name: "Fixed1", New: func() (abr.Algorithm, error) { return &abr.Fixed{Rung: 1}, nil }},
+		},
+		AbandonProb:     0.3,
+		VibrationJitter: 0.3,
+		OutageProb:      0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, a := range res.Algorithms {
+		got = append(got, float64(a.Abandoned), float64(a.OutageSessions), float64(a.Outages),
+			a.EnergyJ.Mean, a.QoE.Mean, a.OutageSec.Mean)
+	}
+	want := []float64{2, 2, 3, 138.3387181421949, 4.188062225922081, 2.9616921028365724, 0, 3, 9, 69.63932438762247, 1.7361042601518457, 4.154140415510294}
+	if len(got) != len(want) {
+		t.Fatalf("figures = %#v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("figure %d = %v, want %v (all: %#v)", i, got[i], want[i], got)
+		}
+	}
+}

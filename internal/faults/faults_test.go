@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,5 +276,27 @@ func TestRoundTripperFilterSkipsWithoutConsuming(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 500 {
 		t.Errorf("unfiltered request got %d, want injected 500", resp.StatusCode)
+	}
+}
+
+// TestPlanDrawGolden pins the seeded verdict stream: five keys, eight
+// attempts each, over a fault ladder of 0.2-wide bands, so every draw
+// is pinned to its fifth of [0, 1). Chaos runs replay this exact
+// stream; changing the generator must not move it.
+func TestPlanDrawGolden(t *testing.T) {
+	p, err := NewPlan(Config{Error5xxProb: 0.2, ResetProb: 0.2, StallProb: 0.2, TruncateProb: 0.2, LatencyProb: 0.19}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, key := range []string{"/seg/v0/0.m4s", "/seg/v0/1.m4s", "/seg/v5/9.m4s", "/manifest.mpd", ""} {
+		for i := 0; i < 8; i++ {
+			b.WriteString(p.Verdict(key).Kind.String()[:1])
+		}
+		b.WriteByte(' ')
+	}
+	const want = "esetlett rsltrtsl rtlrrsss ereelssl lslleetl "
+	if got := b.String(); got != want {
+		t.Fatalf("verdicts = %q, want %q", got, want)
 	}
 }

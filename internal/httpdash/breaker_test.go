@@ -396,6 +396,30 @@ func TestBackoffHonorsRetryAfterHint(t *testing.T) {
 	}
 }
 
+// TestBackoffJitterGolden pins the seeded jitter stream bit for bit:
+// with a fixed JitterSeed, a fleet's retry timing is reproducible run
+// to run, and swapping the generator must not move it.
+func TestBackoffJitterGolden(t *testing.T) {
+	client, err := NewClient("http://example.invalid", &abr.Fixed{Rung: 0},
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 2, JitterSeed: 42}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []time.Duration
+	for i := 0; i < 4; i++ {
+		got = append(got, client.jittered(time.Second))
+	}
+	want := []time.Duration{870782439, 579955196, 639300565, 672095358}
+	if len(got) != len(want) {
+		t.Fatalf("jittered = %#v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("draw %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestBackoffAbortsOnCancel is the satellite contract: a cancelled
 // context ends a backoff sleep immediately — including a context that
 // was already cancelled on entry, even when no sleep would happen.

@@ -151,3 +151,29 @@ func TestOutageDownloadConservation(t *testing.T) {
 		t.Errorf("duration %v s too short for 10 MB at 2 MB/s with outages", res.DurationSec)
 	}
 }
+
+// TestOutageSojournGolden pins the seeded sojourn draws bit for bit:
+// campaign outage timelines (and the benchmark's campaign goldens)
+// depend on this exact stream, so swapping its generator must not move
+// a single value.
+func TestOutageSojournGolden(t *testing.T) {
+	cfg := DefaultOutage()
+	cfg.Seed = 42
+	o, err := WithOutages(&steadyLink{rate: 1}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []float64{o.left}
+	for i := 0; i < 5; i++ {
+		got = append(got, o.sojourn(i%2 == 0))
+	}
+	want := []float64{81.18663589464086, 1.3939737415011433, 19.593784635975997, 3.375082069721175, 2.326331342227139, 16.213461627840612}
+	if len(got) != len(want) {
+		t.Fatalf("sojourns = %#v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sojourn %d = %v, want %v (all: %#v)", i, got[i], want[i], got)
+		}
+	}
+}

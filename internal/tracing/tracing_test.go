@@ -360,3 +360,36 @@ func TestConcurrentSpansAndReads(t *testing.T) {
 		t.Fatalf("seen = %d, want 1600", st.Seen)
 	}
 }
+
+// TestIDStreamGolden pins the seeded ID stream and the ratio sampler's
+// hash of it bit for bit: the same seed must keep producing the same
+// trace and span IDs, and the same IDs the same keep verdicts at every
+// ratio, across any change to how the generator is spelled.
+func TestIDStreamGolden(t *testing.T) {
+	tr := New(Config{Service: "golden", Sampler: DefaultSampler(), Seed: 42}, NewStore(1))
+	ids := []string{tr.newTraceID().String(), tr.newSpanID().String(), tr.newTraceID().String()}
+	wantIDs := []string{"bdd732262feb6e9528efe333b266f103", "47526757130f9f52", "581ce1ff0e4ae39409bc585a244823f2"}
+	if len(ids) != len(wantIDs) {
+		t.Fatalf("ids = %#v", ids)
+	}
+	for i := range wantIDs {
+		if ids[i] != wantIDs[i] {
+			t.Fatalf("id %d = %s, want %s", i, ids[i], wantIDs[i])
+		}
+	}
+	// One bit per trace ID and ratio: 64 IDs placed into quarters of
+	// the sampler's [0, 1) draw.
+	var masks [3]uint64
+	for i := 0; i < 64; i++ {
+		id := tr.newTraceID()
+		for r, ratio := range []float64{0.25, 0.5, 0.75} {
+			if (Sampler{Ratio: ratio}).ratioKeep(id) {
+				masks[r] |= 1 << i
+			}
+		}
+	}
+	wantMasks := [3]uint64{0x2e403002805d1c1, 0x2e4b7262815d7d9, 0x73ffb73e38bff7df}
+	if masks != wantMasks {
+		t.Fatalf("keep masks = %#x, want %#x", masks, wantMasks)
+	}
+}
