@@ -19,6 +19,7 @@ import (
 	"ecavs/internal/pool"
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
+	"ecavs/internal/rng"
 	"ecavs/internal/sim"
 	"ecavs/internal/stats"
 	"ecavs/internal/trace"
@@ -206,32 +207,6 @@ func (a *algoAgg) observe(m *sim.Metrics) {
 	}
 }
 
-// sessionState derives session u's independent generator state from
-// the campaign seed (splitmix64 finalizer over seed + u·gamma, so
-// neighbouring sessions land in unrelated stream positions).
-func sessionState(seed int64, u int) uint64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(u+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// uniformRNG is the campaign's draw stream (splitmix64, matching the
-// power monitor's generator).
-type uniformRNG struct{ state uint64 }
-
-func (r *uniformRNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-func (r *uniformRNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Run executes the campaign and returns its aggregate result.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Sessions <= 0 {
@@ -317,25 +292,28 @@ func Run(cfg Config) (*Result, error) {
 		aggs := newShardAgg(len(algos))
 		shardAggs[shard] = aggs
 		for u := shard; u < cfg.Sessions; u += shards {
-			rng := uniformRNG{state: sessionState(cfg.Seed, u)}
+			// Session u's stream is seeded with draw u of the campaign
+			// seed's stream, so neighbouring sessions land in unrelated
+			// stream positions.
+			draws := rng.New(rng.At(uint64(cfg.Seed), u))
 			ai := u % len(algos)
 			// Fixed draw order keeps the stream layout documented:
 			// trace, abandon gate, abandon point, vibration scale, then —
 			// only when outages are enabled — outage gate and outage seed.
 			// Gating the extra draws on OutageProb keeps every pre-outage
 			// configuration's results bit-identical.
-			ti := int(rng.Float64() * float64(len(cfg.Traces)))
+			ti := int(draws.Float64() * float64(len(cfg.Traces)))
 			if ti >= len(cfg.Traces) {
 				ti = len(cfg.Traces) - 1
 			}
-			abandonGate := rng.Float64()
-			abandonFrac := rng.Float64()
-			vibFrac := rng.Float64()
+			abandonGate := draws.Float64()
+			abandonFrac := draws.Float64()
+			vibFrac := draws.Float64()
 			outageGate := 1.0
 			var outageSeed uint64
 			if cfg.OutageProb > 0 {
-				outageGate = rng.Float64()
-				outageSeed = rng.Uint64()
+				outageGate = draws.Float64()
+				outageSeed = draws.Uint64()
 			}
 
 			alg, err := algos[ai].New()

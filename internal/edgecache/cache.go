@@ -1,6 +1,6 @@
 // Package edgecache is the in-memory segment cache behind the httpdash
 // edge tier: a byte-capped store sharded across power-of-two LRU
-// shards, keyed by a splitmix64 hash of the segment path
+// shards, keyed by an internal/rng hash of the segment path
 // ("<rung>/<segment>"), with lock-free hit/miss/fill/evict counters.
 // Each shard owns an intrusive LRU list under its own mutex, so
 // concurrent requests for different keys rarely contend, and the
@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ecavs/internal/rng"
 )
 
 // DefaultShards is the shard count used when Config leaves it zero:
@@ -120,17 +122,13 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// hashKey folds the key bytes through the repo's splitmix64 finalizer
-// — the same generator the fault planner, backoff jitter, and tracer
-// IDs use — so shard assignment is deterministic, well mixed, and free
-// of any per-process seed.
+// hashKey folds the key bytes through the internal/rng finalizer, one
+// stream step per byte, so shard assignment is deterministic, well
+// mixed, and free of any per-process seed.
 func hashKey(key string) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
+	h := uint64(rng.Gamma)
 	for i := 0; i < len(key); i++ {
-		h += uint64(key[i]) + 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
+		h = rng.Mix(h + uint64(key[i]) + rng.Gamma)
 	}
 	return h
 }

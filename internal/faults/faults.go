@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"ecavs/internal/rng"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -235,9 +237,9 @@ func (p *Plan) Stats() Stats {
 	return p.stats
 }
 
-// draw derives the verdict for (key, attempt) from the seed: an FNV-1a
-// hash of the key mixed with the attempt index through the splitmix64
-// finalizer, mapped onto the cumulative fault ladder.
+// draw derives the verdict for (key, attempt) from the seed: draw
+// number attempt of the internal/rng stream seeded with the seed XOR an
+// FNV-1a hash of the key, mapped onto the cumulative fault ladder.
 func (p *Plan) draw(key string, attempt int) Verdict {
 	const (
 		fnvOffset = 0xcbf29ce484222325
@@ -248,11 +250,7 @@ func (p *Plan) draw(key string, attempt int) Verdict {
 		h ^= uint64(key[i])
 		h *= fnvPrime
 	}
-	z := p.seed ^ h
-	z += 0x9e3779b97f4a7c15 * uint64(attempt+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	u := float64((z^(z>>31))>>11) / (1 << 53)
+	u := rng.Unit(rng.At(p.seed^h, attempt))
 
 	ladder := []struct {
 		prob float64

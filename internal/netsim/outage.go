@@ -3,6 +3,8 @@ package netsim
 import (
 	"errors"
 	"math"
+
+	"ecavs/internal/rng"
 )
 
 // OutageConfig parameterises a seeded up/down outage overlay: an
@@ -59,7 +61,7 @@ func (c OutageConfig) Validate() error {
 type OutageLink struct {
 	under Link
 	cfg   OutageConfig
-	state uint64 // splitmix64 stream for sojourn draws
+	draws rng.Stream // sojourn draws
 
 	down      bool
 	left      float64 // time remaining in the current state
@@ -77,26 +79,22 @@ func WithOutages(l Link, cfg OutageConfig) (*OutageLink, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	o := &OutageLink{under: l, cfg: cfg, state: uint64(cfg.Seed)}
+	o := &OutageLink{under: l, cfg: cfg, draws: rng.New(uint64(cfg.Seed))}
 	o.left = o.sojourn(false)
 	return o, nil
 }
 
-// sojourn draws an exponential state-holding time from the splitmix64
-// stream (inverse-CDF, matching the generator the campaign layer and
-// power monitor use — no math/rand state to share or race on).
+// sojourn draws an exponential state-holding time from the link's
+// internal/rng stream (inverse-CDF; no math/rand state to share or
+// race on).
 func (o *OutageLink) sojourn(down bool) float64 {
 	mean := o.cfg.MeanUpSec
 	if down {
 		mean = o.cfg.MeanDownSec
 	}
-	o.state += 0x9e3779b97f4a7c15
-	z := o.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	u := float64((z^(z>>31))>>11) / (1 << 53)
-	// u is uniform in [0, 1); flip to (0, 1] so the log never sees zero.
-	return -mean * math.Log(1-u)
+	// The draw is uniform in [0, 1); flip to (0, 1] so the log never
+	// sees zero.
+	return -mean * math.Log(1-o.draws.Float64())
 }
 
 // Now implements Link.

@@ -3,6 +3,8 @@ package power
 import (
 	"errors"
 	"math"
+
+	"ecavs/internal/rng"
 )
 
 // Monitor is a virtual Monsoon power monitor: it integrates
@@ -13,8 +15,8 @@ import (
 //
 // Construct with NewMonitor; the zero value is unusable.
 //
-// The noise stream is generated by an inlined splitmix64 generator
-// (see normRNG) rather than math/rand: campaign-scale sweeps observe
+// The noise stream comes from an inlined internal/rng stream (see
+// normRNG) rather than math/rand: campaign-scale sweeps observe
 // millions of samples, and the rand.Rand source indirection dominated
 // the integration cost. The stream is still deterministic per seed,
 // but it is a DIFFERENT stream than the math/rand one earlier
@@ -41,26 +43,12 @@ type Monitor struct {
 	elapsed float64
 }
 
-// normRNG is a tiny deterministic generator: splitmix64 for uniforms
-// (one add + three xor-multiply-shift rounds per draw) and a 128-layer
-// ziggurat for normals, whose common path is a single 64-bit draw, one
-// compare, and one multiply. It exists so Monitor sampling stays cheap
-// and free of math/rand's Source indirection.
+// normRNG adds normal deviates to an internal/rng stream: a 128-layer
+// ziggurat whose common path is a single 64-bit draw, one compare, and
+// one multiply. It exists so Monitor sampling stays cheap and free of
+// math/rand's Source indirection.
 type normRNG struct {
-	state uint64
-}
-
-func (r *normRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform draw in [0, 1) with 53 random bits.
-func (r *normRNG) Float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
+	rng.Stream
 }
 
 // Ziggurat tables (Marsaglia-Tsang layout, Doornik constants for 128
@@ -97,7 +85,7 @@ func init() {
 // NormFloat64 returns a standard normal deviate via the ziggurat.
 func (r *normRNG) NormFloat64() float64 {
 	for {
-		bits := r.next()
+		bits := r.Uint64()
 		// Mantissa bits 11..63 give the uniform; the low 7 bits (a
 		// disjoint set) pick the layer.
 		u := 2*(float64(bits>>11)/(1<<53)) - 1
@@ -181,8 +169,8 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 // NewMonitor returns a monitor with the given configuration.
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	cfg = cfg.withDefaults()
-	rng := normRNG{state: uint64(cfg.Seed)}
-	bias := rng.NormFloat64() * cfg.BiasStd
+	draws := normRNG{rng.New(uint64(cfg.Seed))}
+	bias := draws.NormFloat64() * cfg.BiasStd
 	if bias > 0.025 {
 		bias = 0.025
 	}
@@ -194,9 +182,9 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		noiseStd:   cfg.NoiseStd,
 		driftAmp:   cfg.DriftAmp,
 		driftHz:    1 / cfg.DriftPeriodSec,
-		driftPhase: rng.Float64() * 2 * math.Pi,
+		driftPhase: draws.Float64() * 2 * math.Pi,
 		bias:       bias,
-		rng:        rng,
+		rng:        draws,
 	}
 	mo.driftSin, mo.driftCos = math.Sincos(mo.driftPhase)
 	mo.stepSin, mo.stepCos = math.Sincos(2 * math.Pi * mo.driftHz / mo.sampleHz)

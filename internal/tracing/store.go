@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"ecavs/internal/rng"
 )
 
 // Verdict values: why a fragment was kept.
@@ -53,8 +55,7 @@ func (sm Sampler) ratioKeep(id TraceID) bool {
 	if sm.Ratio <= 0 {
 		return false
 	}
-	u := float64(mix64(binary.BigEndian.Uint64(id[8:]))>>11) / (1 << 53)
-	return u < sm.Ratio
+	return rng.Unit(rng.Mix(binary.BigEndian.Uint64(id[8:]))) < sm.Ratio
 }
 
 // verdict returns why the fragment should be kept, or "" to drop it.

@@ -23,8 +23,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"ecavs/internal/rng"
 )
 
 // Header is the W3C trace-context propagation header name.
@@ -49,24 +50,6 @@ func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
 // String renders the ID as 16 lowercase hex digits.
 func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
 
-// splitmix64 advances and finalizes one draw of the splitmix64 stream
-// — the same generator the fault planner and backoff jitter use, so
-// the whole repo shares one deterministic PRNG idiom.
-func splitmix64(state *atomic.Uint64) uint64 {
-	z := state.Add(0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// mix64 is the stateless splitmix64 finalizer, used to hash a trace ID
-// into the sampling ratio decision.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Attr is one span attribute. Values are pre-rendered strings: the
 // typed Set helpers format at record time, which only runs when
 // tracing is enabled.
@@ -84,7 +67,7 @@ type Config struct {
 	// completes. The zero value keeps nothing; use DefaultSampler as the
 	// starting point.
 	Sampler Sampler
-	// Seed seeds the splitmix64 ID stream. Zero derives a seed from the
+	// Seed seeds the internal/rng ID stream. Zero derives a seed from the
 	// wall clock; tests pass a fixed seed for reproducible IDs.
 	Seed uint64
 	// Now overrides the clock (nil = time.Now). Span durations use the
@@ -104,7 +87,7 @@ type Tracer struct {
 	sampler Sampler
 	store   *Store
 	now     func() time.Time
-	ids     atomic.Uint64 // splitmix64 state for ID generation
+	ids     rng.Atomic // ID stream
 }
 
 // New builds a tracer emitting into store. A nil store returns a nil
@@ -129,7 +112,7 @@ func New(cfg Config, store *Store) *Tracer {
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano())
 	}
-	t.ids.Store(seed)
+	t.ids.Seed(seed)
 	return t
 }
 
@@ -140,8 +123,8 @@ func (t *Tracer) Enabled() bool { return t != nil }
 func (t *Tracer) newTraceID() TraceID {
 	var id TraceID
 	for id.IsZero() {
-		binary.BigEndian.PutUint64(id[:8], splitmix64(&t.ids))
-		binary.BigEndian.PutUint64(id[8:], splitmix64(&t.ids))
+		binary.BigEndian.PutUint64(id[:8], t.ids.Uint64())
+		binary.BigEndian.PutUint64(id[8:], t.ids.Uint64())
 	}
 	return id
 }
@@ -150,7 +133,7 @@ func (t *Tracer) newTraceID() TraceID {
 func (t *Tracer) newSpanID() SpanID {
 	var id SpanID
 	for id.IsZero() {
-		binary.BigEndian.PutUint64(id[:], splitmix64(&t.ids))
+		binary.BigEndian.PutUint64(id[:], t.ids.Uint64())
 	}
 	return id
 }
