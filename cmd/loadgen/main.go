@@ -455,12 +455,12 @@ func fetchInfo(hc *http.Client, base string) (dash.MPDInfo, error) {
 type fetcher struct {
 	hc      *http.Client
 	tracer  *tracing.Tracer // nil = tracing off; every span call no-ops
-	retries int             // extra attempts after the first, on 5xx or transport error
+	retries int             // extra attempts after the first, on 5xx, transport error or truncation
 	coll    *collector
 }
 
-// outcome classifies one attempt — and, via the last attempt, the
-// whole chain.
+// outcome is the report vocabulary one attempt — and, via the last
+// attempt, the whole chain — maps onto.
 type outcome int
 
 const (
@@ -474,11 +474,12 @@ const (
 // fetchOne issues one request chain and classifies its final outcome:
 // 200 is goodput, a 5xx with Retry-After is a shed, a 5xx without one
 // is the error the overload gate forbids, anything cut off by the run
-// deadline is an abort. With -retries set, 5xx responses and transport
-// errors are retried after a short backoff; the chain still produces
-// exactly one collector record, for its final outcome. With tracing on,
-// the chain is one root span with an attempt child per try, and each
-// try carries a traceparent header so a traced server joins the trace.
+// deadline is an abort. With -retries set, 5xx responses, transport
+// errors and truncated bodies are retried after a short backoff; any
+// other status is final. The chain still produces exactly one
+// collector record, for its final outcome. With tracing on, the chain
+// is one root span with an attempt child per try, and each try carries
+// a traceparent header so a traced server joins the trace.
 func (f *fetcher) fetchOne(ctx context.Context, url string, seg, rung int) {
 	span := f.tracer.StartRoot("request")
 	span.SetAttrInt("segment", int64(seg))
@@ -494,13 +495,10 @@ loop:
 		attempts++
 		att := span.StartChild("attempt")
 		att.SetAttrInt("try", int64(attempts))
-		out, n = f.attempt(ctx, url, att)
+		a := httpdash.GetSegment(ctx, f.hc, url, att.TraceParent(), false)
+		out, n = classify(a, att), a.Bytes
 		att.End()
-		switch out {
-		case outcomeOK, outcomeAbort:
-			break loop
-		}
-		if attempts > f.retries || ctx.Err() != nil {
+		if out == outcomeOK || out == outcomeAbort || a.Final() || attempts > f.retries || ctx.Err() != nil {
 			break
 		}
 		delay := time.Duration(attempts) * 5 * time.Millisecond
@@ -546,49 +544,28 @@ loop:
 	}
 }
 
-// attempt is one HTTP round trip of a chain, recorded on att.
-func (f *fetcher) attempt(ctx context.Context, url string, att *tracing.Span) (outcome, int64) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		att.SetError(err)
-		return outcomeFail, 0
+// classify maps one attempt, as httpdash classified it, onto the
+// report vocabulary and records it on att.
+func classify(a httpdash.Attempt, att *tracing.Span) outcome {
+	if a.Status != 0 {
+		att.SetAttrInt("http_status", int64(a.Status))
 	}
-	if tp := att.TraceParent(); tp != "" {
-		req.Header.Set(tracing.Header, tp)
-	}
-	resp, err := f.hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			att.SetStatus("cancelled", "run deadline")
-			return outcomeAbort, 0
-		}
-		att.SetError(err)
-		return outcomeFail, 0
-	}
-	n, cerr := io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	att.SetAttrInt("http_status", int64(resp.StatusCode))
 	switch {
-	case cerr != nil:
-		if ctx.Err() != nil {
-			att.SetStatus("cancelled", "run deadline")
-			return outcomeAbort, n
-		}
-		att.SetError(cerr)
-		return outcomeFail, n
-	case resp.StatusCode >= 500:
-		if resp.Header.Get("Retry-After") != "" {
-			att.SetStatus("shed", resp.Status)
-			return outcomeShed, n
-		}
-		att.SetStatus("error", resp.Status)
-		return outcomeFailNoRA, n
-	case resp.StatusCode != http.StatusOK:
-		att.SetStatus("error", resp.Status)
-		return outcomeFail, n
+	case a.Cancelled:
+		att.SetStatus("cancelled", "run deadline")
+		return outcomeAbort
+	case a.Err == nil:
+		att.SetAttrInt("bytes", a.Bytes)
+		return outcomeOK
+	case a.Shed():
+		att.SetStatus("shed", a.Err.Error())
+		return outcomeShed
+	case a.Status >= 500:
+		att.SetStatus("error", a.Err.Error())
+		return outcomeFailNoRA
 	default:
-		att.SetAttrInt("bytes", n)
-		return outcomeOK, n
+		att.SetError(a.Err)
+		return outcomeFail
 	}
 }
 
@@ -667,7 +644,7 @@ func run(args []string, stdout io.Writer) error {
 	maxQueue := fs.Int("max-queue", 0, "in-process server admission wait-queue depth")
 	queueWait := fs.Duration("queue-wait", 100*time.Millisecond, "in-process server admission queue deadline")
 	priorityShed := fs.Bool("priority-shed", false, "in-process server sheds top ladder rungs first under pressure")
-	retries := fs.Int("retries", 0, "retries per request on 5xx or transport error (0 = none)")
+	retries := fs.Int("retries", 0, "retries per request on 5xx, transport error or truncated body; 4xx is final (0 = none)")
 	edgeMode := fs.Bool("edge", false, "front the origin with a caching edge proxy; workers hit the edge")
 	edgeCapacity := fs.Int64("edge-capacity", httpdash.DefaultEdgeCapacityBytes, "edge cache byte budget")
 	edgeShards := fs.Int("edge-shards", edgecache.DefaultShards, "edge cache shard count (power of two)")

@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ecavs/internal/benchfmt"
+	"ecavs/internal/dash"
+	"ecavs/internal/httpdash"
 )
 
 func TestParseRungs(t *testing.T) {
@@ -157,6 +162,47 @@ func TestRunCountsFaultErrors(t *testing.T) {
 	}
 	if rep.Requests == 0 {
 		t.Error("faulty run completed zero requests")
+	}
+}
+
+// TestRunRetriesSkip4xx pins that -retries re-attempts only what a
+// retry can fix: against an origin that answers 404 for every segment,
+// each request chain must reach the server once, not 1+retries times.
+func TestRunRetriesSkip4xx(t *testing.T) {
+	m, err := dash.NewManifest(dash.Video{Title: "404", SpatialInfo: 45, TemporalInfo: 15, DurationSec: 10},
+		dash.TableIILadder(), dash.ManifestConfig{SegmentSec: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, err := httpdash.NewServer(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segRequests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/seg/") {
+			segRequests.Add(1)
+			http.NotFound(w, r)
+			return
+		}
+		origin.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	var buf bytes.Buffer
+	if err := run([]string{"-url", ts.URL, "-workers", "2", "-duration", "200ms", "-retries", "3", "-json"}, &buf); err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	var rep report
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Issued == 0 || rep.Errors == 0 || rep.Requests != 0 {
+		t.Fatalf("issued %d, errors %d, ok %d: want only errors", rep.Issued, rep.Errors, rep.Requests)
+	}
+	// A chain the run deadline cut off may not have reached the server.
+	if got := segRequests.Load(); got > rep.Issued || got < rep.Issued-rep.Aborted {
+		t.Errorf("%d segment requests for %d chains (%d aborted): 404s were retried", got, rep.Issued, rep.Aborted)
 	}
 }
 

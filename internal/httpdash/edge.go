@@ -448,58 +448,25 @@ func (e *Edge) fillOrigin(key string, span *tracing.Span) (*edgecache.Entry, tim
 	defer sp.End()
 	ctx, cancel := context.WithTimeout(context.Background(), defaultEdgeFillTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.origin+"/seg/"+key, nil)
-	if err != nil {
-		sp.SetError(err)
-		return nil, 0, fmt.Errorf("httpdash: build origin request: %w", err)
+	// A short body is the same torn delivery the streaming client
+	// rejects; caching it would turn one origin fault into an unbounded
+	// number of bad serves.
+	a := GetSegment(ctx, e.hc, e.origin+"/seg/"+key, sp.TraceParent(), true)
+	if a.Err != nil {
+		sp.SetError(a.Err)
+		if a.Status != http.StatusOK && a.Status != 0 {
+			sp.SetAttrInt("http_status", int64(a.Status))
+		}
+		return nil, a.RetryAfter, fmt.Errorf("httpdash: origin: %w", a.Err)
 	}
-	if tp := sp.TraceParent(); tp != "" {
-		req.Header.Set(tracing.Header, tp)
-	}
-	resp, err := e.hc.Do(req)
-	if err != nil {
-		sp.SetError(err)
-		return nil, 0, fmt.Errorf("httpdash: origin fetch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err := &statusError{code: resp.StatusCode, status: resp.Status, retryAfter: parseRetryAfter(resp)}
-		sp.SetStatus("error", resp.Status)
-		sp.SetAttrInt("http_status", int64(resp.StatusCode))
-		return nil, err.retryAfter, fmt.Errorf("httpdash: origin: %w", err)
-	}
-	data, err := readFullBody(resp)
-	if err != nil {
-		sp.SetError(err)
-		return nil, 0, err
-	}
-	ct := resp.Header.Get("Content-Type")
+	ct := a.ContentType
 	if ct == "" {
 		ct = "video/iso.segment"
 	}
-	ent, cached := e.cache.Fill(key, data, ct, strconv.Itoa(len(data)), time.Now())
-	sp.SetAttrInt("bytes", int64(len(data)))
+	ent, cached := e.cache.Fill(key, a.Body, ct, strconv.Itoa(len(a.Body)), time.Now())
+	sp.SetAttrInt("bytes", int64(len(a.Body)))
 	if !cached {
 		sp.SetAttr("cached", "false")
 	}
 	return ent, 0, nil
-}
-
-// readFullBody reads an origin response to completion, insisting on
-// the advertised Content-Length: a short body is the same torn
-// delivery the streaming client rejects, and caching it would convert
-// one origin fault into an unbounded number of bad serves.
-func readFullBody(resp *http.Response) ([]byte, error) {
-	if want := resp.ContentLength; want >= 0 {
-		data := make([]byte, want)
-		if _, err := io.ReadFull(resp.Body, data); err != nil {
-			return nil, fmt.Errorf("httpdash: origin body: %w: %w", ErrTruncated, err)
-		}
-		return data, nil
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("httpdash: origin body: %w", err)
-	}
-	return data, nil
 }

@@ -270,7 +270,7 @@ func TestEdgeClientClassifiesEdgeShedAsShed(t *testing.T) {
 	if r.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", r.StatusCode)
 	}
-	if got := parseRetryAfter(r); got != time.Second {
+	if got := parseRetryAfter(r.Header.Get("Retry-After")); got != time.Second {
 		t.Errorf("parseRetryAfter = %v, want 1s — clients must see the backoff hint", got)
 	}
 }

@@ -146,28 +146,42 @@ func TestTracingServerSpansDetail(t *testing.T) {
 	_ = stats
 }
 
-// TestTracingPipelinedSpans checks the prefetch pipeline records
-// pipeline_wait children and one root per segment.
+// TestTracingPipelinedSpans checks the fetch loop records one root per
+// segment at every depth. With prefetch each root carries the prefetch
+// mode and a pipeline_wait child; without it the tree is the plain
+// per-segment one, with neither.
 func TestTracingPipelinedSpans(t *testing.T) {
-	store, client := traceSetup(t, nil, WithFetchAhead(2))
-	stats, err := client.Stream(context.Background())
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	views := store.Views()
-	if len(views) != len(stats.Fetches) {
-		t.Fatalf("%d traces for %d segments", len(views), len(stats.Fetches))
-	}
-	waits := 0
-	for _, v := range views {
-		for _, sp := range v.Spans {
-			if sp.Name == "pipeline_wait" {
-				waits++
+	for _, ahead := range []int{0, 2} {
+		store, client := traceSetup(t, nil, WithFetchAhead(ahead))
+		stats, err := client.Stream(context.Background())
+		if err != nil {
+			t.Fatalf("ahead %d: stream: %v", ahead, err)
+		}
+		views := store.Views()
+		if len(views) != len(stats.Fetches) {
+			t.Fatalf("ahead %d: %d traces for %d segments", ahead, len(views), len(stats.Fetches))
+		}
+		waits, modes := 0, 0
+		for _, v := range views {
+			for _, sp := range v.Spans {
+				if sp.Name == "pipeline_wait" {
+					waits++
+				}
+				for _, a := range sp.Attrs {
+					if a.Key == "mode" {
+						modes++
+					}
+				}
 			}
 		}
-	}
-	if waits != len(stats.Fetches) {
-		t.Fatalf("%d pipeline_wait spans for %d segments", waits, len(stats.Fetches))
+		want := len(stats.Fetches)
+		if ahead == 0 {
+			want = 0
+		}
+		if waits != want || modes != want {
+			t.Fatalf("ahead %d: %d pipeline_wait spans and %d mode attributes for %d segments, want %d each",
+				ahead, waits, modes, len(stats.Fetches), want)
+		}
 	}
 }
 
