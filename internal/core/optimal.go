@@ -7,7 +7,6 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
-	"ecavs/internal/graph"
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
 	"ecavs/internal/trace"
@@ -47,17 +46,6 @@ var (
 	ErrNoTasks      = errors.New("core: no tasks to plan")
 	ErrSizeMismatch = errors.New("core: task sizes do not match the ladder")
 )
-
-// PlanConfig tunes PlanOptimal.
-type PlanConfig struct {
-	// Verify additionally solves the plan on the explicit layered DAG
-	// of Fig. 4 with both original solvers — the topological DP and
-	// Dijkstra on shifted weights (the paper's stated solver) — and
-	// returns an error if either disagrees with the fast path. It is
-	// off by default: the rolling DP is exact, and verification costs
-	// the full O(n·k²)-edge graph build it exists to avoid.
-	Verify bool
-}
 
 // taskScorer evaluates the Eq. 11 cost of every ladder rung of one
 // task, reusing its buffers across tasks so planning allocates
@@ -142,16 +130,12 @@ func (s *taskScorer) scoreInto(t TaskObservation, p int, costs []float64) {
 // carrying the Eq. 11 objective of the destination task's candidate
 // including the switch penalty between the endpoint rungs.
 //
-// The hot path is a rolling in-place DP over two k-sized distance
+// The solver is a rolling in-place DP over two k-sized distance
 // slices: the layered DAG's structure is implicit, so no graph, edges,
-// or per-edge allocations are materialised. PlanOptimalWith can
-// cross-check the result against the explicit graph solvers.
+// or per-edge allocations are materialised. The tests check it against
+// the explicit graph solvers of internal/graph — the topological DP
+// and Dijkstra on shifted weights, the paper's stated solver.
 func PlanOptimal(obj Objective, ladder dash.Ladder, tasks []TaskObservation) (Plan, error) {
-	return PlanOptimalWith(obj, ladder, tasks, PlanConfig{})
-}
-
-// PlanOptimalWith is PlanOptimal with explicit configuration.
-func PlanOptimalWith(obj Objective, ladder dash.Ladder, tasks []TaskObservation, cfg PlanConfig) (Plan, error) {
 	if len(tasks) == 0 {
 		return Plan{}, ErrNoTasks
 	}
@@ -173,7 +157,7 @@ func PlanOptimalWith(obj Objective, ladder dash.Ladder, tasks []TaskObservation,
 	// relaxation order (previous rungs ascending, strict improvement
 	// only) mirrors the explicit topological-order DP on the graph, so
 	// ties break identically and the costs accumulate in the same
-	// floating-point order — the verify path can demand exact equality.
+	// floating-point order — the test oracle demands exact equality.
 	dist := make([]float64, k)
 	next := make([]float64, k)
 	costs := make([]float64, k)
@@ -215,128 +199,7 @@ func PlanOptimalWith(obj Objective, ladder dash.Ladder, tasks []TaskObservation,
 		j = int(choice[i*k+j])
 	}
 	rungs[0] = j
-	plan := Plan{Rungs: rungs, TotalCost: dist[best]}
-
-	if cfg.Verify {
-		if err := verifyPlan(sc, tasks, plan); err != nil {
-			return Plan{}, err
-		}
-	}
-	return plan, nil
-}
-
-// verifyPlan re-solves the plan on the explicit layered DAG with both
-// original solvers and errors if either disagrees with the fast path.
-// The topological DP must match the rolling DP bit-for-bit (same
-// relaxation order, same float64 additions); Dijkstra runs on weights
-// shifted to non-negative and is checked within a relative tolerance,
-// as its different accumulation order forfeits bitwise equality.
-func verifyPlan(sc *taskScorer, tasks []TaskObservation, plan Plan) error {
-	n := len(tasks)
-	k := len(sc.bitrates)
-
-	// Materialise every per-task, per-(prev, rung) cost row: costs
-	// [i][p][j] is the cost of rung j at task i given previous rung p;
-	// p == k means "no previous" (first task).
-	costs := make([][][]float64, n)
-	minCost := math.Inf(1)
-	for i, t := range tasks {
-		costs[i] = make([][]float64, k+1)
-		sc.beginTask(t)
-		for p := 0; p <= k; p++ {
-			row := make([]float64, k)
-			sc.scoreInto(t, p, row)
-			costs[i][p] = row
-			for _, c := range row {
-				if c < minCost {
-					minCost = c
-				}
-			}
-		}
-	}
-
-	// Node numbering: 0 = source, 1 + i*k + j = (task i, rung j),
-	// sink = 1 + n*k.
-	node := func(i, j int) int { return 1 + i*k + j }
-	sink := 1 + n*k
-	shift := 0.0
-	if minCost < 0 {
-		shift = -minCost
-	}
-
-	build := func(withShift float64) (*graph.Graph, error) {
-		g := graph.New(sink + 1)
-		g.Reserve(0, k)
-		for j := 0; j < k; j++ {
-			if err := g.AddEdge(0, node(0, j), costs[0][k][j]+withShift); err != nil {
-				return nil, err
-			}
-		}
-		for i := 1; i < n; i++ {
-			for p := 0; p < k; p++ {
-				g.Reserve(node(i-1, p), k)
-				for j := 0; j < k; j++ {
-					if err := g.AddEdge(node(i-1, p), node(i, j), costs[i][p][j]+withShift); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		for j := 0; j < k; j++ {
-			if err := g.AddEdge(node(n-1, j), sink, 0); err != nil {
-				return nil, err
-			}
-		}
-		return g, nil
-	}
-
-	// Topological DP on the raw (possibly negative) weights.
-	gRaw, err := build(0)
-	if err != nil {
-		return err
-	}
-	distDP, prevDP, err := gRaw.ShortestPathDAG(0)
-	if err != nil {
-		return err
-	}
-	if math.IsInf(distDP[sink], 1) {
-		return graph.ErrNoPath
-	}
-	if distDP[sink] != plan.TotalCost {
-		return fmt.Errorf("core: verify: graph DP cost %v != fast-path cost %v", distDP[sink], plan.TotalCost)
-	}
-	path, err := graph.PathTo(prevDP, sink)
-	if err != nil {
-		return err
-	}
-	// path = [source, task nodes..., sink].
-	if len(path) != n+2 {
-		return fmt.Errorf("core: malformed plan path of length %d for %d tasks", len(path), n)
-	}
-	for i := 0; i < n; i++ {
-		if r := (path[i+1] - 1) % k; r != plan.Rungs[i] {
-			return fmt.Errorf("core: verify: graph DP rung %d at task %d != fast-path rung %d", r, i, plan.Rungs[i])
-		}
-	}
-
-	// Dijkstra on shifted weights (the paper's stated solver).
-	gShift, err := build(shift)
-	if err != nil {
-		return err
-	}
-	distDij, _, err := gShift.Dijkstra(0)
-	if err != nil {
-		return err
-	}
-	// Every source-to-sink path has exactly n shifted task edges plus
-	// one zero-weight sink edge, so the shifted optimum is the raw
-	// optimum plus n x shift.
-	wantDij := distDP[sink] + shift*float64(n)
-	if math.Abs(distDij[sink]-wantDij) > 1e-6*math.Max(1, math.Abs(wantDij)) {
-		return fmt.Errorf("core: solver disagreement: DP %v vs Dijkstra %v (shift %v)",
-			distDP[sink], distDij[sink], shift)
-	}
-	return nil
+	return Plan{Rungs: rungs, TotalCost: dist[best]}, nil
 }
 
 // ObserveTasks derives per-task observations from a recorded trace and

@@ -91,10 +91,7 @@ func TestPlanOptimalMatchesBruteForce(t *testing.T) {
 	obj := testObjective(t, 0.5)
 	ladder := smallLadder(t)
 	tasks := makeTasks(5, ladder)
-	plan, err := PlanOptimalWith(obj, ladder, tasks, PlanConfig{Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planVerified(t, obj, ladder, tasks)
 	if len(plan.Rungs) != 5 {
 		t.Fatalf("plan length = %d, want 5", len(plan.Rungs))
 	}
@@ -133,10 +130,7 @@ func TestPlanOptimalDominatesFixedPlans(t *testing.T) {
 	obj := testObjective(t, 0.5)
 	ladder := smallLadder(t)
 	tasks := makeTasks(12, ladder)
-	plan, err := PlanOptimalWith(obj, ladder, tasks, PlanConfig{Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planVerified(t, obj, ladder, tasks)
 	for j := 0; j < len(ladder); j++ {
 		fixed := make([]int, len(tasks))
 		for i := range fixed {
@@ -154,10 +148,7 @@ func TestPlanOptimalContextSensitivity(t *testing.T) {
 	obj := testObjective(t, 0.5)
 	ladder := smallLadder(t)
 	tasks := makeTasks(20, ladder)
-	plan, err := PlanOptimalWith(obj, ladder, tasks, PlanConfig{Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planVerified(t, obj, ladder, tasks)
 	var quietSum, vibSum, quietN, vibN float64
 	for i, r := range plan.Rungs {
 		if i%2 == 0 {

@@ -6,6 +6,7 @@ import (
 	"ecavs/internal/core"
 	"ecavs/internal/netsim"
 	"ecavs/internal/player"
+	"ecavs/internal/pool"
 	"ecavs/internal/sim"
 )
 
@@ -25,7 +26,7 @@ func (e *Env) runOursVariant(build func(obj core.Objective) *core.Online, sessio
 		return 0, 0, 0, err
 	}
 	metrics := make([]*sim.Metrics, len(comp.Results))
-	if err := runUnits(len(comp.Results), func(i int) error {
+	if err := pool.Run(len(comp.Results), 0, func(i int) error {
 		r := comp.Results[i]
 		man, err := e.Manifest(r.Trace)
 		if err != nil {
@@ -169,7 +170,7 @@ func (e *Env) AblationNoGradualSwitch() (*Table, error) {
 			return nil, err
 		}
 		counts := make([]int, len(comp.Results))
-		if err := runUnits(len(comp.Results), func(i int) error {
+		if err := pool.Run(len(comp.Results), 0, func(i int) error {
 			r := comp.Results[i]
 			man, err := e.Manifest(r.Trace)
 			if err != nil {

@@ -11,12 +11,13 @@ import (
 	"ecavs/internal/trace"
 )
 
-// TestRunUnitsRecoversPanic pins that the evaluation fan-out inherits
-// the worker pool's panic isolation: a unit that panics (a poisoned
+// TestRunUnitsRecoversPanic pins that the evaluation fan-out — its
+// units run through pool.Run at GOMAXPROCS width — inherits the worker
+// pool's panic isolation: a unit that panics (a poisoned
 // trace×algorithm cell) fails the evaluation with a typed error and a
 // stack instead of crashing the process.
 func TestRunUnitsRecoversPanic(t *testing.T) {
-	err := runUnits(4, func(u int) error {
+	err := pool.Run(4, 0, func(u int) error {
 		if u == 2 {
 			panic("poisoned evaluation unit")
 		}

@@ -9,6 +9,7 @@ import (
 	"ecavs/internal/core"
 	"ecavs/internal/dash"
 	"ecavs/internal/player"
+	"ecavs/internal/pool"
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
 	"ecavs/internal/sim"
@@ -179,7 +180,7 @@ func (e *Env) computeComparison() (*Comparison, error) {
 
 	// Wave 1: derive per-trace artifacts.
 	arts := make([]*traceArtifacts, len(traces))
-	if err := runUnits(len(traces), func(ti int) error {
+	if err := pool.Run(len(traces), 0, func(ti int) error {
 		a, err := e.artifactsFor(traces[ti])
 		if err != nil {
 			return err
@@ -208,7 +209,7 @@ func (e *Env) computeComparison() (*Comparison, error) {
 		},
 	}
 	metrics := make([]*sim.Metrics, len(traces)*len(builders))
-	if err := runUnits(len(metrics), func(unit int) error {
+	if err := pool.Run(len(metrics), 0, func(unit int) error {
 		ti, ai := unit/len(builders), unit%len(builders)
 		tr := traces[ti]
 		alg, err := builders[ai](ti)

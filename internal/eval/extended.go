@@ -7,6 +7,7 @@ import (
 	"ecavs/internal/core"
 	"ecavs/internal/learn"
 	"ecavs/internal/player"
+	"ecavs/internal/pool"
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
 	"ecavs/internal/sim"
@@ -61,7 +62,7 @@ func (e *Env) ExtendedBaselines() (*Table, error) {
 	}
 	nt := len(comp.Results)
 	metrics := make([]*sim.Metrics, len(builders)*nt)
-	if err := runUnits(len(metrics), func(unit int) error {
+	if err := pool.Run(len(metrics), 0, func(unit int) error {
 		b, r := builders[unit/nt], comp.Results[unit%nt]
 		alg, err := b.make()
 		if err != nil {
@@ -221,7 +222,7 @@ func (e *Env) AblationAbandonment() (*Table, error) {
 	thresholds := []float64{10, 30, 60}
 	nt := len(comp.Results)
 	metrics := make([]*sim.Metrics, len(thresholds)*nt)
-	if err := runUnits(len(metrics), func(unit int) error {
+	if err := pool.Run(len(metrics), 0, func(unit int) error {
 		threshold, r := thresholds[unit/nt], comp.Results[unit%nt]
 		man, err := e.Manifest(r.Trace)
 		if err != nil {
@@ -290,7 +291,7 @@ func (e *Env) AblationTailEnergy() (*Table, error) {
 	resumes := []float64{30, 20, 10, 5}
 	nt := len(comp.Results)
 	metrics := make([]*sim.Metrics, len(resumes)*nt)
-	if err := runUnits(len(metrics), func(unit int) error {
+	if err := pool.Run(len(metrics), 0, func(unit int) error {
 		resumeSec, r := resumes[unit/nt], comp.Results[unit%nt]
 		man, err := e.Manifest(r.Trace)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"ecavs/internal/abr"
 	"ecavs/internal/core"
 	"ecavs/internal/player"
+	"ecavs/internal/pool"
 	"ecavs/internal/sim"
 	"ecavs/internal/trace"
 )
@@ -36,7 +37,7 @@ func (e *Env) ExtendedRobustness() (*Table, error) {
 	nt := len(specs)
 	type sessionTriple struct{ save, degr, festSave float64 }
 	triples := make([]sessionTriple, campaigns*nt)
-	if err := runUnits(len(triples), func(unit int) error {
+	if err := pool.Run(len(triples), 0, func(unit int) error {
 		campaign, spec := unit/nt, specs[unit%nt]
 		spec.Seed += int64(campaign * 1000)
 		tr, err := trace.Generate(spec, e.EvalPower.NominalThroughputMBps)

@@ -5,6 +5,7 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
+	"ecavs/internal/pool"
 	"ecavs/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func (e *Env) AblationSegmentDuration() (*Table, error) {
 	tr := comp.Results[1].Trace // the strong-signal trace isolates the ramp effect
 	durations := []float64{1, 2, 4, 6}
 	rows := make([][]string, len(durations))
-	if err := runUnits(len(durations), func(i int) error {
+	if err := pool.Run(len(durations), 0, func(i int) error {
 		segSec := durations[i]
 		video := dash.Video{
 			Title:        fmt.Sprintf("segdur-%v", segSec),

@@ -1,10 +1,12 @@
-// Package graph implements the shortest-path machinery behind the
+// Package graph implements the shortest-path formulation of the
 // paper's optimal bitrate planner (Section IV-A): a directed graph with
 // binary-heap Dijkstra, and a topological-order DP for DAGs whose edges
 // only go from lower- to higher-numbered nodes (the task-layered graph
-// of Fig. 4 has exactly that structure). The two solvers cross-check
-// each other in tests; Dijkstra additionally requires non-negative
-// weights, which the planner guarantees by shifting edge costs.
+// of Fig. 4 has exactly that structure). It is the planner's test
+// oracle: core.PlanOptimal solves the same graph implicitly with a
+// rolling DP, and its tests check the plan against both solvers here.
+// Dijkstra requires non-negative weights, which the oracle guarantees
+// by shifting edge costs.
 package graph
 
 import (

@@ -146,9 +146,14 @@ func (a *admission) inFlight() int {
 }
 
 // retryAfterSeconds renders a Retry-After header value: whole seconds,
-// rounded up, at least 1 (the header has no sub-second form).
+// rounded up, at least 1 (the header has no sub-second form). The
+// round-up divides first, so it cannot overflow near the largest
+// durations.
 func retryAfterSeconds(d time.Duration) string {
-	sec := int64((d + time.Second - 1) / time.Second)
+	sec := int64(d / time.Second)
+	if d%time.Second > 0 {
+		sec++
+	}
 	if sec < 1 {
 		sec = 1
 	}
