@@ -1,13 +1,14 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test test-short race chaos obs loadtest overload tracesmoke edgesmoke vuln bench bench-diff benchsmoke experiments examples cover
+.PHONY: all check build vet test test-short race chaos obs loadtest overload tracesmoke edgesmoke perfbench-test vuln bench bench-diff benchsmoke experiments examples cover
 
 all: build vet test
 
 # check is the CI gate: build, vet, tests, the race detector, the
 # observability suite, a load-generator smoke run, the overload
-# shed-path smoke, the request-tracing smoke, and the edge-cache smoke.
-check: build vet test race obs loadtest overload tracesmoke edgesmoke
+# shed-path smoke, the request-tracing smoke, the edge-cache smoke, and
+# the benchmark module's own vet and tests.
+check: build vet test race obs loadtest overload tracesmoke edgesmoke perfbench-test
 
 build:
 	go build ./...
@@ -81,6 +82,14 @@ tracesmoke:
 # service trace — proof the traceparent header survived both hops.
 edgesmoke:
 	go run ./cmd/loadgen -edge -rps 300 -duration 2s -video-sec 20 -rungs 0 -gate-hit-ratio 0.9 -trace-cap 4096 -trace-ratio 1 -json -gate-trace
+
+# perfbench-test vets and tests the benchmark (perfbench/, see
+# BENCHMARK.json). It is its own Go module importing this one through
+# `replace ecavs => ../`, so the root `go test ./...` never compiles it:
+# without this target an API change could break the benchmark's build
+# while every root test stays green.
+perfbench-test:
+	cd perfbench && go vet ./... && go test ./...
 
 # vuln scans the module against the Go vulnerability database. The
 # scanner is optional locally (it needs a network fetch to install);
