@@ -23,6 +23,9 @@ func FuzzParseMPD(f *testing.F) {
 	f.Add("not xml at all")
 	f.Add("<MPD><Period><AdaptationSet><Representation bandwidth=\"-5\"/></AdaptationSet></Period></MPD>")
 	f.Add("")
+	for _, d := range []string{"PT-4S", "PTNaNS", "PT1e300S"} {
+		f.Add(strings.Replace(valid, "PT10S", d, 1))
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		mpd, err := ParseMPD(strings.NewReader(input))
 		if err != nil {
@@ -30,7 +33,7 @@ func FuzzParseMPD(f *testing.F) {
 		}
 		// Info derivation must also not panic; errors are fine.
 		if info, err := InfoFromMPD(mpd); err == nil {
-			if len(info.Ladder) == 0 || info.SegmentCount < 0 {
+			if len(info.Ladder) == 0 || info.SegmentCount < 1 {
 				t.Errorf("invalid info accepted from %q", input)
 			}
 		}

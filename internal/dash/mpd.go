@@ -215,11 +215,16 @@ func InfoFromMPD(mpd *MPD) (MPDInfo, error) {
 		return MPDInfo{}, errors.New("dash: missing segment template timing")
 	}
 	segSec := float64(st.Duration) / float64(st.Timescale)
-	count := int(math.Ceil(dur / segSec))
+	// A zero, negative, NaN or infinite duration, or one too long for an
+	// int segment number, fails this check before the conversion.
+	count := math.Ceil(dur / segSec)
+	if !(count >= 1 && count <= math.MaxInt32) {
+		return MPDInfo{}, fmt.Errorf("dash: duration %q gives no usable segment count", mpd.MediaPresentationDur)
+	}
 	return MPDInfo{
 		DurationSec:  dur,
 		SegmentSec:   segSec,
-		SegmentCount: count,
+		SegmentCount: int(count),
 		Ladder:       ladder,
 		RepIDs:       ids,
 	}, nil

@@ -131,6 +131,16 @@ func TestInfoFromMPD(t *testing.T) {
 	if _, err := InfoFromMPD(&bad); err == nil {
 		t.Error("missing timescale accepted")
 	}
+	// Durations that give no positive, int-sized segment count are
+	// rejected rather than turned into a count no loop or allocation
+	// can use.
+	for _, d := range []string{"PT0S", "PT-4S", "PTNaNS", "PTInfS", "PT1e300S"} {
+		bad := *mpd
+		bad.MediaPresentationDur = d
+		if info, err := InfoFromMPD(&bad); err == nil {
+			t.Errorf("duration %q accepted with %d segments", d, info.SegmentCount)
+		}
+	}
 }
 
 func TestParseISODuration(t *testing.T) {

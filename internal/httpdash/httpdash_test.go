@@ -1,6 +1,7 @@
 package httpdash
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -219,6 +220,45 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	}
 	if _, err := client.Stream(context.Background()); err == nil {
 		t.Error("dead server reported success")
+	}
+}
+
+// A manifest the client cannot stream fails the session with an
+// error: neither its duration nor its Content-Length may size a loop
+// or an allocation before it is checked.
+func TestClientRejectsMalformedManifest(t *testing.T) {
+	mpd, err := dash.BuildMPD(testManifest(t, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ duration, contentLength string }{
+		{"PT-4S", ""},
+		{"PT0S", ""},
+		{"PTNaNS", ""},
+		{"PT1e300S", ""},
+		{mpd.MediaPresentationDur, "9223372036854775807"},
+	}
+	for _, c := range cases {
+		m := *mpd
+		m.MediaPresentationDur = c.duration
+		var body bytes.Buffer
+		if err := dash.WriteMPD(&body, &m); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if c.contentLength != "" {
+				w.Header().Set("Content-Length", c.contentLength)
+			}
+			w.Write(body.Bytes())
+		}))
+		client, err := NewClient(ts.URL, abr.NewYoutube())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Stream(context.Background()); err == nil {
+			t.Errorf("duration %q, Content-Length %q: Stream succeeded", c.duration, c.contentLength)
+		}
+		ts.Close()
 	}
 }
 
