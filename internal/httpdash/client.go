@@ -1,14 +1,15 @@
 package httpdash
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"ecavs/internal/abr"
+	"ecavs/internal/dash"
 	"ecavs/internal/player"
 	"ecavs/internal/rng"
 	"ecavs/internal/telemetry"
@@ -273,6 +274,7 @@ func WithTracing(tr *tracing.Tracer) ClientOption {
 
 // NewClient returns a streaming client for the presentation at
 // baseURL (serving /manifest.mpd), adapting with the given algorithm.
+// A trailing slash on baseURL is ignored.
 func NewClient(baseURL string, alg abr.Algorithm, opts ...ClientOption) (*Client, error) {
 	if baseURL == "" {
 		return nil, errors.New("httpdash: empty base URL")
@@ -281,7 +283,7 @@ func NewClient(baseURL string, alg abr.Algorithm, opts ...ClientOption) (*Client
 		return nil, errors.New("httpdash: nil algorithm")
 	}
 	c := &Client{
-		baseURL:    baseURL,
+		baseURL:    strings.TrimSuffix(baseURL, "/"),
 		httpClient: &http.Client{Timeout: 30 * time.Second, Transport: NewTransport()},
 		algorithm:  alg,
 		threshold:  player.DefaultBufferThresholdSec,
@@ -381,7 +383,7 @@ func (s *Stats) merge(fc fetchCounters) {
 // MPD carries nominal bitrates, not exact sizes) — enough for
 // size-aware policies like the paper's online algorithm to run over
 // real HTTP.
-func segmentSizesMB(info manifestInfo) []float64 {
+func segmentSizesMB(info dash.MPDInfo) []float64 {
 	sizes := make([]float64, len(info.Ladder))
 	for j, r := range info.Ladder {
 		sizes[j] = r.BitrateMbps * info.SegmentSec / 8
@@ -440,7 +442,7 @@ type slot struct {
 // between consecutive consumptions, so whatever part of a download
 // the pipeline hid behind earlier segments does not drain it, while
 // failed attempts and backoff sleeps do.
-func (c *Client) stream(ctx context.Context, info manifestInfo) (*Stats, error) {
+func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) {
 	stats := &Stats{}
 	sizesMB := segmentSizesMB(info)
 
@@ -628,7 +630,7 @@ func (c *Client) attemptContext(ctx context.Context) (context.Context, context.C
 // incremented live. Under a non-nil span the fight leaves a trace: one
 // child span per attempt (carrying the traceparent the server joins
 // under), backoff sleep, and breaker fast-fail.
-func (c *Client) fetchWithRetry(ctx context.Context, info manifestInfo, seg, chosen int, span *tracing.Span) (res fetchResult) {
+func (c *Client) fetchWithRetry(ctx context.Context, info dash.MPDInfo, seg, chosen int, span *tracing.Span) (res fetchResult) {
 	fc := &res.counters
 	res.rung = chosen
 	var lastErr error
@@ -672,7 +674,7 @@ func (c *Client) fetchWithRetry(ctx context.Context, info manifestInfo, seg, cho
 		}
 
 		attemptCtx, cancel := c.attemptContext(ctx)
-		url := fmt.Sprintf("%s/seg/%s/%d.m4s", c.baseURL, info.RepIDs[res.rung], seg)
+		url := SegmentURL(c.baseURL, info.RepIDs[res.rung], seg)
 		att := span.StartChild("attempt")
 		att.SetAttrInt("try", int64(res.attempts))
 		att.SetAttrInt("rung", int64(res.rung))
@@ -772,17 +774,17 @@ func (c *Client) jittered(d time.Duration) time.Duration {
 	return d/2 + time.Duration(c.jitter.Float64()*float64(d/2))
 }
 
-// fetchManifest GETs and parses /manifest.mpd, retrying under the same
-// budget as segment fetches (without downgrades — there is only one
-// manifest) and under the same breaker: an open circuit fails manifest
-// attempts fast too.
-func (c *Client) fetchManifest(ctx context.Context) (info manifestInfo, err error) {
+// fetchManifest reads the manifest through GetManifest, retrying under
+// the same budget as segment fetches (without downgrades — there is
+// only one manifest) and under the same breaker: an open circuit fails
+// manifest attempts fast too.
+func (c *Client) fetchManifest(ctx context.Context) (dash.MPDInfo, error) {
 	var lastErr error
 	var hint time.Duration
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if err := c.backoff(ctx, attempt, hint); err != nil {
-				return info, fmt.Errorf("httpdash: %w", err)
+				return dash.MPDInfo{}, fmt.Errorf("httpdash: %w", err)
 			}
 			hint = 0
 		}
@@ -795,29 +797,28 @@ func (c *Client) fetchManifest(ctx context.Context) (info manifestInfo, err erro
 			}
 		}
 		attemptCtx, cancel := c.attemptContext(ctx)
-		a := GetSegment(attemptCtx, c.httpClient, c.baseURL+"/manifest.mpd", "", true)
+		info, a, err := GetManifest(attemptCtx, c.httpClient, c.baseURL)
 		cancel()
-		if a.Err != nil {
-			lastErr = fmt.Errorf("httpdash: manifest: %w", a.Err)
-		} else if info, lastErr = parseManifest(bytes.NewReader(a.Body)); lastErr == nil {
+		if err == nil {
 			if c.breaker != nil {
 				c.breaker.Record(true)
 			}
 			return info, nil
 		}
+		lastErr = err
 		if ctx.Err() != nil {
 			if c.breaker != nil {
 				c.breaker.drop()
 			}
-			return info, lastErr
+			return dash.MPDInfo{}, lastErr
 		}
 		if c.breaker != nil {
 			c.breaker.Record(a.Final())
 		}
 		if a.Final() {
-			return info, lastErr
+			return dash.MPDInfo{}, lastErr
 		}
 		hint = a.RetryAfter
 	}
-	return info, lastErr
+	return dash.MPDInfo{}, lastErr
 }

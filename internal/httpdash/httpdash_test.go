@@ -64,12 +64,15 @@ func TestServerManifestEndpoint(t *testing.T) {
 		t.Error("manifest body does not look like an MPD")
 	}
 	// It parses back into usable info.
-	info, err := parseManifest(strings.NewReader(string(body)))
+	info, a, err := GetManifest(context.Background(), http.DefaultClient, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.SegmentCount != 10 || len(info.Ladder) != 6 {
+	if info.SegmentCount != 10 || len(info.Ladder) != 6 || len(info.RepIDs) != 6 {
 		t.Errorf("info = %+v", info)
+	}
+	if a.Bytes != int64(len(body)) {
+		t.Errorf("GetManifest read %d bytes, the endpoint served %d", a.Bytes, len(body))
 	}
 }
 
@@ -99,6 +102,7 @@ func TestServerSegmentEndpoint(t *testing.T) {
 	if got := float64(n) / 1e6; got < wantMB*0.99 || got > wantMB*1.01 {
 		t.Errorf("segment bytes = %.3f MB, want ≈ %.3f MB", got, wantMB)
 	}
+	waitIdle(t, srv)
 	if got := srv.Snapshot().Bytes; got != n {
 		t.Errorf("Snapshot().Bytes = %d, want %d", got, n)
 	}
@@ -179,6 +183,23 @@ func TestClientStreamsWholePresentation(t *testing.T) {
 	}
 	if stats.MeanThroughputMbps <= 0 || stats.MeanBitrateMbps <= 0 {
 		t.Errorf("degenerate means: %+v", stats)
+	}
+}
+
+// A base URL given with a trailing slash addresses the same
+// presentation: the client must not request //manifest.mpd.
+func TestClientIgnoresTrailingSlash(t *testing.T) {
+	_, ts := newTestServer(t, 10)
+	client, err := NewClient(ts.URL+"/", abr.NewYoutube())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := client.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Fetches) != 5 {
+		t.Fatalf("fetched %d segments, want 5", len(stats.Fetches))
 	}
 }
 

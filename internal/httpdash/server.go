@@ -656,11 +656,11 @@ func finishWriteSpan(wsp *tracing.Span, written int, paceWait time.Duration, rea
 	wsp.End()
 }
 
-// SegmentURL renders the media URL for (rung, segment) the way the MPD
-// template describes.
+// SegmentURL renders the media URL for (rung, segment) through the
+// package's SegmentURL; a trailing slash on base is ignored.
 func (s *Server) SegmentURL(base string, rung, segment int) (string, error) {
 	if rung < 0 || rung >= len(s.repIDs) {
 		return "", fmt.Errorf("httpdash: rung %d out of range", rung)
 	}
-	return fmt.Sprintf("%s/seg/%s/%d.m4s", strings.TrimSuffix(base, "/"), s.repIDs[rung], segment), nil
+	return SegmentURL(strings.TrimSuffix(base, "/"), s.repIDs[rung], segment), nil
 }

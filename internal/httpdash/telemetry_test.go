@@ -29,6 +29,18 @@ func get(t *testing.T, url string) int64 {
 	return n
 }
 
+// waitIdle drains srv so its counters are final. The client can hold
+// a response's last byte before the handler has counted that chunk
+// (counted after Write returns) or observed its latency (in a defer).
+func waitIdle(t *testing.T, srv *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("server did not go idle: %v", err)
+	}
+}
+
 // TestServerSnapshotPerRung is the satellite contract: Snapshot
 // breaks requests/bytes down by rung and BytesSent stays the
 // compatible cross-rung total.
@@ -44,6 +56,7 @@ func TestServerSnapshotPerRung(t *testing.T) {
 	n0a := fetch(0, 0)
 	n0b := fetch(0, 1)
 	n3 := fetch(3, 0)
+	waitIdle(t, srv)
 
 	snap := srv.Snapshot()
 	if len(snap.Rungs) != 6 {
@@ -108,6 +121,7 @@ func TestServerTelemetryExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitIdle(t, srv)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

@@ -2,6 +2,7 @@ package tracing
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -304,6 +305,39 @@ func TestStoreRingWrap(t *testing.T) {
 	st := store.Stats()
 	if st.Seen != 10 || st.Kept != 10 || st.Dropped != 0 {
 		t.Fatalf("stats = %+v, want seen=kept=10", st)
+	}
+}
+
+// TestViewsOmitTracesCutByEviction pins that a trace which lost a
+// fragment to the ring is left out rather than shown as a smaller
+// whole, while a trace that began after that fragment ended is shown.
+func TestViewsOmitTracesCutByEviction(t *testing.T) {
+	store := NewStore(2)
+	clock := steppedClock()
+	client := New(Config{Service: "client", Sampler: Sampler{Ratio: 1}, Seed: 1, Now: clock}, store)
+	server := New(Config{Service: "server", Sampler: Sampler{Ratio: 1}, Seed: 2, Now: clock}, store)
+
+	// Trace A: two fragments, the server's published first.
+	a := client.StartRoot("request")
+	sa := server.StartRemote("serve", a.TraceParent())
+	sa.End()
+	a.End()
+	// Trace B: one fragment, started after A ended. Publishing it
+	// overwrites A's server fragment, the oldest in the ring.
+	b := client.StartRoot("request")
+	b.End()
+
+	if got := len(store.Fragments()); got != 2 {
+		t.Fatalf("ring holds %d fragments, want 2", got)
+	}
+	views := store.Views()
+	if len(views) != 1 || views[0].TraceID != b.TraceID().String() {
+		var ids []string
+		for _, v := range views {
+			ids = append(ids, fmt.Sprintf("%s %v", v.TraceID, v.Services))
+		}
+		t.Fatalf("views = %v, want only the complete trace %s (half-evicted %s left out)",
+			ids, b.TraceID(), a.TraceID())
 	}
 }
 
