@@ -4,10 +4,11 @@
 
 all: build vet test
 
-# check is the CI gate: build, vet, tests, the race detector, the
-# observability suite, a load-generator smoke run, the overload
-# shed-path smoke, the request-tracing smoke, the edge-cache smoke, and
-# the benchmark module's own vet and tests.
+# check is the CI gate for local use: build, vet, tests, the race
+# detector, the observability suite, a load-generator smoke run, the
+# overload shed-path smoke, the request-tracing smoke, the edge-cache
+# smoke, and the benchmark module's own vet and tests. CI runs the same
+# targets as one named step each.
 check: build vet test race obs loadtest overload tracesmoke edgesmoke perfbench-test
 
 build:
