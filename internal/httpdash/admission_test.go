@@ -307,6 +307,7 @@ func TestAdmissionAccountingUnderBurst(t *testing.T) {
 	if ok.Load()+shed.Load() != workers*perWorker {
 		t.Fatalf("accounting leak: %d ok + %d shed != %d issued", ok.Load(), shed.Load(), workers*perWorker)
 	}
+	waitIdle(t, srv)
 	snap := srv.Snapshot()
 	if snap.Requests != ok.Load() || snap.Shed != shed.Load() {
 		t.Errorf("server snapshot %d accepted / %d shed, client saw %d / %d",
