@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"ecavs/internal/tracing"
@@ -85,7 +86,7 @@ func GetSegment(ctx context.Context, hc *http.Client, url, traceparent string, k
 		a.RetryAfter = parseRetryAfter(v)
 	}
 	if resp.StatusCode != http.StatusOK {
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		if _, err := discard(resp.Body); err != nil {
 			a.Cancelled = ctx.Err() != nil
 		}
 		a.Err = errors.New("status " + resp.Status)
@@ -117,7 +118,7 @@ func readBody(resp *http.Response, keep bool) ([]byte, int64, error) {
 	var err error
 	switch {
 	case !keep:
-		n, err = io.Copy(io.Discard, resp.Body)
+		n, err = discard(resp.Body)
 	case want >= 0 && want <= maxPrealloc:
 		data = make([]byte, want)
 		var m int
@@ -137,6 +138,36 @@ func readBody(resp *http.Response, keep bool) ([]byte, int64, error) {
 		return nil, n, fmt.Errorf("read body: %w", err)
 	}
 	return data, n, nil
+}
+
+// discardPool recycles the blocks discard reads into. It is not the
+// server's chunkPool: client and server share a process in tests and
+// load runs, and a read into a pre-filled server chunk would corrupt
+// the bytes the origin serves.
+var discardPool = sync.Pool{New: func() any {
+	buf := make([]byte, chunkSize)
+	return &buf
+}}
+
+// discard reads r to its end and returns the byte count; like io.Copy,
+// a clean EOF is a nil error. It reads in blocks of the server's
+// chunkSize, so one read syscall can take a whole 64 KiB server chunk;
+// io.Discard reads 8 KiB per call.
+func discard(r io.Reader) (int64, error) {
+	bp := discardPool.Get().(*[]byte)
+	defer discardPool.Put(bp)
+	buf := *bp
+	var n int64
+	for {
+		m, err := r.Read(buf)
+		n += int64(m)
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+	}
 }
 
 // parseRetryAfter reads a Retry-After value in its delay-seconds form;

@@ -82,6 +82,38 @@ func BenchmarkServerThroughput(b *testing.B) {
 	wg.Wait()
 }
 
+// BenchmarkGetSegment is the client's body-read layer: one GET of the
+// top Table II rung's first segment (~1.45 MB) from a loopback server,
+// classified by GetSegment. discard is how the streaming client and
+// cmd/loadgen read a segment; keep is how the edge reads a fill.
+func BenchmarkGetSegment(b *testing.B) {
+	srv := newBenchServer(b)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	top := len(srv.repIDs) - 1
+	url, err := srv.SegmentURL(ts.URL, top, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hc := &http.Client{Transport: NewTransport()}
+	defer hc.CloseIdleConnections()
+	for _, keep := range []bool{false, true} {
+		name := "discard"
+		if keep {
+			name = "keep"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(srv.segBytes[top][0]))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if a := GetSegment(context.Background(), hc, url, "", keep); a.Err != nil {
+					b.Fatal(a.Err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFetchPipeline streams a 10-segment presentation over real
 // HTTP with 10 ms of injected per-request latency — the regime the
 // prefetch pipeline exists for. ahead=0 is the serial client paying

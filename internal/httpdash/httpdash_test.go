@@ -120,6 +120,11 @@ func TestServerErrorPaths(t *testing.T) {
 		{path: "/seg/v0-144p/abc.m4s", want: http.StatusBadRequest},
 		{path: "/seg/v0-144p/0.mp4", want: http.StatusBadRequest},
 		{path: "/seg/onlyonepart", want: http.StatusBadRequest},
+		// One URL per segment: no other spelling of its number.
+		{path: "/seg/v0-144p/03.m4s", want: http.StatusBadRequest},
+		{path: "/seg/v0-144p/+3.m4s", want: http.StatusBadRequest},
+		{path: "/seg/v0-144p/-1.m4s", want: http.StatusBadRequest},
+		{path: "/seg/v0-144p/.m4s", want: http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Get(ts.URL + tc.path)
@@ -143,6 +148,29 @@ func TestServerErrorPaths(t *testing.T) {
 	if _, err := srv.SegmentURL(ts.URL, 99, 0); err == nil {
 		t.Error("out-of-range rung accepted")
 	}
+}
+
+// FuzzSegmentPath feeds arbitrary request paths to the server's
+// segment-path parse. It never panics, and every path it accepts is
+// exactly the one SegmentURL renders for the parsed representation and
+// number: one URL per segment.
+func FuzzSegmentPath(f *testing.F) {
+	for _, p := range []string{
+		"/seg/v0-144p/3.m4s", "/seg/v0-144p/0.m4s", "/seg/v0-144p/03.m4s", "/seg/v0-144p/+3.m4s",
+		"/seg/v0-144p/-1.m4s", "/seg/v0-144p/.m4s", "/seg/a/b/3.m4s", "/seg//3.m4s",
+		"/seg/v0/99999999999999999999.m4s", "/seg/v0/3.mp4", "/manifest.mpd", "",
+	} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, path string) {
+		repID, n, ok := parseSegmentPath(path)
+		if !ok {
+			return
+		}
+		if got := SegmentURL("", repID, n); got != path {
+			t.Fatalf("parseSegmentPath(%q) = (%q, %d), which renders as %q", path, repID, n, got)
+		}
+	})
 }
 
 func TestNewClientValidation(t *testing.T) {

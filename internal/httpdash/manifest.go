@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"ecavs/internal/dash"
 )
@@ -40,4 +41,31 @@ func GetManifest(ctx context.Context, hc *http.Client, base string) (dash.MPDInf
 // base carries no trailing slash.
 func SegmentURL(base, repID string, n int) string {
 	return base + "/seg/" + repID + "/" + strconv.Itoa(n) + ".m4s"
+}
+
+// parseSegmentPath is SegmentURL's inverse on a request path: it splits
+// /seg/<repID>/<n>.m4s into repID and n. It accepts only the number
+// SegmentURL renders — decimal, no sign, no leading zero except in "0"
+// itself — so each segment has one URL, and an edge keying its cache
+// by path holds one entry per segment. It cuts substrings and
+// allocates nothing.
+func parseSegmentPath(path string) (repID string, n int, ok bool) {
+	rest, ok := strings.CutPrefix(path, "/seg/")
+	if !ok {
+		return "", 0, false
+	}
+	repID, file, ok := strings.Cut(rest, "/")
+	if !ok {
+		return "", 0, false
+	}
+	num, ok := strings.CutSuffix(file, ".m4s")
+	// Atoi alone would also take a sign and leading zeros.
+	if !ok || num == "" || num[0] < '0' || num[0] > '9' || (num[0] == '0' && num != "0") {
+		return "", 0, false
+	}
+	n, err := strconv.Atoi(num)
+	if err != nil {
+		return "", 0, false
+	}
+	return repID, n, true
 }

@@ -448,10 +448,8 @@ func sleepOrGone(r *http.Request, d time.Duration) bool {
 }
 
 func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request) {
-	// Path: /seg/<repID>/<n>.m4s — parsed with substring cuts only, no
-	// per-request slice allocation.
-	repID, file, ok := strings.Cut(r.URL.Path[len("/seg/"):], "/")
-	if !ok || strings.IndexByte(file, '/') >= 0 || !strings.HasSuffix(file, ".m4s") {
+	repID, n, ok := parseSegmentPath(r.URL.Path)
+	if !ok {
 		http.Error(w, "bad segment path", http.StatusBadRequest)
 		return
 	}
@@ -460,12 +458,7 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown representation", http.StatusNotFound)
 		return
 	}
-	n, err := strconv.Atoi(strings.TrimSuffix(file, ".m4s"))
-	if err != nil {
-		http.Error(w, "bad segment number", http.StatusBadRequest)
-		return
-	}
-	if n < 0 || n >= len(s.segBytes[rung]) {
+	if n >= len(s.segBytes[rung]) {
 		http.Error(w, "no such segment", http.StatusNotFound)
 		return
 	}

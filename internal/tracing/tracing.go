@@ -412,29 +412,31 @@ func FormatTraceParent(tid TraceID, sid SpanID) string {
 }
 
 // ParseTraceParent parses a version-00 traceparent header value,
-// rejecting malformed lengths, non-hex digits, unknown versions, and
-// the all-zero IDs the spec forbids.
+// rejecting malformed lengths, anything but lowercase hex digits (the
+// only form W3C Trace Context allows), unknown versions, and the
+// all-zero IDs the spec forbids.
 func ParseTraceParent(s string) (TraceID, SpanID, bool) {
 	var tid TraceID
 	var sid SpanID
-	if len(s) != 55 || s[0] != '0' || s[1] != '0' || s[2] != '-' || s[35] != '-' || s[52] != '-' {
+	if len(s) != 55 || s[0] != '0' || s[1] != '0' || s[2] != '-' || s[35] != '-' || s[52] != '-' ||
+		!isLowerHex(s[3:35]) || !isLowerHex(s[36:52]) || !isLowerHex(s[53:]) {
 		return tid, sid, false
 	}
-	if _, err := hex.Decode(tid[:], []byte(s[3:35])); err != nil {
-		return tid, sid, false
+	// Every digit is lowercase hex, so neither decode can fail.
+	_, _ = hex.Decode(tid[:], []byte(s[3:35]))
+	_, _ = hex.Decode(sid[:], []byte(s[36:52]))
+	if tid.IsZero() || sid.IsZero() {
+		return TraceID{}, SpanID{}, false
 	}
-	if _, err := hex.Decode(sid[:], []byte(s[36:52])); err != nil {
-		return tid, sid, false
-	}
-	if isHexDigit(s[53]) && isHexDigit(s[54]) {
-		if tid.IsZero() || sid.IsZero() {
-			return TraceID{}, SpanID{}, false
-		}
-		return tid, sid, true
-	}
-	return TraceID{}, SpanID{}, false
+	return tid, sid, true
 }
 
-func isHexDigit(c byte) bool {
-	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
+// isLowerHex reports whether s is made of lowercase hex digits only.
+func isLowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

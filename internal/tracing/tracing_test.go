@@ -80,12 +80,50 @@ func TestParseTraceParentRejections(t *testing.T) {
 		strings.Replace(valid, "-01", "-zz", 1),      // non-hex flags
 		"00-" + strings.Repeat("g", 32) + valid[35:], // non-hex trace id
 		strings.Replace(valid, "-", "_", 1),          // wrong separator
+		// W3C Trace Context allows lowercase hex only.
+		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01", // uppercase trace id
+		"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01", // uppercase span id
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0A", // uppercase flags
 	}
 	for _, s := range bad {
 		if _, _, ok := ParseTraceParent(s); ok {
 			t.Errorf("ParseTraceParent(%q) accepted, want reject", s)
 		}
 	}
+}
+
+// FuzzParseTraceParent feeds arbitrary header values to the parser.
+// It never panics, and whatever it accepts carries non-zero IDs that
+// FormatTraceParent renders back to the input's first 52 bytes: one
+// accepted spelling per trace and span, so a joined span propagates
+// the caller's IDs unchanged.
+func FuzzParseTraceParent(f *testing.F) {
+	valid := FormatTraceParent(TraceID{0x0a, 0xf7}, SpanID{0xb7, 0xad})
+	for _, s := range []string{
+		valid,
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-ff",
+		"00-" + strings.Repeat("0", 32) + valid[35:],
+		valid[:36] + strings.Repeat("0", 16) + "-01",
+		"ff" + valid[2:],
+		"",
+		valid[:54],
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tid, sid, ok := ParseTraceParent(s)
+		if !ok {
+			return
+		}
+		if tid.IsZero() || sid.IsZero() {
+			t.Fatalf("ParseTraceParent(%q) accepted a zero ID: %s-%s", s, tid, sid)
+		}
+		if got := FormatTraceParent(tid, sid); got[:52] != s[:52] {
+			t.Fatalf("ParseTraceParent(%q) re-renders as %q", s, got)
+		}
+	})
 }
 
 func TestNilTracerIsInert(t *testing.T) {
