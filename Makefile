@@ -1,15 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test test-short race chaos fuzz obs loadtest overload tracesmoke edgesmoke perfbench-test vuln bench bench-diff benchsmoke experiments examples cover
+.PHONY: all check build vet test test-short race chaos fuzz obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check vuln bench bench-diff benchsmoke experiments examples cover
 
 all: build vet test
 
 # check is the CI gate for local use: build, vet, tests, the race
 # detector, the observability suite, a load-generator smoke run, the
 # overload shed-path smoke, the request-tracing smoke, the edge-cache
-# smoke, and the benchmark module's own vet and tests. CI runs the same
-# targets as one named step each.
-check: build vet test race obs loadtest overload tracesmoke edgesmoke perfbench-test
+# smoke, the benchmark module's own vet and tests, and the committed
+# evaluation output. CI runs the same targets as one named step each.
+check: build vet test race obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check
 
 build:
 	go build ./...
@@ -140,6 +140,16 @@ benchsmoke:
 	go test -bench='Session|Campaign' -benchtime=1x -benchmem -run='^$$' . \
 		| go run ./cmd/benchdiff -parse -out /tmp/benchsmoke.json
 	-go run ./cmd/benchdiff -old $(BENCH_BASELINE) -new /tmp/benchsmoke.json
+
+# experiments-check reruns the full evaluation serially (GOMAXPROCS=1)
+# and with eight workers (GOMAXPROCS=8) and fails unless each output is
+# byte-identical to the committed experiments_output.txt: every change
+# to the models, algorithms, planner or session loop must leave the
+# paper's tables and figures, and their parallel determinism, as they
+# are, or regenerate the file on purpose with `make experiments`.
+experiments-check:
+	GOMAXPROCS=1 go run ./cmd/experiments | diff experiments_output.txt -
+	GOMAXPROCS=8 go run ./cmd/experiments | diff experiments_output.txt -
 
 # Regenerate every paper table/figure plus the ablations and extensions.
 experiments:

@@ -174,7 +174,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			// Playback drains in real time; time past the video's end
 			// is not a stall.
-			_, stall := st.pl.Drain(step)
+			stall := st.pl.DrainInto(step, nil)
 			if !st.done {
 				st.result.RebufferSec += stall
 			}

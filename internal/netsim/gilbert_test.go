@@ -97,7 +97,7 @@ func TestGilbertElliottDownloadCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Download(g, 30, nil)
+	res, err := DownloadRamped(g, 30, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,13 +62,9 @@ const downloadStepSec = 0.1
 // giving up.
 const maxStallSec = 120
 
-// Download transfers sizeMB over the link, advancing it as time
+// DownloadRamped transfers sizeMB over the link, advancing it as time
 // passes, and invokes onStep (if non-nil) for every integration step.
-func Download(link Link, sizeMB float64, onStep func(DownloadStep)) (Result, error) {
-	return DownloadRamped(link, sizeMB, 0, onStep)
-}
-
-// DownloadRamped is Download with a TCP-slow-start-style ramp: the
+// A positive rampSec applies a TCP-slow-start-style ramp: the
 // achievable rate scales linearly from zero to the link rate over the
 // first rampSec seconds of the transfer. Short transfers (small
 // segments) never reach full speed, which is the classic reason longer

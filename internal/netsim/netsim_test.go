@@ -8,7 +8,7 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// constLink is a fixed-rate Link for exercising Download.
+// constLink is a fixed-rate Link for exercising DownloadRamped.
 type constLink struct {
 	now    float64
 	signal float64
@@ -22,7 +22,7 @@ func (l *constLink) Advance(dt float64)      { l.now += dt }
 
 func TestDownloadConstantRate(t *testing.T) {
 	link := &constLink{signal: -95, rate: 2.0}
-	res, err := Download(link, 10, nil)
+	res, err := DownloadRamped(link, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDownloadConstantRate(t *testing.T) {
 func TestDownloadStepCallbackConservation(t *testing.T) {
 	link := &constLink{signal: -100, rate: 1.5}
 	var moved, dur float64
-	res, err := Download(link, 7.3, func(s DownloadStep) {
+	res, err := DownloadRamped(link, 7.3, 0, func(s DownloadStep) {
 		moved += s.TransferredMB
 		dur += s.Dt
 		if s.ThroughputMBps != 1.5 || s.SignalDBm != -100 {
@@ -63,7 +63,7 @@ func TestDownloadStepCallbackConservation(t *testing.T) {
 
 func TestDownloadZeroSize(t *testing.T) {
 	link := &constLink{rate: 1}
-	res, err := Download(link, 0, nil)
+	res, err := DownloadRamped(link, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDownloadZeroSize(t *testing.T) {
 
 func TestDownloadStalledLink(t *testing.T) {
 	link := &constLink{rate: 0}
-	_, err := Download(link, 1, nil)
+	_, err := DownloadRamped(link, 1, 0, nil)
 	if !errors.Is(err, ErrStalledLink) {
 		t.Errorf("err = %v, want ErrStalledLink", err)
 	}
@@ -95,7 +95,7 @@ func (l *recoveringLink) ThroughputMBps() float64 {
 
 func TestDownloadRecoversFromOutage(t *testing.T) {
 	link := &recoveringLink{}
-	res, err := Download(link, 1, nil)
+	res, err := DownloadRamped(link, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestTraceLinkDownload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 12 MB: 10 MB in the first 5 s at 2 MB/s, then 2 MB at 0.5 MB/s.
-	res, err := Download(link, 12, nil)
+	res, err := DownloadRamped(link, 12, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTraceLinkDownload(t *testing.T) {
 
 func TestDownloadRampedSlowerThanFull(t *testing.T) {
 	full := &constLink{signal: -95, rate: 2}
-	resFull, err := Download(full, 1, nil)
+	resFull, err := DownloadRamped(full, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,21 +321,5 @@ func TestDownloadRampedHurtsSmallTransfersMore(t *testing.T) {
 	}
 	if large < 3.5 {
 		t.Errorf("large transfer rate %v should approach the 4 MB/s link", large)
-	}
-}
-
-func TestDownloadRampedZeroRampEqualsDownload(t *testing.T) {
-	a := &constLink{signal: -95, rate: 2}
-	b := &constLink{signal: -95, rate: 2}
-	resA, err := Download(a, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := DownloadRamped(b, 3, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resA.DurationSec != resB.DurationSec {
-		t.Errorf("ramp=0 differs from Download: %v vs %v", resB.DurationSec, resA.DurationSec)
 	}
 }

@@ -19,7 +19,7 @@ type Queued struct {
 }
 
 // Played reports a contiguous stretch of playback at one bitrate,
-// returned by Drain so the caller can integrate decode power.
+// passed to DrainInto's emit so the caller can integrate decode power.
 type Played struct {
 	// DurationSec is how long this stretch played.
 	DurationSec float64
@@ -36,10 +36,16 @@ type Played struct {
 // live tail is periodically copied back to the array start so the
 // backing capacity stays bounded by the deepest simultaneous queue,
 // not by the number of segments ever enqueued.
+//
+// tailSec is the left-to-right sum of the durations behind the head
+// (queue[head+1:]). Only the head drains between pushes and pops, so
+// the sum changes only there, and CompareBuffer can answer from
+// head + tailSec without walking the queue.
 type Player struct {
 	thresholdSec float64
 	queue        []Queued
 	head         int
+	tailSec      float64
 	started      bool
 
 	playedSec  float64
@@ -59,13 +65,43 @@ func New(thresholdSec float64) (*Player, error) {
 	return &Player{thresholdSec: thresholdSec}, nil
 }
 
-// BufferSec returns the buffered playback time.
+// BufferSec returns the buffered playback time: the queued durations
+// summed left to right, head first.
 func (p *Player) BufferSec() float64 {
 	var sum float64
 	for _, q := range p.queue[p.head:] {
 		sum += q.DurationSec
 	}
 	return sum
+}
+
+// CompareBuffer compares BufferSec() with levelSec exactly: it returns
+// −1 when BufferSec() < levelSec, +1 when BufferSec() > levelSec, and 0
+// otherwise (equal, or either is NaN).
+//
+// It answers from the estimate e = head + tailSec in O(1). BufferSec()
+// and e sum the same n non-negative durations in different orders, so
+// each is within γ(n−1)·S of the exact sum S, and they differ by at
+// most about 2(n−1)·2⁻⁵³·e. The bound used, n·2⁻⁵¹·e plus the
+// smallest normal float64 (covering underflow), is at least twice
+// that; only a level within it of e pays for the full sum.
+func (p *Player) CompareBuffer(levelSec float64) int {
+	if n := len(p.queue) - p.head; n > 0 {
+		est := p.queue[p.head].DurationSec + p.tailSec
+		bound := est*float64(n)*0x1p-51 + 0x1p-1022
+		if d := est - levelSec; d > bound {
+			return 1
+		} else if d < -bound {
+			return -1
+		}
+	}
+	switch buf := p.BufferSec(); {
+	case buf < levelSec:
+		return -1
+	case buf > levelSec:
+		return 1
+	}
+	return 0
 }
 
 // QueueCap reports the queue's backing-array capacity (test hook for
@@ -77,10 +113,7 @@ func (p *Player) ThresholdSec() float64 { return p.thresholdSec }
 
 // ShouldDownload reports whether the next segment download should
 // start now (buffer below the threshold).
-func (p *Player) ShouldDownload() bool { return p.BufferSec() < p.thresholdSec }
-
-// Started reports whether playback has begun (first segment arrived).
-func (p *Player) Started() bool { return p.started }
+func (p *Player) ShouldDownload() bool { return p.CompareBuffer(p.thresholdSec) < 0 }
 
 // OnSegment enqueues a downloaded segment and starts playback if this
 // is the first one. Non-positive durations are ignored.
@@ -88,33 +121,41 @@ func (p *Player) OnSegment(durationSec, bitrateMbps float64) {
 	if durationSec <= 0 {
 		return
 	}
+	if p.head < len(p.queue) {
+		p.tailSec += durationSec // extends the left-to-right sum by one term
+	}
 	p.queue = append(p.queue, Queued{DurationSec: durationSec, BitrateMbps: bitrateMbps})
 	p.started = true
 }
 
-// Drain advances playback by dt wall-clock seconds. It returns the
-// playback stretches consumed (for decode-power attribution) and the
-// stall time within dt. Time before the first segment arrives counts
-// as startup, not stall.
-//
-// Drain allocates the returned slice; hot loops should use DrainInto.
-func (p *Player) Drain(dt float64) (played []Played, stallSec float64) {
-	stallSec = p.DrainInto(dt, func(st Played) {
-		played = append(played, st)
-	})
-	return played, stallSec
-}
-
-// DrainInto is Drain without the allocation: each maximal contiguous
-// stretch of playback at one bitrate is passed to emit (which may be
-// nil) in playback order. The stretches and the returned stall are
-// identical to Drain's.
+// DrainInto advances playback by dt wall-clock seconds. Each maximal
+// contiguous stretch of playback at one bitrate is passed to emit
+// (which may be nil) in playback order, for decode-power attribution;
+// the stall time within dt is returned. Time before the first segment
+// arrives counts as startup, not stall.
 func (p *Player) DrainInto(dt float64, emit func(Played)) (stallSec float64) {
 	if dt <= 0 {
 		return 0
 	}
 	if !p.started {
 		p.startupSec += dt
+		return 0
+	}
+	if dt > 1e-12 && p.head < len(p.queue) && p.queue[p.head].DurationSec >= dt {
+		// The head covers the whole step: the loop below would make
+		// one pass consuming dt, pop an emptied head, then emit. Same
+		// arithmetic, without the loop. The bitrate is read before
+		// pop, whose compaction can overwrite the head slot.
+		q := &p.queue[p.head]
+		br := q.BitrateMbps
+		q.DurationSec -= dt
+		p.playedSec += dt
+		if q.DurationSec <= 1e-12 {
+			p.pop()
+		}
+		if emit != nil {
+			emit(Played{DurationSec: dt, BitrateMbps: br})
+		}
 		return 0
 	}
 	remaining := dt
@@ -153,9 +194,11 @@ func (p *Player) DrainInto(dt float64, emit func(Played)) (stallSec float64) {
 }
 
 // pop consumes the head segment, compacting the ring so the backing
-// array never grows past roughly twice the deepest live queue.
+// array never grows past roughly twice the deepest live queue, and
+// recomputes tailSec for the new head.
 func (p *Player) pop() {
 	p.head++
+	p.tailSec = 0
 	if p.head == len(p.queue) {
 		p.queue = p.queue[:0]
 		p.head = 0
@@ -166,18 +209,14 @@ func (p *Player) pop() {
 		p.queue = p.queue[:n]
 		p.head = 0
 	}
+	for _, q := range p.queue[p.head+1:] {
+		p.tailSec += q.DurationSec
+	}
 }
 
-// FinishRemaining plays out whatever is buffered and returns the
-// stretches, leaving the buffer empty. Used after the last download.
-func (p *Player) FinishRemaining() []Played {
-	var played []Played
-	p.FinishRemainingInto(func(st Played) { played = append(played, st) })
-	return played
-}
-
-// FinishRemainingInto is FinishRemaining without the allocation: the
-// stretches are passed to emit (which may be nil) in playback order.
+// FinishRemainingInto plays out whatever is buffered, leaving the
+// buffer empty; the stretches are passed to emit (which may be nil) in
+// playback order. Used after the last download.
 func (p *Player) FinishRemainingInto(emit func(Played)) {
 	p.DrainInto(p.BufferSec()+1e-9, emit)
 	// The epsilon overshoot must not register as a stall.

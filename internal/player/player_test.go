@@ -2,6 +2,7 @@ package player
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,12 @@ import (
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// drain is DrainInto collecting the stretches, nil when there are none.
+func drain(p *Player, dt float64) (played []Played, stallSec float64) {
+	stallSec = p.DrainInto(dt, func(st Played) { played = append(played, st) })
+	return played, stallSec
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0); !errors.Is(err, ErrBadThreshold) {
@@ -28,10 +35,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestStartupAccounting(t *testing.T) {
 	p, _ := New(30)
-	if p.Started() {
-		t.Error("fresh player claims started")
-	}
-	played, stall := p.Drain(3)
+	played, stall := drain(p, 3)
 	if played != nil || stall != 0 {
 		t.Errorf("pre-start drain = %v, %v; want nil, 0", played, stall)
 	}
@@ -39,8 +43,11 @@ func TestStartupAccounting(t *testing.T) {
 		t.Errorf("StartupSec = %v, want 3", p.StartupSec())
 	}
 	p.OnSegment(2, 1.5)
-	if !p.Started() {
-		t.Error("player did not start after first segment")
+	// The first segment starts playback: the next drain plays.
+	played, stall = drain(p, 1)
+	if len(played) != 1 || stall != 0 || p.PlayedSec() != 1 || p.StartupSec() != 3 {
+		t.Errorf("post-start drain = %v, %v (played %v, startup %v); want one 1 s stretch",
+			played, stall, p.PlayedSec(), p.StartupSec())
 	}
 	// Startup time does not count as stall.
 	if p.StallSec() != 0 {
@@ -52,7 +59,7 @@ func TestDrainAcrossSegments(t *testing.T) {
 	p, _ := New(30)
 	p.OnSegment(2, 1.5)
 	p.OnSegment(2, 3.0)
-	played, stall := p.Drain(3)
+	played, stall := drain(p, 3)
 	if stall != 0 {
 		t.Errorf("stall = %v, want 0", stall)
 	}
@@ -74,7 +81,7 @@ func TestDrainMergesEqualBitrates(t *testing.T) {
 	p, _ := New(30)
 	p.OnSegment(2, 1.5)
 	p.OnSegment(2, 1.5)
-	played, _ := p.Drain(4)
+	played, _ := drain(p, 4)
 	if len(played) != 1 {
 		t.Fatalf("played stretches = %d, want 1 (merged)", len(played))
 	}
@@ -86,7 +93,7 @@ func TestDrainMergesEqualBitrates(t *testing.T) {
 func TestStallWhenBufferEmpties(t *testing.T) {
 	p, _ := New(30)
 	p.OnSegment(2, 1.5)
-	_, stall := p.Drain(5)
+	stall := p.DrainInto(5, nil)
 	if !almostEqual(stall, 3, 1e-9) {
 		t.Errorf("stall = %v, want 3", stall)
 	}
@@ -111,7 +118,7 @@ func TestShouldDownloadThreshold(t *testing.T) {
 	if p.ShouldDownload() {
 		t.Error("buffer at threshold should pause downloads")
 	}
-	p.Drain(1)
+	p.DrainInto(1, nil)
 	if !p.ShouldDownload() {
 		t.Error("buffer drained below threshold should resume")
 	}
@@ -121,7 +128,10 @@ func TestOnSegmentIgnoresNonPositive(t *testing.T) {
 	p, _ := New(30)
 	p.OnSegment(0, 1)
 	p.OnSegment(-2, 1)
-	if p.Started() || p.BufferSec() != 0 {
+	// Nothing was enqueued, so playback has not started either: a drain
+	// still counts as startup.
+	p.DrainInto(1, nil)
+	if p.BufferSec() != 0 || p.StartupSec() != 1 || p.PlayedSec() != 0 {
 		t.Error("non-positive segments were enqueued")
 	}
 }
@@ -129,13 +139,18 @@ func TestOnSegmentIgnoresNonPositive(t *testing.T) {
 func TestDrainNonPositive(t *testing.T) {
 	p, _ := New(30)
 	p.OnSegment(2, 1)
-	played, stall := p.Drain(0)
+	played, stall := drain(p, 0)
 	if played != nil || stall != 0 {
-		t.Error("Drain(0) did something")
+		t.Error("DrainInto(0) did something")
 	}
-	played, stall = p.Drain(-1)
+	played, stall = drain(p, -1)
 	if played != nil || stall != 0 {
-		t.Error("Drain(-1) did something")
+		t.Error("DrainInto(-1) did something")
+	}
+	// A step of at most 1e-12 s consumes nothing and stalls nothing.
+	played, stall = drain(p, 1e-13)
+	if played != nil || stall != 0 || p.PlayedSec() != 0 {
+		t.Error("DrainInto(1e-13) did something")
 	}
 }
 
@@ -143,20 +158,17 @@ func TestFinishRemaining(t *testing.T) {
 	p, _ := New(30)
 	p.OnSegment(2, 1.5)
 	p.OnSegment(2, 3.0)
-	p.Drain(1)
-	played := p.FinishRemaining()
+	p.DrainInto(1, nil)
 	var total float64
-	for _, st := range played {
-		total += st.DurationSec
-	}
+	p.FinishRemainingInto(func(st Played) { total += st.DurationSec })
 	if !almostEqual(total, 3, 1e-6) {
-		t.Errorf("FinishRemaining played %v s, want 3", total)
+		t.Errorf("FinishRemainingInto played %v s, want 3", total)
 	}
 	if p.BufferSec() > 1e-9 {
 		t.Errorf("buffer not empty: %v", p.BufferSec())
 	}
 	if p.StallSec() != 0 {
-		t.Errorf("FinishRemaining registered stall: %v", p.StallSec())
+		t.Errorf("FinishRemainingInto registered stall: %v", p.StallSec())
 	}
 }
 
@@ -177,7 +189,7 @@ func TestConservationProperty(t *testing.T) {
 				enqueued += d
 				p.OnSegment(d, 1.5)
 			} else {
-				p.Drain(rng.Float64() * 4)
+				p.DrainInto(rng.Float64()*4, nil)
 			}
 		}
 		return almostEqual(enqueued, p.PlayedSec()+p.BufferSec(), 1e-6)
@@ -206,7 +218,7 @@ func TestQueueCapacityBounded(t *testing.T) {
 	}
 	for i := 0; i < segments; i++ {
 		p.OnSegment(2, float64(i%3)+1)
-		if _, stall := p.Drain(2); stall != 0 {
+		if stall := p.DrainInto(2, nil); stall != 0 {
 			t.Fatalf("unexpected stall at segment %d", i)
 		}
 	}
@@ -218,39 +230,218 @@ func TestQueueCapacityBounded(t *testing.T) {
 	}
 }
 
-// TestDrainIntoMatchesDrain pins the callback API to the allocating
-// one: same stretches, same stall, same player state.
-func TestDrainIntoMatchesDrain(t *testing.T) {
-	build := func() *Player {
-		p, err := New(30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.OnSegment(2, 1)
-		p.OnSegment(2, 1)
-		p.OnSegment(2, 3)
-		p.OnSegment(1, 2)
-		return p
+// drainLoop is DrainInto before its one-segment fast path: the plain
+// loop over queued segments, kept as the oracle the fast path must
+// match bit for bit.
+func drainLoop(p *Player, dt float64, emit func(Played)) (stallSec float64) {
+	if dt <= 0 {
+		return 0
 	}
-	a, b := build(), build()
-	for _, dt := range []float64{0.5, 3.2, 1.1, 9} {
-		played, stallA := a.Drain(dt)
-		var viaEmit []Played
-		stallB := b.DrainInto(dt, func(st Played) { viaEmit = append(viaEmit, st) })
-		if stallA != stallB {
-			t.Fatalf("stall mismatch at dt=%v: %v vs %v", dt, stallA, stallB)
+	if !p.started {
+		p.startupSec += dt
+		return 0
+	}
+	remaining := dt
+	var cur Played
+	haveCur := false
+	for remaining > 1e-12 && p.head < len(p.queue) {
+		q := &p.queue[p.head]
+		consume := q.DurationSec
+		if consume > remaining {
+			consume = remaining
 		}
-		if len(played) != len(viaEmit) {
-			t.Fatalf("stretch count mismatch at dt=%v: %v vs %v", dt, played, viaEmit)
+		q.DurationSec -= consume
+		remaining -= consume
+		p.playedSec += consume
+		if haveCur && cur.BitrateMbps == q.BitrateMbps {
+			cur.DurationSec += consume
+		} else {
+			if haveCur && emit != nil {
+				emit(cur)
+			}
+			cur = Played{DurationSec: consume, BitrateMbps: q.BitrateMbps}
+			haveCur = true
 		}
-		for i := range played {
-			if played[i] != viaEmit[i] {
-				t.Fatalf("stretch %d mismatch at dt=%v: %v vs %v", i, dt, played[i], viaEmit[i])
+		if q.DurationSec <= 1e-12 {
+			p.pop()
+		}
+	}
+	if haveCur && emit != nil {
+		emit(cur)
+	}
+	if remaining > 1e-12 {
+		p.stallSec += remaining
+		stallSec = remaining
+	}
+	return stallSec
+}
+
+// sign is the sign of a − b; exact, since a float64 difference is zero
+// only for equal operands.
+func sign(a, b float64) int {
+	switch d := a - b; {
+	case d < 0:
+		return -1
+	case d > 0:
+		return 1
+	}
+	return 0
+}
+
+// TestDrainIntoMatchesLoopOracle drives DrainInto and the drainLoop
+// oracle through the same random push and drain sequences: fill phases
+// deeper than 32 segments (so pop compacts, including at exactly twice
+// the head index), and steps of 1e-13 s, exactly the head's remaining
+// duration, one ulp either side of it, 0.1 s pacing steps and
+// stalls. After every op the stretches, the stall and every counter
+// must be equal, and CompareBuffer must be the exact sign of
+// BufferSec() − x at the sum, its ulp neighbours, the O(1) estimate
+// and the threshold.
+func TestDrainIntoMatchesLoopOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	bitrates := []float64{0.5, 1.5, 3}
+	for trial := 0; trial < 40; trial++ {
+		a, _ := New(DefaultBufferThresholdSec)
+		b, _ := New(DefaultBufferThresholdSec)
+		var gotA, gotB []Played
+		emitA := func(st Played) { gotA = append(gotA, st) }
+		emitB := func(st Played) { gotB = append(gotB, st) }
+		fill, drains := 0, 0
+		for op := 0; op < 600; op++ {
+			if fill == 0 && drains == 0 {
+				// A fill phase of 33–64 pushes, so the depth passes 32
+				// with either parity, then a drain phase with the odd
+				// push mixed in.
+				fill, drains = 33+rng.Intn(32), 20+rng.Intn(100)
+			}
+			desc := ""
+			if fill > 0 || rng.Intn(10) == 0 {
+				if fill > 0 {
+					fill--
+				}
+				d := 2.0
+				switch rng.Intn(4) {
+				case 0:
+					d = 0.1 + rng.Float64()*3
+				case 1:
+					d = rng.Float64() * 1e-11 // may be below the 1e-12 floor
+				}
+				br := bitrates[rng.Intn(len(bitrates))]
+				a.OnSegment(d, br)
+				b.OnSegment(d, br)
+				desc = fmt.Sprintf("OnSegment(%v, %v)", d, br)
+			} else {
+				drains--
+				dt := 0.1
+				if a.head < len(a.queue) {
+					h := a.queue[a.head].DurationSec
+					switch rng.Intn(6) {
+					case 0:
+						dt = h
+					case 1:
+						dt = math.Nextafter(h, 0)
+					case 2:
+						dt = math.Nextafter(h, math.Inf(1))
+					}
+				}
+				switch rng.Intn(8) {
+				case 0:
+					dt = 1e-13
+				case 1:
+					dt = rng.Float64() * 5
+				}
+				gotA, gotB = gotA[:0], gotB[:0]
+				stallA := a.DrainInto(dt, emitA)
+				stallB := drainLoop(b, dt, emitB)
+				desc = fmt.Sprintf("DrainInto(%v)", dt)
+				if stallA != stallB || len(gotA) != len(gotB) {
+					t.Fatalf("trial %d op %d %s: stall %v, stretches %v; oracle %v, %v",
+						trial, op, desc, stallA, gotA, stallB, gotB)
+				}
+				for i := range gotA {
+					if gotA[i] != gotB[i] {
+						t.Fatalf("trial %d op %d %s: stretch %d = %v, oracle %v", trial, op, desc, i, gotA[i], gotB[i])
+					}
+				}
+			}
+			if a.BufferSec() != b.BufferSec() || a.PlayedSec() != b.PlayedSec() ||
+				a.StallSec() != b.StallSec() || a.StartupSec() != b.StartupSec() {
+				t.Fatalf("trial %d op %d %s: buffer/played/stall/startup %v/%v/%v/%v, oracle %v/%v/%v/%v",
+					trial, op, desc, a.BufferSec(), a.PlayedSec(), a.StallSec(), a.StartupSec(),
+					b.BufferSec(), b.PlayedSec(), b.StallSec(), b.StartupSec())
+			}
+			var tail float64
+			if a.head < len(a.queue) {
+				for _, q := range a.queue[a.head+1:] {
+					tail += q.DurationSec
+				}
+			}
+			if a.tailSec != tail {
+				t.Fatalf("trial %d op %d %s: tailSec %v, recomputed %v", trial, op, desc, a.tailSec, tail)
+			}
+			buf := a.BufferSec()
+			levels := []float64{buf, math.Nextafter(buf, 0), math.Nextafter(buf, math.Inf(1)), a.ThresholdSec()}
+			if a.head < len(a.queue) {
+				est := a.queue[a.head].DurationSec + a.tailSec
+				levels = append(levels, est, math.Nextafter(est, 0), math.Nextafter(est, math.Inf(1)))
+			}
+			for _, x := range levels {
+				if got, want := a.CompareBuffer(x), sign(buf, x); got != want {
+					t.Fatalf("trial %d op %d %s: CompareBuffer(%v) = %d, want %d (BufferSec %v)",
+						trial, op, desc, x, got, want, buf)
+				}
+			}
+			if got, want := a.ShouldDownload(), buf < a.ThresholdSec(); got != want {
+				t.Fatalf("trial %d op %d %s: ShouldDownload = %v with BufferSec %v", trial, op, desc, got, buf)
 			}
 		}
 	}
-	if a.PlayedSec() != b.PlayedSec() || a.StallSec() != b.StallSec() || a.BufferSec() != b.BufferSec() {
-		t.Errorf("diverged state: played %v/%v stall %v/%v buffer %v/%v",
-			a.PlayedSec(), b.PlayedSec(), a.StallSec(), b.StallSec(), a.BufferSec(), b.BufferSec())
+}
+
+// CompareBuffer's NaN and empty-queue answers follow the comparison
+// operators: 0 for an unordered level, and the empty buffer is 0 s.
+func TestCompareBufferEdges(t *testing.T) {
+	p, _ := New(30)
+	if p.CompareBuffer(0) != 0 || p.CompareBuffer(1) != -1 || p.CompareBuffer(-1) != 1 {
+		t.Error("empty buffer does not compare as 0 s")
+	}
+	p.OnSegment(2, 1)
+	if got := p.CompareBuffer(math.NaN()); got != 0 {
+		t.Errorf("CompareBuffer(NaN) = %d, want 0", got)
+	}
+	if p.CompareBuffer(math.Inf(1)) != -1 || p.CompareBuffer(math.Inf(-1)) != 1 {
+		t.Error("infinite levels misordered")
 	}
 }
+
+// BenchmarkPacingStep is one step of sim.Run's pacing loop while the
+// buffer sits above the threshold: a 0.1 s drain of a 16-deep queue of
+// 2 s segments, then the threshold comparison. A segment is pushed
+// whenever the queue falls below 16.
+func BenchmarkPacingStep(b *testing.B) {
+	p, err := New(DefaultBufferThresholdSec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const depth = 16
+	for i := 0; i < depth; i++ {
+		p.OnSegment(2, float64(i%3)+1)
+	}
+	var playedSec float64
+	emit := func(st Played) { playedSec += st.DurationSec }
+	above := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.DrainInto(0.1, emit)
+		if p.CompareBuffer(DefaultBufferThresholdSec) >= 0 {
+			above++
+		}
+		if len(p.queue)-p.head < depth {
+			p.OnSegment(2, float64(i%3)+1)
+		}
+	}
+	benchSink = playedSec + float64(above)
+}
+
+var benchSink float64

@@ -137,7 +137,7 @@ func TestDownloadConservationOnVolatileLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var moved float64
-	res, err := netsim.Download(ch, 25, func(s netsim.DownloadStep) {
+	res, err := netsim.DownloadRamped(ch, 25, 0, func(s netsim.DownloadStep) {
 		moved += s.TransferredMB
 	})
 	if err != nil {

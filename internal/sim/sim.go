@@ -316,13 +316,19 @@ func Run(cfg Config) (*Metrics, error) {
 	for i := 0; i < n && !abandoned(); i++ {
 		// Pace downloads: idle (radio silent, playback continues)
 		// while the buffer is above the threshold; with hysteresis,
-		// stay paused until it drains to the resume level.
+		// stay paused until it drains to the resume level. The
+		// buffer is compared, never summed: CompareBuffer is exact
+		// and O(1) almost always, and without hysteresis one
+		// comparison answers both tests.
 		for !abandoned() {
-			buf := pl.BufferSec()
-			if buf >= threshold {
+			c := pl.CompareBuffer(threshold)
+			if c >= 0 {
 				paused = true
 			}
-			if !paused || buf <= resume {
+			if paused && resume != threshold {
+				c = pl.CompareBuffer(resume)
+			}
+			if !paused || c <= 0 {
 				paused = false
 				break
 			}

@@ -130,6 +130,30 @@ func searchGT(xs []float64, v float64) int {
 	return lo
 }
 
+// gallopGE returns the first index i >= from with xs[i] >= v (len(xs)
+// if none): where a linear walk up from `from` stops. It probes from,
+// from+1, from+3, from+7, … until one probe reaches v, then binary
+// searches the last stride, so a walk of k samples costs O(log k)
+// comparisons instead of k.
+func gallopGE(xs []float64, from int, v float64) int {
+	lo, hi, stride := from, from, 1
+	for hi < len(xs) && xs[hi] < v {
+		lo, hi, stride = hi+1, hi+stride, stride*2
+	}
+	hi = min(hi, len(xs))
+	return lo + searchGE(xs[lo:hi], v)
+}
+
+// gallopGT is gallopGE for the first index i >= from with xs[i] > v.
+func gallopGT(xs []float64, from int, v float64) int {
+	lo, hi, stride := from, from, 1
+	for hi < len(xs) && xs[hi] <= v {
+		lo, hi, stride = hi+1, hi+stride, stride*2
+	}
+	hi = min(hi, len(xs))
+	return lo + searchGT(xs[lo:hi], v)
+}
+
 // levelFromPrefix evaluates Eq. 5 over the half-open sample index
 // range [i, j) from the prefix sums: with d the deviations,
 // Σ(m−mean_m)² = Σd² − n·mean_d², so the RMS deviation is
@@ -204,9 +228,11 @@ func (c *Compiled) Link() *netsim.TraceLink {
 
 // Cursor returns a per-session query cursor over the compilation. A
 // Cursor memoizes the last window/step indices so the monotone
-// per-segment access pattern of a session replay advances by a short
-// forward scan (O(1) amortized) instead of a fresh binary search;
-// non-monotone queries fall back to binary search transparently.
+// per-segment access pattern of a session replay advances from them —
+// the vibration window by galloping (O(log k) for a move of k
+// samples), the network step by a short forward scan — instead of a
+// fresh binary search over the whole trace; non-monotone queries fall
+// back to binary search transparently.
 // Cursors are cheap, hold all mutable state (the shared Compiled has
 // none), and must not be shared between goroutines.
 func (c *Compiled) Cursor() Cursor { return Cursor{c: c} }
@@ -233,17 +259,13 @@ func (cu *Cursor) VibrationAt(tSec, windowSec float64) float64 {
 	if i > len(ts) || (i > 0 && ts[i-1] >= loT) {
 		i = searchGE(ts, loT) // window start moved backwards
 	} else {
-		for i < len(ts) && ts[i] < loT {
-			i++
-		}
+		i = gallopGE(ts, i, loT)
 	}
 	j := cu.hi
 	if j > len(ts) || (j > 0 && ts[j-1] > tSec) {
 		j = searchGT(ts, tSec) // query time moved backwards
 	} else {
-		for j < len(ts) && ts[j] <= tSec {
-			j++
-		}
+		j = gallopGT(ts, j, tSec)
 	}
 	cu.lo, cu.hi = i, j
 	return cu.c.levelFromPrefix(i, j)

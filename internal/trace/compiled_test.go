@@ -96,18 +96,46 @@ func TestCompiledVibrationMatchesReference(t *testing.T) {
 	}
 }
 
+// regularTrace is a trace sampled at exactly 50 Hz, so segment-paced
+// query times and window starts land on sample timestamps.
+func regularTrace(rng *rand.Rand, lengthSec int) *Trace {
+	tr := &Trace{
+		LengthSec:         float64(lengthSec),
+		NativeBitrateMbps: 1,
+		Network:           []netsim.TracePoint{{TimeSec: 0, SignalDBm: -90, ThroughputMBps: 2}},
+	}
+	for i := 0; i < lengthSec*50; i++ {
+		tr.Accel = append(tr.Accel, vibration.Sample{
+			TimeSec: float64(i) / 50,
+			X:       rng.NormFloat64(),
+			Y:       rng.NormFloat64(),
+			Z:       vibration.Gravity + rng.NormFloat64(),
+		})
+	}
+	return tr
+}
+
 // The cursor fast path must stay exact (not just within tolerance)
-// relative to the stateless compiled path under its designed monotone
-// access pattern.
+// relative to the stateless compiled path: under its designed monotone
+// access pattern at steps from one 50 Hz sample (0.02 s) through a
+// segment (2 s) to ten segments (20 s), and across backward jumps that
+// take the binary-search fallback — on an irregular trace, and on a
+// regular one where query times tie with sample timestamps.
 func TestCursorMonotoneMatchesStateless(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tr := randomTrace(rng)
+	for _, tr := range []*Trace{randomTrace(rng), regularTrace(rng, 120)} {
+		cursorMatchesStateless(t, rng, tr)
+	}
+}
+
+func cursorMatchesStateless(t *testing.T, rng *rand.Rand, tr *Trace) {
+	t.Helper()
 	c, err := Compile(tr)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	cur := c.Cursor()
-	for tSec := -2.0; tSec < tr.LengthSec+10; tSec += 0.37 {
+	check := func(cur *Cursor, tSec float64) {
+		t.Helper()
 		if got, want := cur.VibrationAt(tSec, 6), c.VibrationAt(tSec, 6); got != want {
 			t.Fatalf("cursor diverged at t=%v: %v != %v", tSec, got, want)
 		}
@@ -116,6 +144,78 @@ func TestCursorMonotoneMatchesStateless(t *testing.T) {
 		}
 		if got, want := cur.ThroughputMBpsAt(tSec), c.ThroughputMBpsAt(tSec); got != want {
 			t.Fatalf("cursor throughput diverged at t=%v: %v != %v", tSec, got, want)
+		}
+	}
+	for _, step := range []float64{0.02, 0.37, 2, 2.37, 20} {
+		cur := c.Cursor()
+		for k := 0; float64(k)*step < tr.LengthSec+12; k++ {
+			check(&cur, float64(k)*step-2)
+		}
+	}
+	// Backward jumps: forward runs restarting from random earlier times,
+	// plus single steps back of a sample or less.
+	cur := c.Cursor()
+	tSec := -2.0
+	for q := 0; q < 2000; q++ {
+		switch rng.Intn(10) {
+		case 0:
+			tSec = rng.Float64()*(tr.LengthSec+12) - 2
+		case 1:
+			tSec -= rng.Float64() * 0.03
+		default:
+			tSec += rng.Float64() * 3
+		}
+		check(&cur, tSec)
+	}
+}
+
+// linearGE and linearGT are the cursor's index advance before
+// galloping: a walk up from the cached index. They are the oracles
+// gallopGE and gallopGT must match.
+func linearGE(xs []float64, from int, v float64) int {
+	for from < len(xs) && xs[from] < v {
+		from++
+	}
+	return from
+}
+
+func linearGT(xs []float64, from int, v float64) int {
+	for from < len(xs) && xs[from] <= v {
+		from++
+	}
+	return from
+}
+
+// Galloping finds the index the linear walk stops at, from every
+// start, for every probe value including duplicates, values between
+// and past the samples, on sorted series with runs of equal
+// timestamps.
+func TestGallopMatchesLinearWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, rng.Intn(300))
+		v := 0.0
+		for i := range xs {
+			if rng.Intn(4) != 0 { // every fourth sample repeats its predecessor
+				v += rng.Float64()
+			}
+			xs[i] = v
+		}
+		for q := 0; q < 50; q++ {
+			probe := rng.Float64()*(v+2) - 1
+			if len(xs) > 0 && rng.Intn(2) == 0 {
+				probe = xs[rng.Intn(len(xs))]
+			}
+			// Any start below the first index at or past the probe is
+			// a state the cursor can hold.
+			from := rng.Intn(searchGE(xs, probe) + 1)
+			if got, want := gallopGE(xs, from, probe), linearGE(xs, from, probe); got != want {
+				t.Fatalf("gallopGE(from %d, %v) = %d, linear walk %d (n=%d)", from, probe, got, want, len(xs))
+			}
+			from = rng.Intn(searchGT(xs, probe) + 1)
+			if got, want := gallopGT(xs, from, probe), linearGT(xs, from, probe); got != want {
+				t.Fatalf("gallopGT(from %d, %v) = %d, linear walk %d (n=%d)", from, probe, got, want, len(xs))
+			}
 		}
 	}
 }
@@ -318,3 +418,28 @@ func BenchmarkVibrationAtCursor(b *testing.B) {
 		cur.VibrationAt(t, 6)
 	}
 }
+
+// BenchmarkVibrationAtCursorSegmentPaced is the cursor at a session's
+// pace: one query per 2 s segment with the 6 s Eq. 5 window over a
+// 612 s trace sampled at 50 Hz, so each query moves both window edges
+// by about 100 samples.
+func BenchmarkVibrationAtCursorSegmentPaced(b *testing.B) {
+	c, err := Compile(regularTrace(rand.New(rand.NewSource(5)), 612))
+	if err != nil {
+		b.Fatalf("Compile: %v", err)
+	}
+	const segments = 612 / 2
+	cur := c.Cursor()
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%segments == 0 {
+			cur = c.Cursor()
+		}
+		sink += cur.VibrationAt(float64(i%segments)*2, 6)
+	}
+	benchSink = sink
+}
+
+var benchSink float64

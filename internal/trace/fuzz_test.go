@@ -47,12 +47,13 @@ func FuzzDecodeAccelCSV(f *testing.F) {
 }
 
 // FuzzCompiledVibrationAt drives the compiled-vs-reference agreement
-// contract (ISSUE 6): for any generated trace, query time, and window
-// — including query times beyond the trace end and windows longer
-// than the whole trace — Compiled.VibrationAt and the Cursor fast
-// path must match the reference (*Trace).VibrationAt within 1e-9.
-// The fuzzer controls the trace shape (seed, sample count, rate
-// irregularity, vibration amplitude) and the query geometry.
+// contract: for any generated trace, query time, and window —
+// including query times beyond the trace end and windows longer than
+// the whole trace — Compiled.VibrationAt must match the reference
+// (*Trace).VibrationAt within 1e-9, and the Cursor fast path must
+// equal Compiled.VibrationAt exactly, cold and after a monotone
+// approach. The fuzzer controls the trace shape (seed, sample count,
+// rate irregularity, vibration amplitude) and the query geometry.
 func FuzzCompiledVibrationAt(f *testing.F) {
 	f.Add(int64(1), uint16(50), 0.02, 1.0, 5.0, 6.0)
 	f.Add(int64(2), uint16(2), 3.0, 0.0, -1.0, 0.0)      // sparse, default window
@@ -92,24 +93,25 @@ func FuzzCompiledVibrationAt(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Compile rejected a valid trace: %v", err)
 		}
-		want := tr.VibrationAt(tSec, windowSec)
-		if got := c.VibrationAt(tSec, windowSec); math.Abs(got-want) > vibTolerance {
+		ref := tr.VibrationAt(tSec, windowSec)
+		want := c.VibrationAt(tSec, windowSec)
+		if math.Abs(want-ref) > vibTolerance {
 			t.Fatalf("Compiled.VibrationAt(%v, %v) = %.15g, reference %.15g (Δ=%g, n=%d amp=%v)",
-				tSec, windowSec, got, want, got-want, n, amp)
+				tSec, windowSec, want, ref, want-ref, n, amp)
 		}
-		// The cursor must agree both on a cold query and after a
-		// monotone approach to the same time.
+		// The cursor must equal the stateless query both on a cold
+		// query and after a monotone approach to the same time.
 		cur := c.Cursor()
-		if got := cur.VibrationAt(tSec, windowSec); math.Abs(got-want) > vibTolerance {
-			t.Fatalf("cold Cursor.VibrationAt(%v, %v) = %.15g, reference %.15g",
+		if got := cur.VibrationAt(tSec, windowSec); got != want {
+			t.Fatalf("cold Cursor.VibrationAt(%v, %v) = %.15g, Compiled %.15g",
 				tSec, windowSec, got, want)
 		}
 		cur = c.Cursor()
 		for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
 			cur.VibrationAt(tSec*frac, windowSec)
 		}
-		if got := cur.VibrationAt(tSec, windowSec); math.Abs(got-want) > vibTolerance {
-			t.Fatalf("warm Cursor.VibrationAt(%v, %v) = %.15g, reference %.15g",
+		if got := cur.VibrationAt(tSec, windowSec); got != want {
+			t.Fatalf("warm Cursor.VibrationAt(%v, %v) = %.15g, Compiled %.15g",
 				tSec, windowSec, got, want)
 		}
 	})

@@ -101,7 +101,9 @@ func (t *Trace) Validate() error {
 		}
 	}
 	for i := 1; i < len(t.Accel); i++ {
-		if t.Accel[i].TimeSec < t.Accel[i-1].TimeSec {
+		// Negated so a NaN timestamp is out of order too: the cursor's
+		// galloping search relies on a sorted series.
+		if !(t.Accel[i].TimeSec >= t.Accel[i-1].TimeSec) {
 			return fmt.Errorf("trace: accel sample %d out of order", i)
 		}
 	}

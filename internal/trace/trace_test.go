@@ -74,6 +74,16 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("unordered accel accepted")
 	}
+
+	// A NaN timestamp orders against nothing, so the series is unsorted.
+	for _, at := range []int{0, 1, 2} {
+		bad = tinyTrace(t)
+		bad.Accel = []vibration.Sample{{TimeSec: 0}, {TimeSec: 1}, {TimeSec: 2}}
+		bad.Accel[at].TimeSec = math.NaN()
+		if err := bad.Validate(); err == nil {
+			t.Errorf("NaN accel timestamp at %d accepted", at)
+		}
+	}
 }
 
 func TestDataSizeMB(t *testing.T) {
