@@ -20,7 +20,10 @@ type Manifest struct {
 	video      Video
 	ladder     Ladder
 	segmentSec float64
-	// sizeMB[segIdx][rungIdx]
+	count      int
+	// sizeMB[segIdx][rungIdx] for a generated encode. A manifest read
+	// from an MPD (MPDInfo.Manifest) holds fewer rows than segments:
+	// see row.
 	sizeMB [][]float64
 }
 
@@ -69,10 +72,7 @@ func NewManifest(v Video, l Ladder, cfg ManifestConfig) (*Manifest, error) {
 
 	sizes := make([][]float64, n)
 	for seg := 0; seg < n; seg++ {
-		dur := cfg.SegmentSec
-		if rem := v.DurationSec - float64(seg)*cfg.SegmentSec; rem < dur {
-			dur = rem
-		}
+		dur := segmentDuration(v.DurationSec, cfg.SegmentSec, seg)
 		// One scene-complexity draw per segment, shared across rungs so
 		// rung sizes stay ordered.
 		jitter := 1.0
@@ -85,7 +85,30 @@ func NewManifest(v Video, l Ladder, cfg ManifestConfig) (*Manifest, error) {
 		}
 		sizes[seg] = row
 	}
-	return &Manifest{video: v, ladder: l, segmentSec: cfg.SegmentSec, sizeMB: sizes}, nil
+	return &Manifest{video: v, ladder: l, segmentSec: cfg.SegmentSec, count: n, sizeMB: sizes}, nil
+}
+
+// segmentDuration is the one segment-duration rule: segment seg of a
+// presentation durationSec long, cut into segmentSec pieces, lasts
+// segmentSec, except a final remainder, which lasts what is left.
+func segmentDuration(durationSec, segmentSec float64, seg int) float64 {
+	if rem := durationSec - float64(seg)*segmentSec; rem < segmentSec {
+		return rem
+	}
+	return segmentSec
+}
+
+// row returns segment seg's sizes per rung. A manifest with fewer rows
+// than segments shares its first row among all but the final segment,
+// which takes the last row.
+func (m *Manifest) row(seg int) []float64 {
+	switch {
+	case len(m.sizeMB) == m.count:
+		return m.sizeMB[seg]
+	case seg == m.count-1:
+		return m.sizeMB[len(m.sizeMB)-1]
+	}
+	return m.sizeMB[0]
 }
 
 // Video returns the manifest's title metadata.
@@ -95,7 +118,7 @@ func (m *Manifest) Video() Video { return m.video }
 func (m *Manifest) Ladder() Ladder { return m.ladder }
 
 // SegmentCount returns the number of segments.
-func (m *Manifest) SegmentCount() int { return len(m.sizeMB) }
+func (m *Manifest) SegmentCount() int { return m.count }
 
 // SegmentSec returns the nominal segment duration.
 func (m *Manifest) SegmentSec() float64 { return m.segmentSec }
@@ -103,22 +126,18 @@ func (m *Manifest) SegmentSec() float64 { return m.segmentSec }
 // SegmentDuration returns the playback duration of segment seg (the
 // final segment may be shorter).
 func (m *Manifest) SegmentDuration(seg int) (float64, error) {
-	if seg < 0 || seg >= len(m.sizeMB) {
+	if seg < 0 || seg >= m.count {
 		return 0, ErrNoSuchRung
 	}
-	dur := m.segmentSec
-	if rem := m.video.DurationSec - float64(seg)*m.segmentSec; rem < dur {
-		dur = rem
-	}
-	return dur, nil
+	return segmentDuration(m.video.DurationSec, m.segmentSec, seg), nil
 }
 
 // SegmentSizeMB returns the payload of segment seg at ladder rung rung.
 func (m *Manifest) SegmentSizeMB(seg, rung int) (float64, error) {
-	if seg < 0 || seg >= len(m.sizeMB) || rung < 0 || rung >= len(m.ladder) {
+	if seg < 0 || seg >= m.count || rung < 0 || rung >= len(m.ladder) {
 		return 0, ErrNoSuchRung
 	}
-	return m.sizeMB[seg][rung], nil
+	return m.row(seg)[rung], nil
 }
 
 // SegmentSizes returns segment seg's payload per ladder rung, indexed
@@ -127,21 +146,8 @@ func (m *Manifest) SegmentSizeMB(seg, rung int) (float64, error) {
 // (session replay, task observation) where copying k sizes per
 // segment per session dominated the allocation profile.
 func (m *Manifest) SegmentSizes(seg int) ([]float64, error) {
-	if seg < 0 || seg >= len(m.sizeMB) {
+	if seg < 0 || seg >= m.count {
 		return nil, ErrNoSuchRung
 	}
-	return m.sizeMB[seg], nil
-}
-
-// TotalSizeMB returns the video's total payload when every segment is
-// fetched at the given rung.
-func (m *Manifest) TotalSizeMB(rung int) (float64, error) {
-	if rung < 0 || rung >= len(m.ladder) {
-		return 0, ErrNoSuchRung
-	}
-	var sum float64
-	for _, row := range m.sizeMB {
-		sum += row[rung]
-	}
-	return sum, nil
+	return m.row(seg), nil
 }

@@ -229,3 +229,44 @@ func InfoFromMPD(mpd *MPD) (MPDInfo, error) {
 		RepIDs:       ids,
 	}, nil
 }
+
+// SegmentDuration returns the playback duration of segment seg (the
+// final segment may be shorter), by the rule a Manifest uses.
+func (i MPDInfo) SegmentDuration(seg int) (float64, error) {
+	if seg < 0 || seg >= i.SegmentCount {
+		return 0, ErrNoSuchRung
+	}
+	return segmentDuration(i.DurationSec, i.SegmentSec, seg), nil
+}
+
+// Manifest returns the client's view of the presentation: the MPD's
+// ladder and segment timing, with each segment's size per rung
+// estimated as nominal bitrate × duration, since an MPD carries no
+// sizes. Every full segment shares one row of estimates and a short
+// final segment has its own, so the manifest's size does not grow with
+// a segment count read off the wire.
+func (i MPDInfo) Manifest() (*Manifest, error) {
+	if len(i.Ladder) == 0 {
+		return nil, ErrEmptyLadder
+	}
+	first, err := i.SegmentDuration(0)
+	if err != nil {
+		return nil, err
+	}
+	last, _ := i.SegmentDuration(i.SegmentCount - 1)
+	rows := [][]float64{i.estimate(first)}
+	if last != first {
+		rows = append(rows, i.estimate(last))
+	}
+	video := Video{DurationSec: i.DurationSec}
+	return &Manifest{video: video, ladder: i.Ladder, segmentSec: i.SegmentSec, count: i.SegmentCount, sizeMB: rows}, nil
+}
+
+// estimate returns a segment's nominal size per rung for its duration.
+func (i MPDInfo) estimate(durSec float64) []float64 {
+	row := make([]float64, len(i.Ladder))
+	for j, r := range i.Ladder {
+		row[j] = r.BitrateMbps * durSec / 8
+	}
+	return row
+}

@@ -3,6 +3,7 @@ package dash
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -172,5 +173,74 @@ func TestParseISODuration(t *testing.T) {
 		if math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("parse(%q) = %v, want %v", tt.in, got, tt.want)
 		}
+	}
+}
+
+// An MPD-derived manifest times its segments by the Manifest's own
+// rule and estimates each size as nominal bitrate × duration, and it
+// holds two rows of estimates however many segments the MPD declares.
+func TestMPDInfoManifest(t *testing.T) {
+	v := Video{Title: "short tail", SpatialInfo: 45, TemporalInfo: 15, DurationSec: 21}
+	orig, err := NewManifest(v, TableIILadder(), ManifestConfig{SegmentSec: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpd, err := BuildMPD(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := InfoFromMPD(mpd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := info.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SegmentCount() != 11 || orig.SegmentCount() != 11 {
+		t.Fatalf("segments: estimated %d, encoded %d, want 11", m.SegmentCount(), orig.SegmentCount())
+	}
+	for seg := 0; seg < 11; seg++ {
+		want, _ := orig.SegmentDuration(seg)
+		got, err := m.SegmentDuration(seg)
+		if err != nil || got != want {
+			t.Errorf("segment %d: duration %v (%v), want %v", seg, got, err, want)
+		}
+		if d, _ := info.SegmentDuration(seg); d != want {
+			t.Errorf("segment %d: MPDInfo duration %v, want %v", seg, d, want)
+		}
+		sizes, err := m.SegmentSizes(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range m.Ladder() {
+			if sizes[j] != r.BitrateMbps*want/8 {
+				t.Errorf("segment %d rung %d: estimate %v, want %v", seg, j, sizes[j], r.BitrateMbps*want/8)
+			}
+		}
+	}
+	if last, _ := m.SegmentDuration(10); last != 1 {
+		t.Errorf("final segment lasts %v s, want 1", last)
+	}
+	if _, err := info.SegmentDuration(11); err == nil {
+		t.Error("segment past the end accepted")
+	}
+
+	// 2^24 segments: a row per segment would take 400 MB.
+	huge := info
+	huge.SegmentCount = 1 << 24
+	huge.DurationSec = 2*(1<<24) - 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hm, err := huge.Manifest()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := hm.SegmentDuration(1<<24 - 1); d != 1 {
+		t.Errorf("final of 2^24 segments lasts %v s, want 1", d)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 4096 {
+		t.Errorf("a %d-segment manifest allocated %d bytes, want a size independent of the count", huge.SegmentCount, b)
 	}
 }

@@ -379,18 +379,6 @@ func (s *Stats) merge(fc fetchCounters) {
 	s.AbandonedSegments += fc.abandoned
 }
 
-// segmentSizesMB estimates per-rung segment sizes from the ladder (an
-// MPD carries nominal bitrates, not exact sizes) — enough for
-// size-aware policies like the paper's online algorithm to run over
-// real HTTP.
-func segmentSizesMB(info dash.MPDInfo) []float64 {
-	sizes := make([]float64, len(info.Ladder))
-	for j, r := range info.Ladder {
-		sizes[j] = r.BitrateMbps * info.SegmentSec / 8
-	}
-	return sizes
-}
-
 // Stream downloads the whole presentation. The context cancels the
 // session between segment fetches and aborts in-flight requests.
 //
@@ -444,7 +432,12 @@ type slot struct {
 // failed attempts and backoff sleeps do.
 func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) {
 	stats := &Stats{}
-	sizesMB := segmentSizesMB(info)
+	// Decisions see each segment's own duration and size estimates,
+	// so a short final segment is not taken for a full one.
+	man, err := info.Manifest()
+	if err != nil {
+		return stats, fmt.Errorf("httpdash: %w", err)
+	}
 
 	// Fetches run under a child context so tearing the pipeline down
 	// (error, cancellation) aborts every in-flight request promptly.
@@ -495,11 +488,13 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 			if projected >= c.threshold {
 				projected = c.threshold - info.SegmentSec
 			}
+			dur, _ := man.SegmentDuration(issued)
+			sizesMB, _ := man.SegmentSizes(issued)
 			chosen, err := c.algorithm.ChooseRung(abr.Context{
 				SegmentIndex:       issued,
 				Ladder:             info.Ladder,
 				SegmentSizesMB:     sizesMB,
-				SegmentDurationSec: info.SegmentSec,
+				SegmentDurationSec: dur,
 				PrevRung:           prevRung,
 				BufferSec:          projected,
 				BufferThresholdSec: c.threshold,
@@ -575,7 +570,8 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		} else {
 			bufferSec -= drained
 		}
-		bufferSec += info.SegmentSec
+		dur, _ := man.SegmentDuration(s.seg)
+		bufferSec += dur
 
 		br := info.Ladder[res.rung].BitrateMbps
 		stats.Fetches = append(stats.Fetches, Fetch{
