@@ -245,21 +245,15 @@ func (i MPDInfo) SegmentDuration(seg int) (float64, error) {
 // sizes. Every full segment shares one row of estimates and a short
 // final segment has its own, so the manifest's size does not grow with
 // a segment count read off the wire.
-func (i MPDInfo) Manifest() (*Manifest, error) {
-	if len(i.Ladder) == 0 {
-		return nil, ErrEmptyLadder
-	}
-	first, err := i.SegmentDuration(0)
-	if err != nil {
-		return nil, err
-	}
-	last, _ := i.SegmentDuration(i.SegmentCount - 1)
+func (i MPDInfo) Manifest() *Manifest {
+	first := segmentDuration(i.DurationSec, i.SegmentSec, 0)
+	last := segmentDuration(i.DurationSec, i.SegmentSec, i.SegmentCount-1)
 	rows := [][]float64{i.estimate(first)}
 	if last != first {
 		rows = append(rows, i.estimate(last))
 	}
 	video := Video{DurationSec: i.DurationSec}
-	return &Manifest{video: video, ladder: i.Ladder, segmentSec: i.SegmentSec, count: i.SegmentCount, sizeMB: rows}, nil
+	return &Manifest{video: video, ladder: i.Ladder, segmentSec: i.SegmentSec, count: i.SegmentCount, sizeMB: rows}
 }
 
 // estimate returns a segment's nominal size per rung for its duration.

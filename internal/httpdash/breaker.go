@@ -161,8 +161,11 @@ func (b *Breaker) Opens() int64 {
 // says how long until the breaker is worth probing again (feed it to
 // the backoff computation). ok=true obliges the caller to report the
 // attempt's outcome with exactly one Record (or drop, if the outcome
-// says nothing about the host).
+// says nothing about the host). A nil breaker allows every attempt.
 func (b *Breaker) Allow() (ok bool, retryAfter time.Duration) {
+	if b == nil {
+		return true, 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -188,8 +191,11 @@ func (b *Breaker) Allow() (ok bool, retryAfter time.Duration) {
 
 // Record reports an allowed attempt's outcome: success is any response
 // that proves the host alive (including 4xx), failure is a transport
-// error, timeout, truncation, or 5xx.
+// error, timeout, truncation, or 5xx. It is a no-op on a nil breaker.
 func (b *Breaker) Record(success bool) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -217,6 +223,9 @@ func (b *Breaker) Record(success bool) {
 // cancelled mid-flight — the host's health is unknown), so a half-open
 // probe slot is not leaked.
 func (b *Breaker) drop() {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerHalfOpen && b.probesInFlight > 0 {

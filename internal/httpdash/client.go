@@ -10,8 +10,10 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
+	"ecavs/internal/netsim"
 	"ecavs/internal/player"
 	"ecavs/internal/rng"
+	"ecavs/internal/sim"
 	"ecavs/internal/telemetry"
 	"ecavs/internal/tracing"
 )
@@ -52,19 +54,6 @@ type RetryPolicy struct {
 	// DowngradeOnRetry steps the fetch one ladder rung down per retry,
 	// degrading toward the cheapest rendition before giving up.
 	DowngradeOnRetry bool
-}
-
-// DefaultRetryPolicy is the resilient configuration the chaos suite
-// runs under: four attempts, 10 s per attempt, 50 ms–2 s backoff, and
-// degrade-before-abandon.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:      4,
-		AttemptTimeout:   10 * time.Second,
-		BackoffBase:      50 * time.Millisecond,
-		BackoffMax:       2 * time.Second,
-		DowngradeOnRetry: true,
-	}
 }
 
 func (p RetryPolicy) validate() error {
@@ -321,19 +310,20 @@ type Fetch struct {
 
 // Stats summarises a streamed session.
 type Stats struct {
+	// Metrics is the session's Eq. 6 energy and Eq. 1 QoE over the
+	// virtual playback, at the context the client decides with: a still
+	// phone at 0 dBm, the radio on between consumptions.
+	sim.Metrics
 	// Fetches logs every successfully downloaded segment.
 	Fetches []Fetch
 	// TotalBytes is the summed payload.
 	TotalBytes int64
 	// MeanThroughputMbps is the byte-weighted mean download rate.
 	MeanThroughputMbps float64
-	// MeanBitrateMbps is the mean selected bitrate.
-	MeanBitrateMbps float64
-	// Switches counts rung changes.
-	Switches int
 	// StallSec is the virtual-playback stall time: real time between
 	// consecutive segments becoming playable, beyond what the buffer
-	// covered. Failed attempts and backoff sleeps count too.
+	// covered (StartupSec + RebufferSec). Failed attempts and backoff
+	// sleeps count too.
 	StallSec float64
 
 	// Resilience counters (all zero in single-attempt mode).
@@ -408,21 +398,22 @@ type fetchResult struct {
 // it, its trace root, and — once done is signalled — its result. A
 // session allocates its slots once and reuses them round-robin.
 type slot struct {
-	seg, chosen int
-	span        *tracing.Span // nil when tracing is disabled
-	done        chan struct{} // nil at depth 1, where the fetch runs in place
-	res         fetchResult
+	dec  sim.Decision
+	span *tracing.Span // nil when tracing is disabled
+	done chan struct{} // nil at depth 1, where the fetch runs in place
+	res  fetchResult
 }
 
 // stream is the client's one fetch loop: decide, fetch, observe, play.
-// Up to fetchAhead+1 segments are in flight (the play-head segment
-// plus the prefetch window), issued strictly in segment order from
-// this goroutine and consumed strictly in segment order, so the
-// algorithm — which is not safe for concurrent use — only ever runs
-// here. At depth 1 (no prefetch) the fetch runs in place on this
-// goroutine and each segment's trace is the plain per-segment tree;
-// deeper, fetches run on their own goroutines, overlapping each other
-// and the (virtual) playout.
+// It drives a sim.Session with wall time and the prefetch pipeline. Up
+// to fetchAhead+1 segments are in flight (the play-head segment plus
+// the prefetch window), issued strictly in segment order from this
+// goroutine and consumed strictly in segment order, so the algorithm —
+// which is not safe for concurrent use — only ever runs here. At depth
+// 1 (no prefetch) the fetch runs in place on this goroutine and each
+// segment's trace is the plain per-segment tree; deeper, fetches run on
+// their own goroutines, overlapping each other and the (virtual)
+// playout.
 //
 // Two rules hold at every depth. The decision's PrevRung is the newest
 // issued segment's rung: its fetched rung once consumed, its chosen
@@ -432,9 +423,9 @@ type slot struct {
 // failed attempts and backoff sleeps do.
 func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) {
 	stats := &Stats{}
-	// Decisions see each segment's own duration and size estimates,
-	// so a short final segment is not taken for a full one.
-	man, err := info.Manifest()
+	// The session times and sizes each segment by the manifest, so a
+	// short final segment is not taken for a full one.
+	sess, err := sim.NewEvalSession(info.Manifest(), c.algorithm, c.threshold)
 	if err != nil {
 		return stats, fmt.Errorf("httpdash: %w", err)
 	}
@@ -468,10 +459,7 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		}
 	}
 
-	bufferSec := 0.0
-	prevRung := -1   // newest issued segment's rung (decision context)
-	lastPlayed := -1 // last consumed rung (switch accounting)
-	var weighted, brSum float64
+	var weighted float64
 	lastConsume := time.Now()
 
 	for played < info.SegmentCount {
@@ -484,43 +472,28 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 			// produced by the time this one is needed; once it passes the
 			// pacing threshold, virtual playback has played it down to
 			// just under the threshold.
-			projected := bufferSec + float64(issued-played)*info.SegmentSec
+			projected := sess.BufferSec() + float64(issued-played)*info.SegmentSec
 			if projected >= c.threshold {
 				projected = c.threshold - info.SegmentSec
 			}
-			dur, _ := man.SegmentDuration(issued)
-			sizesMB, _ := man.SegmentSizes(issued)
-			chosen, err := c.algorithm.ChooseRung(abr.Context{
-				SegmentIndex:       issued,
-				Ladder:             info.Ladder,
-				SegmentSizesMB:     sizesMB,
-				SegmentDurationSec: dur,
-				PrevRung:           prevRung,
-				BufferSec:          projected,
-				BufferThresholdSec: c.threshold,
-			})
+			d, err := sess.Decide(issued, sess.ElapsedSec(), projected, 0, 0)
 			if err != nil {
 				drain()
-				return stats, fmt.Errorf("httpdash: segment %d decision: %w", issued, err)
-			}
-			if chosen < 0 || chosen >= len(info.Ladder) {
-				drain()
-				return stats, fmt.Errorf("httpdash: segment %d: rung %d out of range", issued, chosen)
+				return stats, fmt.Errorf("httpdash: %w", err)
 			}
 			s := &slots[issued%depth]
-			s.seg, s.chosen = issued, chosen
+			s.dec = d
 			s.span = c.tracer.StartRoot("fetch_segment")
 			s.span.SetAttrInt("segment", int64(issued))
-			s.span.SetAttrInt("chosen_rung", int64(chosen))
-			prevRung = chosen
+			s.span.SetAttrInt("chosen_rung", int64(d.Rung))
 			issued++
 			if s.done == nil {
-				s.res = c.fetchWithRetry(fctx, info, s.seg, s.chosen, s.span)
+				s.res = c.fetchWithRetry(fctx, info, d.SegmentIndex, d.Rung, s.span)
 				continue
 			}
 			s.span.SetAttr("mode", "prefetch")
 			go func() {
-				s.res = c.fetchWithRetry(fctx, info, s.seg, s.chosen, s.span)
+				s.res = c.fetchWithRetry(fctx, info, s.dec.SegmentIndex, s.dec.Rung, s.span)
 				s.res.ready = time.Now()
 				s.done <- struct{}{}
 			}()
@@ -533,11 +506,12 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		played++
 		res := &s.res
 		stats.merge(res.counters)
+		seg := s.dec.SegmentIndex
 		if res.err != nil {
 			s.span.SetError(res.err)
 			s.span.End()
 			drain()
-			return stats, fmt.Errorf("httpdash: segment %d: %w", s.seg, res.err)
+			return stats, fmt.Errorf("httpdash: segment %d: %w", seg, res.err)
 		}
 		if s.done != nil {
 			// The gap between the fetch finishing and the play-head
@@ -549,37 +523,29 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		s.span.SetAttrInt("bytes", res.bytes)
 		s.span.SetAttrInt("attempts", int64(res.attempts))
 		s.span.End()
-		if s.seg == issued-1 {
-			prevRung = res.rung
-		}
-		thMbps := float64(res.bytes) * 8 / 1e6 / res.wall.Seconds()
-		c.algorithm.ObserveDownload(thMbps)
 
-		// Virtual playback against real elapsed time; stalls accrue when
-		// the buffer runs dry.
-		if bufferSec >= c.threshold {
-			bufferSec = c.threshold - info.SegmentSec
+		// Virtual playback: a buffer at the pacing threshold plays down
+		// to just under it with the radio idle, then the real time since
+		// the last consumption drains it with the radio on, stalling
+		// once it runs dry.
+		if !sess.ShouldDownload() {
+			sess.Play(sess.BufferSec() - (c.threshold - info.SegmentSec))
 		}
 		now := time.Now()
 		drained := now.Sub(lastConsume).Seconds()
 		lastConsume = now
-		if drained > bufferSec {
-			stats.StallSec += drained - bufferSec
-			c.tel.stallSec.Add(drained - bufferSec)
-			bufferSec = 0
-		} else {
-			bufferSec -= drained
-		}
-		dur, _ := man.SegmentDuration(s.seg)
-		bufferSec += dur
+		c.tel.stallSec.Add(max(0, drained-sess.BufferSec()))
+		sess.Transfer(drained, 0)
+		sizeMB, wall := float64(res.bytes)/1e6, res.wall.Seconds()
+		sess.Deliver(s.dec, res.rung, sizeMB, netsim.Result{DurationSec: wall, MeanThroughputMBps: sizeMB / wall})
+		thMbps := sizeMB * 8 / wall
 
-		br := info.Ladder[res.rung].BitrateMbps
 		stats.Fetches = append(stats.Fetches, Fetch{
-			Segment:        s.seg,
+			Segment:        seg,
 			Rung:           res.rung,
-			ChosenRung:     s.chosen,
+			ChosenRung:     s.dec.Rung,
 			Attempts:       res.attempts,
-			BitrateMbps:    br,
+			BitrateMbps:    info.Ladder[res.rung].BitrateMbps,
 			Bytes:          res.bytes,
 			WallTime:       res.wall,
 			ThroughputMbps: thMbps,
@@ -588,17 +554,11 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		c.tel.segments.Inc()
 		c.tel.bytes.Add(res.bytes)
 		weighted += thMbps * float64(res.bytes)
-		brSum += br
-		if lastPlayed >= 0 && res.rung != lastPlayed {
-			stats.Switches++
-		}
-		lastPlayed = res.rung
 	}
+	stats.Metrics = *sess.Finish(nil)
+	stats.StallSec = stats.StartupSec + stats.RebufferSec
 	if stats.TotalBytes > 0 {
 		stats.MeanThroughputMbps = weighted / float64(stats.TotalBytes)
-	}
-	if n := len(stats.Fetches); n > 0 {
-		stats.MeanBitrateMbps = brSum / float64(n)
 	}
 	return stats, nil
 }
@@ -655,18 +615,16 @@ func (c *Client) fetchWithRetry(ctx context.Context, info dash.MPDInfo, seg, cho
 
 		// Fail fast against an open breaker: no request is issued, the
 		// cool-down becomes the next backoff's floor.
-		if c.breaker != nil {
-			if ok, wait := c.breaker.Allow(); !ok {
-				fc.fastFails++
-				c.tel.fastFails.Inc()
-				hint = wait
-				ff := span.StartChild("breaker_fast_fail")
-				ff.SetAttrDuration("cool_down", wait)
-				ff.SetStatus("fast_fail", "circuit open")
-				ff.End()
-				lastErr = fmt.Errorf("%w (cooling down %v)", ErrCircuitOpen, wait)
-				continue
-			}
+		if ok, wait := c.breaker.Allow(); !ok {
+			fc.fastFails++
+			c.tel.fastFails.Inc()
+			hint = wait
+			ff := span.StartChild("breaker_fast_fail")
+			ff.SetAttrDuration("cool_down", wait)
+			ff.SetStatus("fast_fail", "circuit open")
+			ff.End()
+			lastErr = fmt.Errorf("%w (cooling down %v)", ErrCircuitOpen, wait)
+			continue
 		}
 
 		attemptCtx, cancel := c.attemptContext(ctx)
@@ -679,9 +637,7 @@ func (c *Client) fetchWithRetry(ctx context.Context, info dash.MPDInfo, seg, cho
 		elapsed := time.Since(start)
 		cancel()
 		if a.Err == nil {
-			if c.breaker != nil {
-				c.breaker.Record(true)
-			}
+			c.breaker.Record(true)
 			att.SetAttrInt("bytes", a.Bytes)
 			att.End()
 			res.bytes, res.wall = a.Bytes, elapsed
@@ -693,17 +649,13 @@ func (c *Client) fetchWithRetry(ctx context.Context, info dash.MPDInfo, seg, cho
 		// retryable fault — and it says nothing about the host's health,
 		// so the breaker's probe slot is released without an outcome.
 		if ctx.Err() != nil {
-			if c.breaker != nil {
-				c.breaker.drop()
-			}
+			c.breaker.drop()
 			res.err = fmt.Errorf("cancelled mid-download: %w", ctx.Err())
 			return res
 		}
-		if c.breaker != nil {
-			// Any response proves the host alive (4xx included); transport
-			// errors, timeouts, truncations, and 5xx count against it.
-			c.breaker.Record(a.Final())
-		}
+		// Any response proves the host alive (4xx included); transport
+		// errors, timeouts, truncations, and 5xx count against it.
+		c.breaker.Record(a.Final())
 		switch {
 		case a.Cancelled: // the per-attempt deadline, not the session, ended it
 			fc.timeouts++
@@ -784,33 +736,25 @@ func (c *Client) fetchManifest(ctx context.Context) (dash.MPDInfo, error) {
 			}
 			hint = 0
 		}
-		if c.breaker != nil {
-			if ok, wait := c.breaker.Allow(); !ok {
-				c.tel.fastFails.Inc()
-				hint = wait
-				lastErr = fmt.Errorf("httpdash: manifest: %w (cooling down %v)", ErrCircuitOpen, wait)
-				continue
-			}
+		if ok, wait := c.breaker.Allow(); !ok {
+			c.tel.fastFails.Inc()
+			hint = wait
+			lastErr = fmt.Errorf("httpdash: manifest: %w (cooling down %v)", ErrCircuitOpen, wait)
+			continue
 		}
 		attemptCtx, cancel := c.attemptContext(ctx)
 		info, a, err := GetManifest(attemptCtx, c.httpClient, c.baseURL)
 		cancel()
 		if err == nil {
-			if c.breaker != nil {
-				c.breaker.Record(true)
-			}
+			c.breaker.Record(true)
 			return info, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			if c.breaker != nil {
-				c.breaker.drop()
-			}
+			c.breaker.drop()
 			return dash.MPDInfo{}, lastErr
 		}
-		if c.breaker != nil {
-			c.breaker.Record(a.Final())
-		}
+		c.breaker.Record(a.Final())
 		if a.Final() {
 			return dash.MPDInfo{}, lastErr
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ecavs/internal/abr"
+	"ecavs/internal/power"
 )
 
 // contextSpy chooses scripted rungs and records every decision context
@@ -142,6 +143,67 @@ func TestShortFinalSegment(t *testing.T) {
 		}
 		if last, first := stats.Fetches[10], stats.Fetches[0]; last.Rung != 5 || first.Rung != 0 {
 			t.Fatalf("depth %d: fetched rungs %d … %d, want 0 … 5", depth, first.Rung, last.Rung)
+		}
+	}
+}
+
+// TestStreamMetricsMatchFetches checks that the energy and QoE Metrics
+// Stream returns agree with its per-segment Fetches, on a 21 s
+// presentation whose final segment lasts 1 s: the payload, the
+// switches, the duration-weighted mean bitrate, and decode energy for
+// exactly the content fetched (so the final segment filled the buffer
+// with 1 s, not 2).
+func TestStreamMetricsMatchFetches(t *testing.T) {
+	pm := power.EvalModel()
+	for _, depth := range []int{1, 3} {
+		_, ts := newTestServer(t, 21)
+		spy := &contextSpy{rungs: []int{1, 1, 4, 2, 5}}
+		client, err := NewClient(ts.URL, spy, WithBufferThreshold(8), WithFetchAhead(depth-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := client.Stream(context.Background())
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if len(stats.Fetches) != 11 {
+			t.Fatalf("depth %d: %d fetches, want 11", depth, len(stats.Fetches))
+		}
+		var switches int
+		var brDur, durSum, playJ float64
+		for i, f := range stats.Fetches {
+			dur := 2.0
+			if i == 10 {
+				dur = 1
+			}
+			if i > 0 && f.Rung != stats.Fetches[i-1].Rung {
+				switches++
+			}
+			brDur += f.BitrateMbps * dur
+			durSum += dur
+			playJ += pm.PlaybackPowerW(f.BitrateMbps) * dur
+		}
+		m := stats.Metrics
+		if m.Algorithm != spy.Name() || m.Segments != nil {
+			t.Errorf("depth %d: Algorithm %q with %d logged segments, want %q metrics-only", depth, m.Algorithm, len(m.Segments), spy.Name())
+		}
+		if want := float64(stats.TotalBytes) / 1e6; math.Abs(m.DownloadedMB-want) > 1e-9 {
+			t.Errorf("depth %d: DownloadedMB %v, want TotalBytes/1e6 = %v", depth, m.DownloadedMB, want)
+		}
+		if m.Switches != switches {
+			t.Errorf("depth %d: Switches %d, Fetches show %d", depth, m.Switches, switches)
+		}
+		if want := brDur / durSum; math.Abs(m.MeanBitrateMbps-want) > 1e-12 {
+			t.Errorf("depth %d: MeanBitrateMbps %v, want the duration-weighted %v", depth, m.MeanBitrateMbps, want)
+		}
+		if math.Abs(m.PlaybackJ-playJ) > 1e-9*playJ {
+			t.Errorf("depth %d: PlaybackJ %v, want %v for 21 s of the fetched rungs", depth, m.PlaybackJ, playJ)
+		}
+		if m.TotalJ() <= m.PlaybackJ || m.DownloadJ <= 0 || m.MeanQoE <= 0 || m.SessionQoE <= 0 {
+			t.Errorf("depth %d: degenerate metering: %+v", depth, m)
+		}
+		if stats.StallSec != m.StartupSec+m.RebufferSec {
+			t.Errorf("depth %d: StallSec %v, want StartupSec + RebufferSec = %v", depth, stats.StallSec, m.StartupSec+m.RebufferSec)
 		}
 	}
 }

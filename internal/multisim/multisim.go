@@ -17,7 +17,8 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
-	"ecavs/internal/player"
+	"ecavs/internal/netsim"
+	"ecavs/internal/sim"
 )
 
 // Client is one player in the shared-link simulation.
@@ -81,39 +82,32 @@ var (
 	ErrBadCapacity = errors.New("multisim: capacity must be positive")
 )
 
-// clientState is the engine's per-client bookkeeping.
+// clientState is the engine's per-client bookkeeping around the
+// client's sim.Session.
 type clientState struct {
-	cfg    Client
-	pl     *player.Player
-	seg    int  // next segment to request
-	done   bool // all segments fetched
-	joined bool
+	cfg  Client
+	sess *sim.Session
+	seg  int  // next segment to request
+	done bool // all segments fetched
 
 	// in-flight download
 	downloading bool
-	rung        int
+	dec         sim.Decision
 	remainMB    float64
-	sizeMB      float64
 	startedAt   float64
-	segDur      float64
 
-	prevRung int
-	result   ClientResult
-	brSum    float64
-	durSum   float64
+	rebufferSec float64 // stall until the last segment is fetched
+	rungs       []int
 }
 
-// Run executes the scenario.
+// Run executes the scenario. Each client is a sim.NewEvalSession,
+// metered at the context its decisions see: a still phone at 0 dBm.
 func Run(cfg Config) (*Result, error) {
 	if len(cfg.Clients) == 0 {
 		return nil, ErrNoClients
 	}
 	if cfg.CapacityMbps <= 0 {
 		return nil, ErrBadCapacity
-	}
-	threshold := cfg.BufferThresholdSec
-	if threshold <= 0 {
-		threshold = player.DefaultBufferThresholdSec
 	}
 	step := cfg.StepSec
 	if step <= 0 {
@@ -122,23 +116,15 @@ func Run(cfg Config) (*Result, error) {
 	var longest float64
 	states := make([]*clientState, 0, len(cfg.Clients))
 	for i, c := range cfg.Clients {
-		if c.Manifest == nil || c.Algorithm == nil {
-			return nil, fmt.Errorf("multisim: client %d missing manifest or algorithm", i)
-		}
-		pl, err := player.New(threshold)
+		sess, err := sim.NewEvalSession(c.Manifest, c.Algorithm, cfg.BufferThresholdSec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("multisim: client %d: %w", i, err)
 		}
 		c.Algorithm.Reset()
 		if d := c.Manifest.Video().DurationSec + c.StartOffsetSec; d > longest {
 			longest = d
 		}
-		states = append(states, &clientState{
-			cfg:      c,
-			pl:       pl,
-			prevRung: -1,
-			result:   ClientResult{Name: c.Name},
-		})
+		states = append(states, &clientState{cfg: c, sess: sess})
 	}
 	maxSim := cfg.MaxSimSec
 	if maxSim <= 0 {
@@ -161,47 +147,39 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		for _, st := range states {
-			if !st.joined {
-				if now >= st.cfg.StartOffsetSec {
-					st.joined = true
-				} else {
-					allDone = false
-					continue
-				}
+			if now < st.cfg.StartOffsetSec {
+				allDone = false
+				continue // not joined yet
 			}
-			if st.done && st.pl.BufferSec() <= 1e-9 {
+			if st.done && st.sess.BufferSec() <= 1e-9 {
 				continue // session fully played out
 			}
-			// Playback drains in real time; time past the video's end
-			// is not a stall.
-			stall := st.pl.DrainInto(step, nil)
-			if !st.done {
-				st.result.RebufferSec += stall
-			}
-			if st.done {
-				allDone = false
-				continue
+			// Playback drains in real time, with the radio on while a
+			// segment downloads.
+			var stall float64
+			if st.downloading {
+				stall = st.sess.Transfer(step, 0)
+			} else {
+				stall = st.sess.Play(step)
 			}
 			allDone = false
+			if st.done {
+				continue
+			}
+			st.rebufferSec += stall
 
 			if st.downloading {
 				st.remainMB -= shareMBps * step
 				if st.remainMB <= 0 {
 					st.downloading = false
-					st.pl.OnSegment(st.segDur, mustBitrate(st.cfg.Manifest, st.rung))
 					elapsed := now + step - st.startedAt
 					if elapsed <= 0 {
 						elapsed = step
 					}
-					st.cfg.Algorithm.ObserveDownload(st.sizeMB * 8 / elapsed)
-					st.result.DownloadedMB += st.sizeMB
-					st.result.Rungs = append(st.result.Rungs, st.rung)
-					st.brSum += mustBitrate(st.cfg.Manifest, st.rung) * st.segDur
-					st.durSum += st.segDur
-					if st.prevRung >= 0 && st.rung != st.prevRung {
-						st.result.Switches++
-					}
-					st.prevRung = st.rung
+					sizeMB := st.dec.SegmentSizesMB[st.dec.Rung]
+					st.sess.Deliver(st.dec, st.dec.Rung, sizeMB,
+						netsim.Result{DurationSec: elapsed, MeanThroughputMBps: sizeMB / elapsed})
+					st.rungs = append(st.rungs, st.dec.Rung)
 					st.seg++
 					if st.seg >= st.cfg.Manifest.SegmentCount() {
 						st.done = true
@@ -211,12 +189,15 @@ func Run(cfg Config) (*Result, error) {
 			}
 
 			// Start the next download when pacing allows.
-			if !st.pl.ShouldDownload() {
+			if !st.sess.ShouldDownload() {
 				continue
 			}
-			if err := startDownload(st, threshold, now); err != nil {
-				return nil, err
+			d, err := st.sess.Decide(st.seg, now-st.cfg.StartOffsetSec, st.sess.BufferSec(), 0, 0)
+			if err != nil {
+				return nil, fmt.Errorf("multisim: client %s: %w", st.cfg.Name, err)
 			}
+			st.downloading, st.dec = true, d
+			st.remainMB, st.startedAt = d.SegmentSizesMB[d.Rung], now
 		}
 		if allDone {
 			break
@@ -227,61 +208,19 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{DurationSec: now}
 	bitrates := make([]float64, 0, len(states))
 	for _, st := range states {
-		if st.durSum > 0 {
-			st.result.MeanBitrateMbps = st.brSum / st.durSum
-		}
-		bitrates = append(bitrates, st.result.MeanBitrateMbps)
-		res.Clients = append(res.Clients, st.result)
+		m := st.sess.Finish(nil)
+		res.Clients = append(res.Clients, ClientResult{
+			Name:            st.cfg.Name,
+			MeanBitrateMbps: m.MeanBitrateMbps,
+			Switches:        m.Switches,
+			RebufferSec:     st.rebufferSec,
+			DownloadedMB:    m.DownloadedMB,
+			Rungs:           st.rungs,
+		})
+		bitrates = append(bitrates, m.MeanBitrateMbps)
 	}
 	res.JainFairness = jain(bitrates)
 	return res, nil
-}
-
-// startDownload asks the client's algorithm for a rung and opens the
-// transfer.
-func startDownload(st *clientState, threshold, now float64) error {
-	man := st.cfg.Manifest
-	ladder := man.Ladder()
-	sizes := make([]float64, len(ladder))
-	for j := range ladder {
-		s, err := man.SegmentSizeMB(st.seg, j)
-		if err != nil {
-			return err
-		}
-		sizes[j] = s
-	}
-	dur, err := man.SegmentDuration(st.seg)
-	if err != nil {
-		return err
-	}
-	rung, err := st.cfg.Algorithm.ChooseRung(abr.Context{
-		SegmentIndex:       st.seg,
-		Ladder:             ladder,
-		SegmentSizesMB:     sizes,
-		SegmentDurationSec: dur,
-		PrevRung:           st.prevRung,
-		BufferSec:          st.pl.BufferSec(),
-		BufferThresholdSec: threshold,
-	})
-	if err != nil {
-		return fmt.Errorf("multisim: client %s segment %d: %w", st.cfg.Name, st.seg, err)
-	}
-	if rung < 0 || rung >= len(ladder) {
-		return fmt.Errorf("multisim: client %s chose rung %d of %d", st.cfg.Name, rung, len(ladder))
-	}
-	st.downloading = true
-	st.rung = rung
-	st.sizeMB = sizes[rung]
-	st.remainMB = sizes[rung]
-	st.segDur = dur
-	st.startedAt = now
-	return nil
-}
-
-// mustBitrate reads a rung's bitrate (the rung was validated at choose
-// time).
-func mustBitrate(m *dash.Manifest, rung int) float64 {
-	return m.Ladder()[rung].BitrateMbps
 }
 
 // jain computes Jain's fairness index over xs.

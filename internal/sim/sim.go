@@ -13,7 +13,6 @@ import (
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
 	"ecavs/internal/netsim"
-	"ecavs/internal/player"
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
 )
@@ -191,27 +190,19 @@ var (
 // radio idles.
 const idleStepSec = 0.1
 
-// Run simulates one full streaming session.
+// Run simulates one full streaming session: it drives a Session over
+// cfg.Link in 0.1 s virtual-time steps, pacing downloads at the buffer
+// threshold and metering radio power at the link's signal while a
+// segment transfers.
 func Run(cfg Config) (*Metrics, error) {
-	if cfg.Manifest == nil {
-		return nil, ErrNilManifest
+	s, err := NewSession(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Link == nil {
 		return nil, ErrNilLink
 	}
-	if cfg.Algorithm == nil {
-		return nil, ErrNilAlgorithm
-	}
-	if err := cfg.Power.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: power model: %w", err)
-	}
-	if err := cfg.QoE.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: qoe model: %w", err)
-	}
-	threshold := cfg.BufferThresholdSec
-	if threshold <= 0 {
-		threshold = player.DefaultBufferThresholdSec
-	}
+	threshold := s.cfg.BufferThresholdSec
 	resume := cfg.ResumeThresholdSec
 	if resume <= 0 {
 		resume = threshold
@@ -221,7 +212,6 @@ func Run(cfg Config) (*Metrics, error) {
 	}
 	var rrc *power.RRCTracker
 	if cfg.RRC != nil {
-		var err error
 		rrc, err = power.NewRRCTracker(*cfg.RRC)
 		if err != nil {
 			return nil, fmt.Errorf("sim: rrc: %w", err)
@@ -237,269 +227,82 @@ func Run(cfg Config) (*Metrics, error) {
 	link := cfg.Link
 	var outage *netsim.OutageLink
 	if cfg.Outage != nil {
-		var err error
 		outage, err = netsim.WithOutages(link, *cfg.Outage)
 		if err != nil {
 			return nil, fmt.Errorf("sim: outage: %w", err)
 		}
 		link = outage
 	}
-
-	pl, err := player.New(threshold)
-	if err != nil {
-		return nil, err
-	}
-	ladder := cfg.Manifest.Ladder()
-	if cfg.RungQoE != nil {
-		if cfg.RungQoE.Model() != cfg.QoE {
-			return nil, errors.New("sim: rung table compiled from a different QoE model")
-		}
-		if cfg.RungQoE.Len() != len(ladder) {
-			return nil, fmt.Errorf("sim: rung table has %d rungs for a %d-rung ladder", cfg.RungQoE.Len(), len(ladder))
-		}
-		for j := range ladder {
-			if cfg.RungQoE.Bitrate(j) != ladder[j].BitrateMbps {
-				return nil, fmt.Errorf("sim: rung table bitrate %d mismatches the ladder", j)
-			}
-		}
-	}
-	n := cfg.Manifest.SegmentCount()
-	m := &Metrics{Algorithm: cfg.Algorithm.Name()}
-	if !cfg.MetricsOnly {
-		m.Segments = make([]SegmentLog, 0, n)
-	}
 	startTime := link.Now()
-	prevRung := -1
 
-	// Per-session scratch, sized once so the per-segment loop stays
-	// allocation-free: the fetched payload per segment (abandonment
-	// waste attribution) and the per-segment QoE scores for the session
-	// model. The rung-size vector handed to the algorithm is the
-	// manifest's internal row (read-only contract), so no per-session
-	// copy is needed. The scalar accumulators replace the post-loop
-	// passes over Metrics.Segments; they add the same terms in the same
-	// order, so the results are bit-identical to the log-driven
-	// computation.
-	var (
-		segSizes = make([]float64, 0, n)
-		scores   = make([]qoe.SegmentScore, 0, n)
-
-		qoeSum, brWeighted, durSum float64
-	)
-
-	// drain plays dt seconds of buffered video, integrating decode and
-	// stall power.
-	onPlayed := func(st player.Played) {
-		m.PlaybackJ += cfg.Power.PlaybackPowerW(st.BitrateMbps) * st.DurationSec
-	}
-	drain := func(dt float64) (stallSec float64) {
-		stall := pl.DrainInto(dt, onPlayed)
-		if stall > 0 {
-			m.RebufferJ += cfg.Power.RebufferPowerW * stall
-		}
-		return stall
-	}
-
-	// onStep integrates radio power over one download step; segStall
-	// accumulates the stall attributed to the in-flight segment. Both
-	// live outside the loop so the closure is built once per session.
-	var segStall float64
+	// The closures are built once per session: onStep meters a download
+	// step with the radio on; idle moves the clocks while it is off.
 	onStep := func(step netsim.DownloadStep) {
-		m.DownloadJ += cfg.Power.RadioPowerW(step.SignalDBm) * step.Dt
-		segStall += drain(step.Dt)
+		s.Transfer(step.Dt, step.SignalDBm)
 	}
-
-	abandoned := func() bool {
-		return cfg.AbandonAtSec > 0 && pl.PlayedSec() >= cfg.AbandonAtSec
+	idle := func(dt float64) {
+		link.Advance(dt)
+		if rrc != nil {
+			rrc.AdvanceIdle(dt)
+		}
 	}
 	paused := false
-	for i := 0; i < n && !abandoned(); i++ {
+	for i := 0; i < cfg.Manifest.SegmentCount() && !s.Abandoned(); i++ {
 		// Pace downloads: idle (radio silent, playback continues)
 		// while the buffer is above the threshold; with hysteresis,
 		// stay paused until it drains to the resume level. The
 		// buffer is compared, never summed: CompareBuffer is exact
 		// and O(1) almost always, and without hysteresis one
 		// comparison answers both tests.
-		for !abandoned() {
-			c := pl.CompareBuffer(threshold)
+		for !s.Abandoned() {
+			c := s.pl.CompareBuffer(threshold)
 			if c >= 0 {
 				paused = true
 			}
 			if paused && resume != threshold {
-				c = pl.CompareBuffer(resume)
+				c = s.pl.CompareBuffer(resume)
 			}
 			if !paused || c <= 0 {
 				paused = false
 				break
 			}
-			drain(idleStepSec)
-			link.Advance(idleStepSec)
-			if rrc != nil {
-				rrc.AdvanceIdle(idleStepSec)
-			}
+			s.Play(idleStepSec)
+			idle(idleStepSec)
 		}
-		if abandoned() {
+		if s.Abandoned() {
 			break
 		}
 
-		now := link.Now()
-		dur, err := cfg.Manifest.SegmentDuration(i)
+		at := link.Now() - startTime
+		d, err := s.Decide(i, at, s.BufferSec(), link.SignalDBm(), vibAt(at))
 		if err != nil {
 			return nil, err
 		}
-		sizes, err := cfg.Manifest.SegmentSizes(i)
-		if err != nil {
-			return nil, err
-		}
-		vib := vibAt(now - startTime)
-		ctx := abr.Context{
-			SegmentIndex:       i,
-			Ladder:             ladder,
-			SegmentSizesMB:     sizes,
-			SegmentDurationSec: dur,
-			PrevRung:           prevRung,
-			BufferSec:          pl.BufferSec(),
-			BufferThresholdSec: threshold,
-			SignalDBm:          link.SignalDBm(),
-			VibrationLevel:     vib,
-		}
-		rung, err := cfg.Algorithm.ChooseRung(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("sim: segment %d: %w", i, err)
-		}
-		if rung < 0 || rung >= len(ladder) {
-			return nil, fmt.Errorf("%w: %d of %d at segment %d", ErrBadRung, rung, len(ladder), i)
-		}
-
-		segStall = 0
 		if rrc != nil {
 			// Promotion latency delays the transfer; playback continues.
 			if latency := rrc.StartTransfer(); latency > 0 {
-				segStall += drain(latency)
+				s.Play(latency)
 				link.Advance(latency)
 			}
 		}
-		res, err := netsim.DownloadRamped(link, sizes[rung], cfg.TCPRampSec, onStep)
+		sizeMB := d.SegmentSizesMB[d.Rung]
+		res, err := netsim.DownloadRamped(link, sizeMB, cfg.TCPRampSec, onStep)
 		if err != nil {
 			return nil, fmt.Errorf("sim: segment %d download: %w", i, err)
 		}
 		if rrc != nil {
 			rrc.EndTransfer()
 		}
-		pl.OnSegment(dur, ladder[rung].BitrateMbps)
-
-		thMbps := res.MeanThroughputMBps * 8
-		cfg.Algorithm.ObserveDownload(thMbps)
-
-		var segQoE float64
-		if cfg.RungQoE != nil {
-			segQoE = cfg.RungQoE.SegmentQoE(rung, prevRung, vib, segStall)
-		} else {
-			prevBitrate := 0.0
-			if prevRung >= 0 {
-				prevBitrate = ladder[prevRung].BitrateMbps
-			}
-			segQoE = cfg.QoE.SegmentQoE(qoe.Segment{
-				BitrateMbps:     ladder[rung].BitrateMbps,
-				PrevBitrateMbps: prevBitrate,
-				Vibration:       vib,
-				RebufferSec:     segStall,
-			})
-		}
-		if cfg.Recorder != nil {
-			cfg.Recorder.Record(DecisionEvent{
-				Segment:     i,
-				Rung:        rung,
-				BitrateMbps: ladder[rung].BitrateMbps,
-				BufferSec:   ctx.BufferSec,
-				SignalDBm:   ctx.SignalDBm,
-				Vibration:   vib,
-				PowerW:      cfg.Power.PlaybackPowerW(ladder[rung].BitrateMbps) + cfg.Power.RadioPowerW(ctx.SignalDBm),
-				QoE:         segQoE,
-			})
-		}
-		if !cfg.MetricsOnly {
-			m.Segments = append(m.Segments, SegmentLog{
-				Index:          i,
-				Rung:           rung,
-				BitrateMbps:    ladder[rung].BitrateMbps,
-				SizeMB:         sizes[rung],
-				StartSec:       now - startTime,
-				DownloadSec:    res.DurationSec,
-				ThroughputMbps: thMbps,
-				MeanSignalDBm:  res.MeanSignalDBm,
-				Vibration:      vib,
-				StallSec:       segStall,
-				QoE:            segQoE,
-			})
-		}
-		segSizes = append(segSizes, sizes[rung])
-		scores = append(scores, qoe.SegmentScore{StartSec: now - startTime, QoE: segQoE})
-		qoeSum += segQoE
-		brWeighted += ladder[rung].BitrateMbps * dur
-		durSum += dur
-		m.DownloadedMB += sizes[rung]
-		if prevRung >= 0 && rung != prevRung {
-			m.Switches++
-		}
-		prevRung = rung
+		s.Deliver(d, d.Rung, sizeMB, res)
 	}
 
-	if abandoned() {
-		// The viewer quit: whatever sits in the buffer was downloaded
-		// for nothing. Attribute the trailing bufferSec seconds of
-		// downloaded content (FIFO buffer => the most recent segments)
-		// as wasted payload. Segments are fetched in order, so segment
-		// k's payload is segSizes[k].
-		m.Abandoned = true
-		remaining := pl.BufferSec()
-		for i := len(segSizes) - 1; i >= 0 && remaining > 1e-9; i-- {
-			dur, err := cfg.Manifest.SegmentDuration(i)
-			if err != nil {
-				return nil, err
-			}
-			if dur <= 0 {
-				continue
-			}
-			take := dur
-			if take > remaining {
-				take = remaining
-			}
-			m.WastedMB += segSizes[i] * take / dur
-			remaining -= take
-		}
-	} else {
-		// Play out the remaining buffer.
-		pl.FinishRemainingInto(func(st player.Played) {
-			m.PlaybackJ += cfg.Power.PlaybackPowerW(st.BitrateMbps) * st.DurationSec
-			link.Advance(st.DurationSec)
-			if rrc != nil {
-				rrc.AdvanceIdle(st.DurationSec)
-			}
-		})
-	}
+	m := s.Finish(idle)
 	if rrc != nil {
 		m.RadioCtlJ = rrc.TotalJ()
 	}
 	if outage != nil {
 		m.OutageCount, m.OutageSec = outage.Outages()
 	}
-
-	m.StartupSec = pl.StartupSec()
-	m.StartupJ = cfg.Power.RebufferPowerW * m.StartupSec
-	m.RebufferSec = pl.StallSec()
 	m.DurationSec = link.Now() - startTime
-
-	if len(scores) > 0 {
-		m.MeanQoE = qoeSum / float64(len(scores))
-		sessionQoE, err := qoe.DefaultSession().Score(scores, m.StartupSec)
-		if err != nil {
-			return nil, err
-		}
-		m.SessionQoE = sessionQoE
-	}
-	if durSum > 0 {
-		m.MeanBitrateMbps = brWeighted / durSum
-	}
 	return m, nil
 }
