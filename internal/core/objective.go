@@ -109,52 +109,17 @@ func (o Objective) Cost(est, ref Estimate) float64 {
 	return o.Alpha*est.EnergyJ/ref.EnergyJ - (1-o.Alpha)*est.QoE/ref.QoE
 }
 
-// ScoreRungs estimates and scores every ladder rung of one task.
-// sizesMB[j] is the segment payload at rung j; base carries the shared
-// task context (its BitrateMbps/SizeMB fields are overwritten per
-// rung). bitrates must parallel sizesMB. The returned slices are
-// per-rung costs and estimates; the reference is the top rung.
-func (o Objective) ScoreRungs(base Candidate, bitrates, sizesMB []float64) (costs []float64, ests []Estimate, err error) {
-	costs = make([]float64, len(bitrates))
-	ests = make([]Estimate, len(bitrates))
-	if err := o.ScoreRungsInto(base, bitrates, sizesMB, costs, ests); err != nil {
-		return nil, nil, err
-	}
-	return costs, ests, nil
-}
-
-// ScoreRungsInto is ScoreRungs writing into caller-provided slices, so
-// per-decision hot paths can reuse their buffers. costs and ests must
-// both have len(bitrates) entries.
-func (o Objective) ScoreRungsInto(base Candidate, bitrates, sizesMB, costs []float64, ests []Estimate) error {
-	if len(bitrates) == 0 || len(bitrates) != len(sizesMB) {
-		return errors.New("core: bitrates and sizes must be non-empty and parallel")
-	}
-	if len(costs) != len(bitrates) || len(ests) != len(bitrates) {
-		return errors.New("core: cost and estimate buffers must parallel the bitrates")
-	}
-	for j := range bitrates {
-		c := base
-		c.BitrateMbps = bitrates[j]
-		c.SizeMB = sizesMB[j]
-		ests[j] = o.Estimate(c)
-	}
-	ref := ests[len(ests)-1]
-	for j := range ests {
-		costs[j] = o.Cost(ests[j], ref)
-	}
-	return nil
-}
-
-// ScoreRungsCompiled is ScoreRungsInto driven by a compiled per-rung
-// QoE table instead of the model's transcendental curve functions: the
+// ScoreRungsCompiled scores every ladder rung of one task (the reference
+// is the top rung) through a compiled per-rung QoE table instead of the
+// model's transcendental curve functions: the
 // candidate bitrates are the table's rungs and prevRung indexes the
 // previous segment's rung in the same table (negative = first segment,
 // no switch penalty). base.BitrateMbps, base.SizeMB and
 // base.PrevBitrateMbps are ignored. The table must have been compiled
 // from o.QoE with the same ladder bitrates; given that, the costs and
-// estimates are bit-identical to ScoreRungsInto (pinned by
-// TestScoreRungsCompiledBitIdentical) while evaluating zero math.Pow
+// estimates are bit-identical to the test oracle ScoreRungsInto, which
+// evaluates the curves directly (pinned by
+// TestScoreRungsCompiledBitIdentical), while evaluating zero math.Pow
 // calls per decision.
 func (o Objective) ScoreRungsCompiled(base Candidate, rt *qoe.RungTable, prevRung int, sizesMB, costs []float64, ests []Estimate) error {
 	k := rt.Len()

@@ -108,7 +108,7 @@ func (s *taskScorer) beginTask(t TaskObservation) {
 // previous segment" (the first task). beginTask must have been called
 // for the task first. The arithmetic — energy and QoE estimates, then
 // the Eq. 11 scalarisation against the top-rung reference — is
-// bit-identical to Objective.ScoreRungs.
+// bit-identical to the test oracle Objective.ScoreRungs.
 func (s *taskScorer) scoreInto(t TaskObservation, p int, costs []float64) {
 	prev, q0Prev := 0.0, 0.0
 	if p < len(s.bitrates) {

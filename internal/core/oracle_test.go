@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -138,6 +139,47 @@ func verifyPlan(sc *taskScorer, tasks []TaskObservation, plan Plan) error {
 	if math.Abs(distDij[sink]-wantDij) > 1e-6*math.Max(1, math.Abs(wantDij)) {
 		return fmt.Errorf("solver disagreement: DP %v vs Dijkstra %v (shift %v)",
 			distDP[sink], distDij[sink], shift)
+	}
+	return nil
+}
+
+// The scoring oracle: ScoreRungs and ScoreRungsInto estimate every rung
+// through the model's curve functions, which production replaced with
+// the compiled rung table of ScoreRungsCompiled. Only tests call them.
+
+// ScoreRungs estimates and scores every ladder rung of one task.
+// sizesMB[j] is the segment payload at rung j; base carries the shared
+// task context (its BitrateMbps/SizeMB fields are overwritten per
+// rung). bitrates must parallel sizesMB. The returned slices are
+// per-rung costs and estimates; the reference is the top rung.
+func (o Objective) ScoreRungs(base Candidate, bitrates, sizesMB []float64) (costs []float64, ests []Estimate, err error) {
+	costs = make([]float64, len(bitrates))
+	ests = make([]Estimate, len(bitrates))
+	if err := o.ScoreRungsInto(base, bitrates, sizesMB, costs, ests); err != nil {
+		return nil, nil, err
+	}
+	return costs, ests, nil
+}
+
+// ScoreRungsInto is ScoreRungs writing into caller-provided slices, so
+// per-decision hot paths can reuse their buffers. costs and ests must
+// both have len(bitrates) entries.
+func (o Objective) ScoreRungsInto(base Candidate, bitrates, sizesMB, costs []float64, ests []Estimate) error {
+	if len(bitrates) == 0 || len(bitrates) != len(sizesMB) {
+		return errors.New("core: bitrates and sizes must be non-empty and parallel")
+	}
+	if len(costs) != len(bitrates) || len(ests) != len(bitrates) {
+		return errors.New("core: cost and estimate buffers must parallel the bitrates")
+	}
+	for j := range bitrates {
+		c := base
+		c.BitrateMbps = bitrates[j]
+		c.SizeMB = sizesMB[j]
+		ests[j] = o.Estimate(c)
+	}
+	ref := ests[len(ests)-1]
+	for j := range ests {
+		costs[j] = o.Cost(ests[j], ref)
 	}
 	return nil
 }

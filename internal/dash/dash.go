@@ -8,7 +8,6 @@ package dash
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Representation is one rung of a bitrate ladder.
@@ -117,18 +116,6 @@ func (l Ladder) HighestBelow(mbps float64) Representation {
 	return best
 }
 
-// Nearest returns the rung whose bitrate is closest to mbps.
-func (l Ladder) Nearest(mbps float64) Representation {
-	best := l[0]
-	bestDiff := abs(l[0].BitrateMbps - mbps)
-	for _, r := range l[1:] {
-		if d := abs(r.BitrateMbps - mbps); d < bestDiff {
-			best, bestDiff = r, d
-		}
-	}
-	return best
-}
-
 // Bitrates returns the ladder's bitrates as a fresh slice.
 func (l Ladder) Bitrates() []float64 {
 	out := make([]float64, len(l))
@@ -136,20 +123,4 @@ func (l Ladder) Bitrates() []float64 {
 		out[i] = r.BitrateMbps
 	}
 	return out
-}
-
-// IndexOfBitrate returns the rung index carrying the given bitrate.
-func (l Ladder) IndexOfBitrate(mbps float64) (int, error) {
-	i := sort.Search(len(l), func(i int) bool { return l[i].BitrateMbps >= mbps })
-	if i < len(l) && l[i].BitrateMbps == mbps {
-		return i, nil
-	}
-	return 0, fmt.Errorf("%w: bitrate %v", ErrNoSuchRung, mbps)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -112,40 +112,12 @@ func TestHighestBelowProperty(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	l := TableIILadder()
-	tests := []struct {
-		mbps, want float64
-	}{
-		{mbps: 0.11, want: 0.1},
-		{mbps: 2.0, want: 1.5},
-		{mbps: 2.4, want: 3.0},
-		{mbps: 100, want: 5.8},
-	}
-	for _, tt := range tests {
-		if got := l.Nearest(tt.mbps); got.BitrateMbps != tt.want {
-			t.Errorf("Nearest(%v) = %v, want %v", tt.mbps, got.BitrateMbps, tt.want)
-		}
-	}
-}
-
 func TestBitratesCopies(t *testing.T) {
 	l := TableIILadder()
 	b := l.Bitrates()
 	b[0] = 999
 	if l[0].BitrateMbps == 999 {
 		t.Error("Bitrates aliases the ladder")
-	}
-}
-
-func TestIndexOfBitrate(t *testing.T) {
-	l := EvalLadder()
-	i, err := l.IndexOfBitrate(1.5)
-	if err != nil || i != 7 {
-		t.Errorf("IndexOfBitrate(1.5) = %d, %v; want 7", i, err)
-	}
-	if _, err := l.IndexOfBitrate(1.6); !errors.Is(err, ErrNoSuchRung) {
-		t.Errorf("unknown bitrate err = %v, want ErrNoSuchRung", err)
 	}
 }
 

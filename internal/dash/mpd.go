@@ -151,14 +151,6 @@ func ParseMPD(r io.Reader) (*MPD, error) {
 	return &mpd, nil
 }
 
-// LadderFromMPD reconstructs the bitrate ladder from a parsed MPD,
-// sorting representations by bandwidth (packagers do not guarantee
-// order).
-func LadderFromMPD(mpd *MPD) (Ladder, error) {
-	ladder, _, err := ladderAndIDs(mpd)
-	return ladder, err
-}
-
 // ladderAndIDs returns the ladder and the representation IDs aligned
 // with it (ascending bandwidth).
 func ladderAndIDs(mpd *MPD) (Ladder, []string, error) {

@@ -80,33 +80,6 @@ func TestParseMPDMalformed(t *testing.T) {
 	}
 }
 
-func TestLadderFromMPD(t *testing.T) {
-	mpd, err := BuildMPD(mpdManifest(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ladder, err := LadderFromMPD(mpd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := TableIILadder()
-	if len(ladder) != len(want) {
-		t.Fatalf("ladder size %d, want %d", len(ladder), len(want))
-	}
-	for i := range want {
-		if math.Abs(ladder[i].BitrateMbps-want[i].BitrateMbps) > 1e-9 {
-			t.Errorf("rung %d = %v, want %v", i, ladder[i].BitrateMbps, want[i].BitrateMbps)
-		}
-	}
-	if _, err := LadderFromMPD(nil); err == nil {
-		t.Error("nil MPD accepted")
-	}
-	empty := &MPD{}
-	if _, err := LadderFromMPD(empty); err == nil {
-		t.Error("empty MPD accepted")
-	}
-}
-
 func TestInfoFromMPD(t *testing.T) {
 	man := mpdManifest(t)
 	mpd, err := BuildMPD(man)
@@ -125,6 +98,22 @@ func TestInfoFromMPD(t *testing.T) {
 	}
 	if info.SegmentCount != man.SegmentCount() {
 		t.Errorf("SegmentCount = %d, want %d", info.SegmentCount, man.SegmentCount())
+	}
+	// The ladder comes back sorted by bandwidth, with the IDs aligned.
+	want := man.Ladder()
+	if len(info.Ladder) != len(want) || len(info.RepIDs) != len(want) {
+		t.Fatalf("ladder size %d with %d IDs, want %d", len(info.Ladder), len(info.RepIDs), len(want))
+	}
+	for i := range want {
+		if math.Abs(info.Ladder[i].BitrateMbps-want[i].BitrateMbps) > 1e-9 {
+			t.Errorf("rung %d = %v, want %v", i, info.Ladder[i].BitrateMbps, want[i].BitrateMbps)
+		}
+	}
+	if _, err := InfoFromMPD(nil); err == nil {
+		t.Error("nil MPD accepted")
+	}
+	if _, err := InfoFromMPD(&MPD{}); err == nil {
+		t.Error("empty MPD accepted")
 	}
 	// Missing timing rejected.
 	bad := *mpd

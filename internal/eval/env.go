@@ -314,39 +314,6 @@ func (e *Env) Manifest(tr *trace.Trace) (*dash.Manifest, error) {
 	return a.man, nil
 }
 
-// BaseEnergy returns the trace's memoized Section V-B base energy.
-func (e *Env) BaseEnergy(tr *trace.Trace) (float64, error) {
-	a, err := e.artifactsFor(tr)
-	if err != nil {
-		return 0, err
-	}
-	return a.baseJ, nil
-}
-
-// Tasks returns the trace's memoized planner observations. The shared
-// slice must not be mutated.
-func (e *Env) Tasks(tr *trace.Trace) ([]core.TaskObservation, error) {
-	a, err := e.artifactsFor(tr)
-	if err != nil {
-		return nil, err
-	}
-	return a.tasks, nil
-}
-
-// OptimalPlan returns the trace's memoized optimal plan at the given
-// objective weight.
-func (e *Env) OptimalPlan(tr *trace.Trace, alpha float64) (core.Plan, error) {
-	a, err := e.artifactsFor(tr)
-	if err != nil {
-		return core.Plan{}, err
-	}
-	obj, err := core.NewObjective(alpha, e.EvalPower, e.QoE)
-	if err != nil {
-		return core.Plan{}, err
-	}
-	return e.optimalPlanLocked(tr, a, obj)
-}
-
 // Savings aggregates one algorithm's average whole-phone and
 // extra-energy savings versus YouTube across the traces.
 func (c *Comparison) Savings(name string) (whole, extra float64) {

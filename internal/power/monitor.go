@@ -241,9 +241,6 @@ func (mo *Monitor) Observe(powerW, durationSec float64) error {
 // EnergyJ returns the integrated ("measured") energy so far.
 func (mo *Monitor) EnergyJ() float64 { return mo.energyJ }
 
-// ElapsedSec returns the observed wall-clock time so far.
-func (mo *Monitor) ElapsedSec() float64 { return mo.elapsed }
-
 // Reset clears the accumulated energy and time, rewinding the drift to
 // its initial phase (the noise stream continues).
 func (mo *Monitor) Reset() {

@@ -17,8 +17,8 @@ func TestMonitorIntegratesConstantPower(t *testing.T) {
 	if relErr(mo.EnergyJ(), 20) > 0.05 {
 		t.Errorf("EnergyJ = %v, want ≈ 20", mo.EnergyJ())
 	}
-	if !almostEqual(mo.ElapsedSec(), 10, 1e-9) {
-		t.Errorf("ElapsedSec = %v, want 10", mo.ElapsedSec())
+	if !almostEqual(mo.elapsed, 10, 1e-9) {
+		t.Errorf("elapsed = %v, want 10", mo.elapsed)
 	}
 }
 
@@ -37,8 +37,8 @@ func TestMonitorZeroAndNegative(t *testing.T) {
 	if err := mo.Observe(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if mo.EnergyJ() != 0 || mo.ElapsedSec() != 5 {
-		t.Errorf("after zero-power observe: E=%v t=%v, want 0, 5", mo.EnergyJ(), mo.ElapsedSec())
+	if mo.EnergyJ() != 0 || mo.elapsed != 5 {
+		t.Errorf("after zero-power observe: E=%v t=%v, want 0, 5", mo.EnergyJ(), mo.elapsed)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestMonitorReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	mo.Reset()
-	if mo.EnergyJ() != 0 || mo.ElapsedSec() != 0 {
+	if mo.EnergyJ() != 0 || mo.elapsed != 0 {
 		t.Error("Reset did not clear accumulators")
 	}
 }
@@ -129,8 +129,8 @@ func TestMeasureSessionPartialTrailingSegment(t *testing.T) {
 	if relErr(got, want) > 0.01 {
 		t.Errorf("9 s session: measured %.2f vs analytic %.2f", got, want)
 	}
-	if !almostEqual(mo.ElapsedSec(), 9, 1e-6) {
-		t.Errorf("elapsed = %v, want 9", mo.ElapsedSec())
+	if !almostEqual(mo.elapsed, 9, 1e-6) {
+		t.Errorf("elapsed = %v, want 9", mo.elapsed)
 	}
 }
 

@@ -136,32 +136,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// LinearFit fits y = a + b*x by ordinary least squares and returns the
-// intercept a and slope b. xs and ys must have equal length >= 2 and xs
-// must not be constant.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: mismatched sample lengths")
-	}
-	if len(xs) < 2 {
-		return 0, 0, errors.New("stats: need at least two points")
-	}
-	mx := Mean(xs)
-	my := Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: x values are constant")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
-}
-
 // Clamp limits x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

@@ -208,51 +208,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	// Exact line y = 2 + 3x.
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{2, 5, 8, 11}
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(a, 2, 1e-9) || !almostEqual(b, 3, 1e-9) {
-		t.Errorf("fit = (%v, %v), want (2, 3)", a, b)
-	}
-}
-
-func TestLinearFitErrors(t *testing.T) {
-	if _, _, err := LinearFit([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected mismatched-length error")
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("expected too-few-points error")
-	}
-	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 3}); err == nil {
-		t.Error("expected constant-x error")
-	}
-}
-
-// LinearFit recovers slope/intercept from noisy data to within the
-// noise scale.
-func TestLinearFitRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const wantA, wantB = -1.5, 0.75
-	xs := make([]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = float64(i) / 10
-		ys[i] = wantA + wantB*xs[i] + rng.NormFloat64()*0.01
-	}
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(a, wantA, 0.02) || !almostEqual(b, wantB, 0.01) {
-		t.Errorf("fit = (%v, %v), want approx (%v, %v)", a, b, wantA, wantB)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	tests := []struct {
 		x, lo, hi, want float64

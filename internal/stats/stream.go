@@ -127,9 +127,6 @@ func NewP2(p float64) *P2 {
 	return e
 }
 
-// Quantile returns the p this estimator tracks.
-func (e *P2) Quantile() float64 { return e.p }
-
 // N returns the observation count.
 func (e *P2) N() int64 { return e.count }
 

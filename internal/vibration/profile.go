@@ -2,7 +2,6 @@ package vibration
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -45,16 +44,6 @@ var (
 // Profiles returns all predefined profiles, ordered by vibration level.
 func Profiles() []Profile {
 	return []Profile{QuietRoom, Cafe, Train, Car, Bus}
-}
-
-// ProfileByName returns the predefined profile with the given name.
-func ProfileByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("vibration: unknown profile %q", name)
 }
 
 // Generator synthesises a 3-axis accelerometer stream whose Eq. 5

@@ -268,19 +268,6 @@ func TestGenerateSchedule(t *testing.T) {
 	}
 }
 
-func TestProfileByName(t *testing.T) {
-	p, err := ProfileByName("bus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name != "bus" {
-		t.Errorf("Name = %q, want bus", p.Name)
-	}
-	if _, err := ProfileByName("submarine"); err == nil {
-		t.Error("expected error for unknown profile")
-	}
-}
-
 func TestProfilesOrderedByLevel(t *testing.T) {
 	ps := Profiles()
 	for i := 1; i < len(ps); i++ {
