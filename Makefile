@@ -1,15 +1,16 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test test-short race chaos fuzz obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check vuln bench bench-diff benchsmoke experiments examples cover
+.PHONY: all check build vet test test-short race chaos fuzz obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check goldens vuln bench bench-diff benchsmoke experiments examples cover
 
 all: build vet test
 
 # check is the CI gate for local use: build, vet, tests, the race
 # detector, the observability suite, a load-generator smoke run, the
 # overload shed-path smoke, the request-tracing smoke, the edge-cache
-# smoke, the benchmark module's own vet and tests, and the committed
-# evaluation output. CI runs the same targets as one named step each.
-check: build vet test race obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check
+# smoke, the benchmark module's own vet and tests, the committed
+# evaluation output, and the campaign goldens at every seed. CI runs the
+# same targets as one named step each.
+check: build vet test race obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check goldens
 
 build:
 	go build ./...
@@ -150,6 +151,23 @@ benchsmoke:
 experiments-check:
 	GOMAXPROCS=1 go run ./cmd/experiments | diff experiments_output.txt -
 	GOMAXPROCS=8 go run ./cmd/experiments | diff experiments_output.txt -
+
+# goldens runs the benchmark's campaign workload for 1 s at each of its
+# 32 golden seeds (0-31) and fails unless every run's result line reads
+# correct with no failed operation. Every campaign batch is checked
+# against perfbench/testdata/campaign_golden.json, so a change to the
+# session arithmetic or to a campaign or outage random stream fails
+# here; make perfbench-test checks seeds 1 and 2 only. About 3 s a seed
+# after run.py's first build (.bench_build/, ~30 s).
+goldens:
+	@for s in $$(seq 0 31); do \
+		out=$$(python3 perfbench/run.py --workload campaign --seed $$s --seconds 1 --trace 0) || \
+			{ echo "goldens: seed $$s: run failed"; exit 1; }; \
+		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); \
+			ok = r.get("correct") is True and r.get("failed") == 0; \
+			print("goldens: seed", sys.argv[1], "ok" if ok else "FAILED", "(%s batches, %s failed)" % (r.get("attempted"), r.get("failed"))); \
+			sys.exit(0 if ok else 1)' $$s || exit 1; \
+	done
 
 # Regenerate every paper table/figure plus the ablations and extensions.
 experiments:

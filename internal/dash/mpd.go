@@ -222,21 +222,13 @@ func InfoFromMPD(mpd *MPD) (MPDInfo, error) {
 	}, nil
 }
 
-// SegmentDuration returns the playback duration of segment seg (the
-// final segment may be shorter), by the rule a Manifest uses.
-func (i MPDInfo) SegmentDuration(seg int) (float64, error) {
-	if seg < 0 || seg >= i.SegmentCount {
-		return 0, ErrNoSuchRung
-	}
-	return segmentDuration(i.DurationSec, i.SegmentSec, seg), nil
-}
-
 // Manifest returns the client's view of the presentation: the MPD's
-// ladder and segment timing, with each segment's size per rung
-// estimated as nominal bitrate × duration, since an MPD carries no
-// sizes. Every full segment shares one row of estimates and a short
-// final segment has its own, so the manifest's size does not grow with
-// a segment count read off the wire.
+// ladder and segment timing, timed by the one rule every Manifest uses
+// (a short final segment lasts what is left), with each segment's size
+// per rung estimated as nominal bitrate × duration, since an MPD
+// carries no sizes. Every full segment shares one row of estimates and
+// a short final segment has its own, so the manifest's size does not
+// grow with a segment count read off the wire.
 func (i MPDInfo) Manifest() *Manifest {
 	first := segmentDuration(i.DurationSec, i.SegmentSec, 0)
 	last := segmentDuration(i.DurationSec, i.SegmentSec, i.SegmentCount-1)
