@@ -80,6 +80,38 @@ func TestParseMPDMalformed(t *testing.T) {
 	}
 }
 
+// TestLadderFromMPD reads the bitrate ladder back out of an MPD through
+// InfoFromMPD: sorted by bandwidth, with the representation IDs aligned.
+func TestLadderFromMPD(t *testing.T) {
+	mpd, err := BuildMPD(mpdManifest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := InfoFromMPD(mpd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := TableIILadder()
+	if len(info.Ladder) != len(want) || len(info.RepIDs) != len(want) {
+		t.Fatalf("ladder size %d with %d IDs, want %d", len(info.Ladder), len(info.RepIDs), len(want))
+	}
+	reps := mpd.Period.AdaptationSet.Representations
+	for i := range want {
+		if math.Abs(info.Ladder[i].BitrateMbps-want[i].BitrateMbps) > 1e-9 {
+			t.Errorf("rung %d = %v, want %v", i, info.Ladder[i].BitrateMbps, want[i].BitrateMbps)
+		}
+		if info.RepIDs[i] != reps[i].ID {
+			t.Errorf("rung %d ID = %q, want %q", i, info.RepIDs[i], reps[i].ID)
+		}
+	}
+	if _, err := InfoFromMPD(nil); err == nil {
+		t.Error("nil MPD accepted")
+	}
+	if _, err := InfoFromMPD(&MPD{}); err == nil {
+		t.Error("empty MPD accepted")
+	}
+}
+
 func TestInfoFromMPD(t *testing.T) {
 	man := mpdManifest(t)
 	mpd, err := BuildMPD(man)
@@ -98,22 +130,6 @@ func TestInfoFromMPD(t *testing.T) {
 	}
 	if info.SegmentCount != man.SegmentCount() {
 		t.Errorf("SegmentCount = %d, want %d", info.SegmentCount, man.SegmentCount())
-	}
-	// The ladder comes back sorted by bandwidth, with the IDs aligned.
-	want := man.Ladder()
-	if len(info.Ladder) != len(want) || len(info.RepIDs) != len(want) {
-		t.Fatalf("ladder size %d with %d IDs, want %d", len(info.Ladder), len(info.RepIDs), len(want))
-	}
-	for i := range want {
-		if math.Abs(info.Ladder[i].BitrateMbps-want[i].BitrateMbps) > 1e-9 {
-			t.Errorf("rung %d = %v, want %v", i, info.Ladder[i].BitrateMbps, want[i].BitrateMbps)
-		}
-	}
-	if _, err := InfoFromMPD(nil); err == nil {
-		t.Error("nil MPD accepted")
-	}
-	if _, err := InfoFromMPD(&MPD{}); err == nil {
-		t.Error("empty MPD accepted")
 	}
 	// Missing timing rejected.
 	bad := *mpd
