@@ -157,16 +157,20 @@ experiments-check:
 # correct with no failed operation. Every campaign batch is checked
 # against perfbench/testdata/campaign_golden.json, so a change to the
 # session arithmetic or to a campaign or outage random stream fails
-# here; make perfbench-test checks seeds 1 and 2 only. About 3 s a seed
-# after run.py's first build (.bench_build/, ~30 s).
+# here; make perfbench-test checks seeds 1 and 2 only. Seed s runs at
+# GOMAXPROCS 1, 2 or 8 in turn (s mod 3), so the goldens also see the
+# campaign's sessions on one, two and eight workers, and each seed still
+# runs once. About 3 s a seed after run.py's first build (.bench_build/,
+# ~30 s).
 goldens:
 	@for s in $$(seq 0 31); do \
-		out=$$(python3 perfbench/run.py --workload campaign --seed $$s --seconds 1 --trace 0) || \
-			{ echo "goldens: seed $$s: run failed"; exit 1; }; \
+		p=$$(echo 1 2 8 | cut -d ' ' -f $$((s % 3 + 1))); \
+		out=$$(GOMAXPROCS=$$p python3 perfbench/run.py --workload campaign --seed $$s --seconds 1 --trace 0) || \
+			{ echo "goldens: seed $$s (GOMAXPROCS $$p): run failed"; exit 1; }; \
 		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); \
 			ok = r.get("correct") is True and r.get("failed") == 0; \
-			print("goldens: seed", sys.argv[1], "ok" if ok else "FAILED", "(%s batches, %s failed)" % (r.get("attempted"), r.get("failed"))); \
-			sys.exit(0 if ok else 1)' $$s || exit 1; \
+			print("goldens: seed", sys.argv[1], "GOMAXPROCS", sys.argv[2], "ok" if ok else "FAILED", "(%s batches, %s failed)" % (r.get("attempted"), r.get("failed"))); \
+			sys.exit(0 if ok else 1)' $$s $$p || exit 1; \
 	done
 
 # Regenerate every paper table/figure plus the ablations and extensions.

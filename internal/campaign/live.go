@@ -118,8 +118,9 @@ func (l *Live) init(algos []AlgorithmSpec, sessions int) {
 	l.startNanos.Store(time.Now().UnixNano())
 }
 
-// observe folds one finished session into the live aggregates. Safe
-// for concurrent use from every shard; a nil receiver is a no-op.
+// observe folds one finished session into the live aggregates. Run
+// calls it from its folding goroutine, in session order, while scrapes
+// read the series concurrently; a nil receiver is a no-op.
 func (l *Live) observe(ai int, m *sim.Metrics) {
 	if l == nil {
 		return
@@ -132,9 +133,9 @@ func (l *Live) observe(ai int, m *sim.Metrics) {
 	a.sessions.Inc()
 	a.qoeSum.Add(m.MeanQoE)
 	a.energySum.Add(m.TotalJ())
-	// Running means recomputed from the atomic sums; concurrent writers
-	// race benignly (last write wins, each internally consistent enough
-	// for a dashboard — the exact distributions come from Result).
+	// Running means recomputed from the atomic sums; a scrape between
+	// the adds and the sets reads a mean one session behind (the exact
+	// distributions come from Result).
 	if n := float64(a.sessions.Value()); n > 0 {
 		a.qoeMean.Set(a.qoeSum.Value() / n)
 		a.energyJ.Set(a.energySum.Value() / n)
