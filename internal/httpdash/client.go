@@ -461,6 +461,9 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 
 	var weighted float64
 	lastConsume := time.Now()
+	// A buffer at the pacing threshold plays down to one segment below
+	// it; with a threshold below one segment, to empty.
+	resume := max(0, c.threshold-info.SegmentSec)
 
 	for played < info.SegmentCount {
 		for issued-played < depth && issued < info.SegmentCount {
@@ -471,10 +474,10 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 			// Decide with the buffer the in-flight segments will have
 			// produced by the time this one is needed; once it passes the
 			// pacing threshold, virtual playback has played it down to
-			// just under the threshold.
+			// the resume level.
 			projected := sess.BufferSec() + float64(issued-played)*info.SegmentSec
 			if projected >= c.threshold {
-				projected = c.threshold - info.SegmentSec
+				projected = resume
 			}
 			d, err := sess.Decide(issued, sess.ElapsedSec(), projected, 0, 0)
 			if err != nil {
@@ -525,11 +528,11 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		s.span.End()
 
 		// Virtual playback: a buffer at the pacing threshold plays down
-		// to just under it with the radio idle, then the real time since
-		// the last consumption drains it with the radio on, stalling
-		// once it runs dry.
+		// to the resume level with the radio idle, then the real time
+		// since the last consumption drains it with the radio on,
+		// stalling once it runs dry.
 		if !sess.ShouldDownload() {
-			sess.Play(sess.BufferSec() - (c.threshold - info.SegmentSec))
+			sess.Play(sess.BufferSec() - resume)
 		}
 		now := time.Now()
 		drained := now.Sub(lastConsume).Seconds()

@@ -29,26 +29,27 @@ func (s *contextSpy) Reset()                  { s.seen = s.seen[:0] }
 // wantBuffers replays the DESIGN.md §11 buffer rule for a clean session
 // of n segments of segSec seconds at the given pipeline depth, in the
 // limit where the real time between consumptions vanishes. A decision
-// sees the buffer plus the in-flight segments, clamped to
-// threshold − segSec once it reaches the threshold; a consumption
-// first plays a buffer at the threshold down to threshold − segSec,
-// then adds the segment. With no drain the buffer can land exactly on
+// sees the buffer plus the in-flight segments, clamped to the resume
+// level max(0, threshold − segSec) once it reaches the threshold; a
+// consumption first plays a buffer at the threshold down to the resume
+// level, then adds the segment. With no drain the buffer can land exactly on
 // the threshold, where a real run, drained a little, is just below it:
 // so the model clamps only above the threshold.
 func wantBuffers(n, depth int, segSec, threshold float64) []float64 {
 	var out []float64
 	buf := 0.0
 	issued := 0
+	resume := max(0, threshold-segSec)
 	for played := 0; played < n; played++ {
 		for ; issued-played < depth && issued < n; issued++ {
 			p := buf + float64(issued-played)*segSec
 			if p > threshold {
-				p = threshold - segSec
+				p = resume
 			}
 			out = append(out, p)
 		}
 		if buf > threshold {
-			buf = threshold - segSec
+			buf = resume
 		}
 		buf += segSec
 	}
@@ -104,6 +105,39 @@ func TestDecisionContextPinned(t *testing.T) {
 			if ctx.BufferThresholdSec != threshold {
 				t.Errorf("depth %d segment %d: BufferThresholdSec %v, want %v", depth, i, ctx.BufferThresholdSec, threshold)
 			}
+		}
+	}
+}
+
+// TestThresholdBelowSegment streams a 20 s presentation of 2 s
+// segments on a clean loopback server with a 1 s threshold, below one
+// segment, at pipeline depths 1 and 3. A buffer at the threshold plays
+// down to empty, not to threshold − segment (−1 s): no decision may
+// see a negative buffer, and the session must not book the gap as a
+// stall. Before the clamp, every decision after the first saw −1 s and
+// StallSec read 9.
+func TestThresholdBelowSegment(t *testing.T) {
+	for _, depth := range []int{1, 3} {
+		_, ts := newTestServer(t, 20)
+		spy := &contextSpy{rungs: []int{0}}
+		client, err := NewClient(ts.URL, spy, WithBufferThreshold(1), WithFetchAhead(depth-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := client.Stream(context.Background())
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if len(spy.seen) != 10 {
+			t.Fatalf("depth %d: %d decisions, want 10", depth, len(spy.seen))
+		}
+		for i, ctx := range spy.seen {
+			if ctx.BufferSec < 0 {
+				t.Errorf("depth %d segment %d: BufferSec %v, want ≥ 0", depth, i, ctx.BufferSec)
+			}
+		}
+		if stats.StallSec >= 0.1 {
+			t.Errorf("depth %d: StallSec %v (RebufferJ %v) on a clean loopback server, want < 0.1", depth, stats.StallSec, stats.RebufferJ)
 		}
 	}
 }
