@@ -133,8 +133,8 @@ func (s *taskScorer) scoreInto(t TaskObservation, p int, costs []float64) {
 // The solver is a rolling in-place DP over two k-sized distance
 // slices: the layered DAG's structure is implicit, so no graph, edges,
 // or per-edge allocations are materialised. The tests check it against
-// the explicit graph solvers of internal/graph — the topological DP
-// and Dijkstra on shifted weights, the paper's stated solver.
+// explicit graph solvers kept in test code — the topological DP and
+// Dijkstra on shifted weights, the paper's stated solver.
 func PlanOptimal(obj Objective, ladder dash.Ladder, tasks []TaskObservation) (Plan, error) {
 	if len(tasks) == 0 {
 		return Plan{}, ErrNoTasks

@@ -7,11 +7,10 @@ import (
 	"testing"
 
 	"ecavs/internal/dash"
-	"ecavs/internal/graph"
 )
 
 // The planner's test oracle: the explicit layered-DAG solvers of
-// internal/graph, which PlanOptimal's rolling DP replaced in
+// graph_test.go, which PlanOptimal's rolling DP replaced in
 // production. Only tests build the graph.
 
 // planVerified runs PlanOptimal and fails the test unless both graph
@@ -68,8 +67,8 @@ func verifyPlan(sc *taskScorer, tasks []TaskObservation, plan Plan) error {
 		shift = -minCost
 	}
 
-	build := func(withShift float64) (*graph.Graph, error) {
-		g := graph.New(sink + 1)
+	build := func(withShift float64) (*graph, error) {
+		g := newGraph(sink + 1)
 		g.Reserve(0, k)
 		for j := 0; j < k; j++ {
 			if err := g.AddEdge(0, node(0, j), costs[0][k][j]+withShift); err != nil {
@@ -104,12 +103,12 @@ func verifyPlan(sc *taskScorer, tasks []TaskObservation, plan Plan) error {
 		return err
 	}
 	if math.IsInf(distDP[sink], 1) {
-		return graph.ErrNoPath
+		return errNoPath
 	}
 	if distDP[sink] != plan.TotalCost {
 		return fmt.Errorf("graph DP cost %v != rolling DP cost %v", distDP[sink], plan.TotalCost)
 	}
-	path, err := graph.PathTo(prevDP, sink)
+	path, err := pathTo(prevDP, sink)
 	if err != nil {
 		return err
 	}
