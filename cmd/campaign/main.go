@@ -14,11 +14,13 @@
 // /debug/pprof profiling endpoints. -progress prints a one-line
 // status to stderr every second.
 //
-// Results are deterministic for a fixed (-seed, -shards) pair; -shards
-// defaults to GOMAXPROCS, so pin it when comparing runs across
-// machines. Telemetry never perturbs results; the only
-// non-deterministic outputs are the wall_sec / sessions_per_sec
-// timing fields in -json.
+// Sessions run on GOMAXPROCS workers. -shards is the aggregation
+// partition, not the worker count: 0 means 1, and results are
+// deterministic for a fixed (-seed, -shards) pair on any machine and
+// at any GOMAXPROCS. Runs recorded when -shards defaulted to
+// GOMAXPROCS reproduce with -shards set to that count. Telemetry never
+// perturbs results; the only non-deterministic outputs are the
+// wall_sec / sessions_per_sec timing fields in -json.
 package main
 
 import (
@@ -46,7 +48,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	sessions := fs.Int("sessions", 1000, "total session count across all algorithms")
 	seed := fs.Int64("seed", 1, "campaign seed")
-	shards := fs.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "aggregation shards, which percentiles depend on; not the worker count (0 = 1)")
 	abandon := fs.Float64("abandon", 0.25, "per-session early-quit probability")
 	vibJitter := fs.Float64("vib-jitter", 0.3, "uniform relative jitter on sensed vibration, in [0,1)")
 	outageProb := fs.Float64("outage", 0, "per-session probability of a seeded link-outage process")
