@@ -150,14 +150,6 @@ func (l *Live) Completed() int64 {
 	return l.completed.Value()
 }
 
-// Target reports the current campaign's total session count.
-func (l *Live) Target() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.targetN.Load()
-}
-
 // SessionsPerSec reports completion throughput since the current
 // campaign started (zero before any session finishes).
 func (l *Live) SessionsPerSec() float64 {

@@ -39,7 +39,7 @@ func TestRunLiveIsInert(t *testing.T) {
 	if got := live.Completed(); got != 24 {
 		t.Errorf("live completed = %d, want 24", got)
 	}
-	if got := live.Target(); got != 24 {
+	if got := live.targetN.Load(); got != 24 {
 		t.Errorf("live target = %d, want 24", got)
 	}
 
@@ -98,7 +98,7 @@ func TestLiveNilIsNoOp(t *testing.T) {
 	var l *Live
 	l.init(nil, 0)
 	l.observe(0, nil)
-	if l.Completed() != 0 || l.Target() != 0 || l.SessionsPerSec() != 0 || l.ETASec() != 0 || l.Registry() != nil {
+	if l.Completed() != 0 || l.SessionsPerSec() != 0 || l.ETASec() != 0 || l.Registry() != nil {
 		t.Error("nil Live reported state")
 	}
 }

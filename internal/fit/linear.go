@@ -117,27 +117,6 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Residual returns the root-mean-square residual of the linear model
-// beta over the given design rows and observations.
-func Residual(rows [][]float64, y, beta []float64) (float64, error) {
-	if len(rows) != len(y) || len(rows) == 0 {
-		return 0, ErrDimension
-	}
-	var ss float64
-	for k, row := range rows {
-		if len(row) != len(beta) {
-			return 0, ErrDimension
-		}
-		var pred float64
-		for i, v := range row {
-			pred += v * beta[i]
-		}
-		d := pred - y[k]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(rows))), nil
-}
-
 // BilinearSurface is the fitted model z = P00 + P10·x + P01·y + P11·x·y,
 // the quadratic-family surface used for the vibration impairment in
 // Fig. 2(c).

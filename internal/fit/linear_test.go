@@ -112,13 +112,6 @@ func TestLeastSquaresExactLine(t *testing.T) {
 	if !almostEqual(beta[0], 3, 1e-9) || !almostEqual(beta[1], -2, 1e-9) {
 		t.Errorf("beta = %v, want [3 -2]", beta)
 	}
-	res, err := Residual(rows, y, beta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res > 1e-9 {
-		t.Errorf("residual = %v, want ~0", res)
-	}
 }
 
 func TestLeastSquaresOverdeterminedNoisy(t *testing.T) {
@@ -159,15 +152,6 @@ func TestLeastSquaresErrors(t *testing.T) {
 	rows := [][]float64{{1, 2}, {2, 4}, {3, 6}}
 	if _, err := LeastSquares(rows, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
 		t.Errorf("collinear: err = %v, want ErrSingular", err)
-	}
-}
-
-func TestResidualErrors(t *testing.T) {
-	if _, err := Residual(nil, nil, nil); !errors.Is(err, ErrDimension) {
-		t.Errorf("empty: err = %v, want ErrDimension", err)
-	}
-	if _, err := Residual([][]float64{{1}}, []float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Errorf("beta mismatch: err = %v, want ErrDimension", err)
 	}
 }
 

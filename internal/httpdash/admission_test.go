@@ -54,7 +54,7 @@ func TestAdmissionShedsWith503RetryAfter(t *testing.T) {
 		WithFaults(plan),
 		WithAdmissionControl(AdmissionConfig{MaxInFlight: 1, RetryAfter: 3 * time.Second}))
 
-	urlA, err := srv.SegmentURL(ts.URL, 0, 0)
+	urlA, err := srv.segmentURL(ts.URL, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAdmissionShedsWith503RetryAfter(t *testing.T) {
 	}()
 	waitForRequests(t, srv, 1)
 
-	urlB, err := srv.SegmentURL(ts.URL, 2, 1)
+	urlB, err := srv.segmentURL(ts.URL, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 		WithFaults(plan),
 		WithAdmissionControl(AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueWait: 5 * time.Second}))
 
-	urlA, _ := srv.SegmentURL(ts.URL, 0, 0)
+	urlA, _ := srv.segmentURL(ts.URL, 0, 0)
 	done := make(chan error, 1)
 	go func() {
 		resp, err := http.Get(urlA)
@@ -119,7 +119,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 	}()
 	waitForRequests(t, srv, 1)
 
-	urlB, _ := srv.SegmentURL(ts.URL, 1, 1)
+	urlB, _ := srv.segmentURL(ts.URL, 1, 1)
 	code, _ := getStatus(t, urlB) // queues behind the stall, then admits
 	if code != http.StatusOK {
 		t.Fatalf("queued request got %d, want 200", code)
@@ -145,7 +145,7 @@ func TestAdmissionQueueDeadlineSheds(t *testing.T) {
 		WithFaults(plan),
 		WithAdmissionControl(AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueWait: 30 * time.Millisecond}))
 
-	urlA, _ := srv.SegmentURL(ts.URL, 0, 0)
+	urlA, _ := srv.segmentURL(ts.URL, 0, 0)
 	done := make(chan error, 1)
 	go func() {
 		resp, err := http.Get(urlA)
@@ -159,7 +159,7 @@ func TestAdmissionQueueDeadlineSheds(t *testing.T) {
 	}()
 	waitForRequests(t, srv, 1)
 
-	urlB, _ := srv.SegmentURL(ts.URL, 1, 1)
+	urlB, _ := srv.segmentURL(ts.URL, 1, 1)
 	start := time.Now()
 	code, retryAfter := getStatus(t, urlB)
 	waited := time.Since(start)
@@ -194,7 +194,7 @@ func TestAdmissionPriorityShedsTopRungFirst(t *testing.T) {
 		}))
 
 	// A (rung 0) stalls holding the only slot.
-	urlA, _ := srv.SegmentURL(ts.URL, 0, 0)
+	urlA, _ := srv.segmentURL(ts.URL, 0, 0)
 	doneA := make(chan error, 1)
 	go func() {
 		resp, err := http.Get(urlA)
@@ -209,7 +209,7 @@ func TestAdmissionPriorityShedsTopRungFirst(t *testing.T) {
 	waitForRequests(t, srv, 1)
 
 	// B (top rung 5) takes the top-half queue allowance (2/2 = 1 slot).
-	urlB, _ := srv.SegmentURL(ts.URL, 5, 1)
+	urlB, _ := srv.segmentURL(ts.URL, 5, 1)
 	doneB := make(chan int, 1)
 	go func() {
 		resp, err := http.Get(urlB)
@@ -231,14 +231,14 @@ func TestAdmissionPriorityShedsTopRungFirst(t *testing.T) {
 
 	// C (top rung 4) exceeds the top-half allowance: shed immediately,
 	// even though the full queue still has room.
-	urlC, _ := srv.SegmentURL(ts.URL, 4, 2)
+	urlC, _ := srv.segmentURL(ts.URL, 4, 2)
 	code, retryAfter := getStatus(t, urlC)
 	if code != http.StatusServiceUnavailable || retryAfter == "" {
 		t.Fatalf("top-rung request got %d (Retry-After %q), want an immediate 503 shed", code, retryAfter)
 	}
 
 	// D (rung 1, bottom half) still queues in the room C was denied.
-	urlD, _ := srv.SegmentURL(ts.URL, 1, 3)
+	urlD, _ := srv.segmentURL(ts.URL, 1, 3)
 	codeD, _ := getStatus(t, urlD)
 	if codeD != http.StatusOK {
 		t.Fatalf("bottom-rung request got %d, want 200 after queuing", codeD)
@@ -276,7 +276,7 @@ func TestAdmissionAccountingUnderBurst(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				url, err := srv.SegmentURL(ts.URL, (w+i)%6, i)
+				url, err := srv.segmentURL(ts.URL, (w+i)%6, i)
 				if err != nil {
 					other.Add(1)
 					continue
@@ -327,7 +327,7 @@ func TestAdmissionTelemetryExposition(t *testing.T) {
 		WithServerTelemetry(reg))
 
 	// A couple of clean requests, then a shed forced by a held slot.
-	url0, _ := srv.SegmentURL(ts.URL, 0, 0)
+	url0, _ := srv.segmentURL(ts.URL, 0, 0)
 	if code, _ := getStatus(t, url0); code != http.StatusOK {
 		t.Fatalf("clean request got %d", code)
 	}
@@ -337,7 +337,7 @@ func TestAdmissionTelemetryExposition(t *testing.T) {
 		WithServerTelemetry(reg), // shared registry, options reversed
 		WithFaults(plan),
 		WithAdmissionControl(AdmissionConfig{MaxInFlight: 1}))
-	urlA, _ := srv2.SegmentURL(ts2.URL, 0, 0)
+	urlA, _ := srv2.segmentURL(ts2.URL, 0, 0)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -348,7 +348,7 @@ func TestAdmissionTelemetryExposition(t *testing.T) {
 		}
 	}()
 	waitForRequests(t, srv2, 1)
-	urlB, _ := srv2.SegmentURL(ts2.URL, 2, 1)
+	urlB, _ := srv2.segmentURL(ts2.URL, 2, 1)
 	if code, _ := getStatus(t, urlB); code != http.StatusServiceUnavailable {
 		t.Fatalf("excess request got %d, want 503", code)
 	}
@@ -377,7 +377,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	plan := faults.NewScript([]faults.Verdict{{Kind: faults.Stall, Stall: 300 * time.Millisecond}})
 	srv, ts := newTestServer(t, 20, WithFaults(plan))
 
-	urlA, _ := srv.SegmentURL(ts.URL, 3, 0)
+	urlA, _ := srv.segmentURL(ts.URL, 3, 0)
 	type res struct {
 		n   int64
 		err error
@@ -409,7 +409,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 
 	// New work is refused with the shed contract while draining.
-	urlB, _ := srv.SegmentURL(ts.URL, 0, 1)
+	urlB, _ := srv.segmentURL(ts.URL, 0, 1)
 	code, retryAfter := getStatus(t, urlB)
 	if code != http.StatusServiceUnavailable || retryAfter == "" {
 		t.Fatalf("request during drain got %d (Retry-After %q), want 503 with a hint", code, retryAfter)
@@ -447,7 +447,7 @@ func TestShutdownDeadline(t *testing.T) {
 	plan := faults.NewScript([]faults.Verdict{{Kind: faults.Stall, Stall: 2 * time.Second}})
 	srv, ts := newTestServer(t, 20, WithFaults(plan))
 
-	urlA, _ := srv.SegmentURL(ts.URL, 0, 0)
+	urlA, _ := srv.segmentURL(ts.URL, 0, 0)
 	reqCtx, cancelReq := context.WithCancel(context.Background())
 	defer cancelReq()
 	done := make(chan struct{})

@@ -140,18 +140,23 @@ func readBody(resp *http.Response, keep bool) ([]byte, int64, error) {
 	return data, n, nil
 }
 
-// discardPool recycles the blocks discard reads into. It is not the
-// server's chunkPool: client and server share a process in tests and
-// load runs, and a read into a pre-filled server chunk would corrupt
-// the bytes the origin serves.
+// discardBlock is the size of the reads discard makes: a 1.45 MB
+// top-rung segment takes at least 23 of them, where io.Discard's 8 KiB
+// reads take at least 178. It is the client's own choice, independent
+// of how the server sizes its writes.
+const discardBlock = 64 << 10
+
+// discardPool recycles the blocks discard reads into. Reads never go
+// into the server's shared body payload: client and server share a
+// process in tests and load runs, and a read into that payload would
+// corrupt the bytes the origin serves.
 var discardPool = sync.Pool{New: func() any {
-	buf := make([]byte, chunkSize)
+	buf := make([]byte, discardBlock)
 	return &buf
 }}
 
 // discard reads r to its end and returns the byte count; like io.Copy,
-// a clean EOF is a nil error. It reads in blocks of the server's
-// chunkSize, so one read syscall can take a whole 64 KiB server chunk;
+// a clean EOF is a nil error. It reads in blocks of discardBlock bytes;
 // io.Discard reads 8 KiB per call.
 func discard(r io.Reader) (int64, error) {
 	bp := discardPool.Get().(*[]byte)

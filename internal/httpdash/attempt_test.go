@@ -64,15 +64,15 @@ func TestGetSegmentClassifies(t *testing.T) {
 		{"huge Content-Length kept", cannedClient(200, http.Header{}, "ab", math.MaxInt64), true, 200, 2, false, false, false, true},
 		{"above prealloc cap kept", cannedClient(200, http.Header{}, "ab", maxPrealloc+1), true, 200, 2, false, false, false, true},
 		{"unknown length kept", cannedClient(200, http.Header{}, "abcd", -1), true, 200, 4, true, false, false, false},
-		// The discard path reads in blocks of chunkSize. A body of
+		// The discard path reads in blocks of discardBlock. A body of
 		// exactly one block, and one a byte longer, count every byte,
 		// discarded or kept; a body advertising three blocks and a byte
 		// that stops after two is truncated at the bytes that arrived.
-		{"one block", cannedClient(200, http.Header{}, payload(chunkSize), chunkSize), false, 200, chunkSize, true, false, false, false},
-		{"one block kept", cannedClient(200, http.Header{}, payload(chunkSize), chunkSize), true, 200, chunkSize, true, false, false, false},
-		{"one block and a byte", cannedClient(200, http.Header{}, payload(chunkSize+1), chunkSize+1), false, 200, chunkSize + 1, true, false, false, false},
-		{"one block and a byte kept", cannedClient(200, http.Header{}, payload(chunkSize+1), chunkSize+1), true, 200, chunkSize + 1, true, false, false, false},
-		{"short body across blocks", cannedClient(200, http.Header{}, payload(2*chunkSize), 3*chunkSize+1), false, 200, 2 * chunkSize, false, false, false, true},
+		{"one block", cannedClient(200, http.Header{}, payload(discardBlock), discardBlock), false, 200, discardBlock, true, false, false, false},
+		{"one block kept", cannedClient(200, http.Header{}, payload(discardBlock), discardBlock), true, 200, discardBlock, true, false, false, false},
+		{"one block and a byte", cannedClient(200, http.Header{}, payload(discardBlock+1), discardBlock+1), false, 200, discardBlock + 1, true, false, false, false},
+		{"one block and a byte kept", cannedClient(200, http.Header{}, payload(discardBlock+1), discardBlock+1), true, 200, discardBlock + 1, true, false, false, false},
+		{"short body across blocks", cannedClient(200, http.Header{}, payload(2*discardBlock), 3*discardBlock+1), false, 200, 2 * discardBlock, false, false, false, true},
 		{"shed", cannedClient(503, ra, "busy", 4), false, 503, 0, false, true, false, false},
 		{"5xx without Retry-After", cannedClient(502, http.Header{}, "", 0), false, 502, 0, false, false, false, false},
 		{"4xx", cannedClient(404, http.Header{}, "", 0), false, 404, 0, false, false, true, false},

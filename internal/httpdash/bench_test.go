@@ -13,6 +13,7 @@ import (
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
 	"ecavs/internal/faults"
+	"ecavs/internal/tracing"
 )
 
 // discardResponseWriter sinks a response without buffering it, so the
@@ -44,17 +45,59 @@ func newBenchServer(tb testing.TB, opts ...ServerOption) *Server {
 	return srv
 }
 
+// benchConns is how many connections the server-throughput benchmarks
+// drive at once.
+const benchConns = 8
+
 // BenchmarkServerThroughput hammers the segment path with 8 concurrent
 // connections (one goroutine each, requests drawn off a shared
 // counter), unshaped, against a discarding writer: the measured cost is
 // the handler itself — path parse, accounting, pacing check, body
 // write. Pre-PR (per-request 64 KiB buffer fill, mutex-guarded rate
 // reads) this ran at ~98,700 ns/op and 65,606 B/op on the reference
-// machine; the pooled path pins a small constant per-request budget.
+// machine; the shared payload pins a small constant per-request budget.
 func BenchmarkServerThroughput(b *testing.B) {
-	srv := newBenchServer(b)
-	const conns = 8
-	url, err := srv.SegmentURL("", 0, 0)
+	benchServerThroughput(b, newBenchServer(b))
+}
+
+// BenchmarkServerThroughputAdmission is BenchmarkServerThroughput with
+// admission control on: slots for half the connections and a queue for
+// the rest, so requests wait for slots and none is shed.
+func BenchmarkServerThroughputAdmission(b *testing.B) {
+	srv := newBenchServer(b, WithAdmissionControl(AdmissionConfig{
+		MaxInFlight: benchConns / 2,
+		MaxQueue:    benchConns / 2,
+		QueueWait:   time.Second,
+	}))
+	benchServerThroughput(b, srv)
+	if shed := srv.Snapshot().Shed; shed != 0 {
+		b.Errorf("admission shed %d requests; the benchmark measures admitted ones", shed)
+	}
+}
+
+// BenchmarkServerThroughputTracingKept is BenchmarkServerThroughput
+// with every segment request traced and every fragment kept.
+func BenchmarkServerThroughputTracingKept(b *testing.B) {
+	benchServerThroughput(b, newTracedBenchServer(b, tracing.Sampler{Ratio: 1}))
+}
+
+// BenchmarkServerThroughputTracingDropped traces every request under
+// the zero Sampler, which keeps nothing: the cost of building spans
+// the sampler then drops.
+func BenchmarkServerThroughputTracingDropped(b *testing.B) {
+	benchServerThroughput(b, newTracedBenchServer(b, tracing.Sampler{}))
+}
+
+func newTracedBenchServer(b *testing.B, sm tracing.Sampler) *Server {
+	tr := tracing.New(tracing.Config{Service: "server", Sampler: sm, Seed: 1}, tracing.NewStore(256))
+	return newBenchServer(b, WithServerTracing(tr))
+}
+
+// benchServerThroughput serves rung 0's first segment to benchConns
+// goroutines at once, each with its own discarding writer, b.N
+// requests in all.
+func benchServerThroughput(b *testing.B, srv *Server) {
+	url, err := srv.segmentURL("", 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +111,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
-	for c := 0; c < conns; c++ {
+	for c := 0; c < benchConns; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -82,16 +125,88 @@ func BenchmarkServerThroughput(b *testing.B) {
 	wg.Wait()
 }
 
+// BenchmarkEdgeHit is the edge's fresh-hit path: rung 0's first
+// segment, filled once from a loopback origin, then served from cache
+// through Edge.ServeHTTP into a discarding writer.
+func BenchmarkEdgeHit(b *testing.B) {
+	edge, srv, _ := newTestEdge(b, nil)
+	path, err := srv.segmentURL("", 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	w := &discardResponseWriter{h: make(http.Header, 4)}
+	edge.ServeHTTP(w, req) // the one fill
+	b.SetBytes(int64(srv.segBytes[0][0]))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edge.ServeHTTP(w, req)
+	}
+	b.StopTimer()
+	if snap := edge.Snapshot(); snap.Fills != 1 || snap.Hits != int64(b.N) {
+		b.Errorf("%d fills and %d hits over %d requests, want 1 fill and every request a hit", snap.Fills, snap.Hits, b.N)
+	}
+}
+
+// BenchmarkEdgeMissSingleflight is the edge's miss path under a burst:
+// each iteration evicts the top rung's first segment, then 8
+// goroutines request it at once through Edge.ServeHTTP. One leads the
+// fill from a loopback origin; the others wait on its flight or, if
+// they arrive after it, hit the entry it cached. fills/op is origin
+// fills per burst, which singleflight holds at 1.
+func BenchmarkEdgeMissSingleflight(b *testing.B) {
+	const burst = 8
+	edge, srv, _ := newTestEdge(b, nil)
+	top := len(srv.repIDs) - 1
+	path, err := srv.segmentURL("", top, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := path[len("/seg/"):]
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	writers := make([]*discardResponseWriter, burst)
+	for g := range writers {
+		writers[g] = &discardResponseWriter{h: make(http.Header, 4)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edge.cache.Remove(key)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				edge.ServeHTTP(w, req)
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	b.StopTimer()
+	snap := edge.Snapshot()
+	b.ReportMetric(float64(snap.Fills)/float64(b.N), "fills/op")
+	if snap.Fills != int64(b.N) || snap.Requests != int64(burst*b.N) || snap.Errors != 0 {
+		b.Errorf("%d bursts of %d: %d fills, %d requests, %d errors; want one fill a burst and no errors",
+			b.N, burst, snap.Fills, snap.Requests, snap.Errors)
+	}
+}
+
 // BenchmarkGetSegment is the client's body-read layer: one GET of the
 // top Table II rung's first segment (~1.45 MB) from a loopback server,
 // classified by GetSegment. discard is how the streaming client and
 // cmd/loadgen read a segment; keep is how the edge reads a fill.
+// conn-writes/op counts the server's writes to the connection per
+// segment.
 func BenchmarkGetSegment(b *testing.B) {
 	srv := newBenchServer(b)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	var writes atomic.Int64
+	ts := newCountingServer(b, srv, func(int) { writes.Add(1) })
 	top := len(srv.repIDs) - 1
-	url, err := srv.SegmentURL(ts.URL, top, 0)
+	url, err := srv.segmentURL(ts.URL, top, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,11 +220,13 @@ func BenchmarkGetSegment(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(srv.segBytes[top][0]))
 			b.ReportAllocs()
+			writes.Store(0)
 			for i := 0; i < b.N; i++ {
 				if a := GetSegment(context.Background(), hc, url, "", keep); a.Err != nil {
 					b.Fatal(a.Err)
 				}
 			}
+			b.ReportMetric(float64(writes.Load())/float64(b.N), "conn-writes/op")
 		})
 	}
 }

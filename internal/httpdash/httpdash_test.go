@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,6 +36,15 @@ func newTestServer(t *testing.T, durationSec float64, opts ...ServerOption) (*Se
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// segmentURL renders the media URL for (rung, segment) through the
+// package's SegmentURL; a trailing slash on base is ignored.
+func (s *Server) segmentURL(base string, rung, segment int) (string, error) {
+	if rung < 0 || rung >= len(s.repIDs) {
+		return "", fmt.Errorf("httpdash: rung %d out of range", rung)
+	}
+	return SegmentURL(strings.TrimSuffix(base, "/"), s.repIDs[rung], segment), nil
 }
 
 func TestNewServerValidation(t *testing.T) {
@@ -78,7 +88,7 @@ func TestServerManifestEndpoint(t *testing.T) {
 
 func TestServerSegmentEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, 20)
-	url, err := srv.SegmentURL(ts.URL, 3, 0) // 1.5 Mbps rung
+	url, err := srv.segmentURL(ts.URL, 3, 0) // 1.5 Mbps rung
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +155,7 @@ func TestServerErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST = %d, want 405", resp.StatusCode)
 	}
-	if _, err := srv.SegmentURL(ts.URL, 99, 0); err == nil {
+	if _, err := srv.segmentURL(ts.URL, 99, 0); err == nil {
 		t.Error("out-of-range rung accepted")
 	}
 }

@@ -37,7 +37,7 @@ func GetManifest(ctx context.Context, hc *http.Client, base string) (dash.MPDInf
 // SegmentURL is the URL of segment n of representation repID under
 // base, in the layout the MPD's SegmentTemplate declares
 // (seg/$RepresentationID$/$Number$.m4s). It is the one segment-URL
-// builder: the client, Server.SegmentURL and cmd/loadgen all call it.
+// builder: the client and cmd/loadgen both call it.
 // base carries no trailing slash.
 func SegmentURL(base, repID string, n int) string {
 	return base + "/seg/" + repID + "/" + strconv.Itoa(n) + ".m4s"

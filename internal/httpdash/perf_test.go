@@ -41,7 +41,7 @@ func TestRateLimitSharedAcrossConnections(t *testing.T) {
 				go func(c int) {
 					defer wg.Done()
 					for i := c; i < totalFetches; i += conns {
-						url, err := srv.SegmentURL(ts.URL, 5, i%10)
+						url, err := srv.segmentURL(ts.URL, 5, i%10)
 						if err != nil {
 							t.Error(err)
 							return
@@ -82,7 +82,7 @@ func TestRateLimitSharedAcrossConnections(t *testing.T) {
 // net/http's Header.Set requires.
 func TestServeSegmentAllocBudget(t *testing.T) {
 	srv := newBenchServer(t)
-	url, err := srv.SegmentURL("", 0, 0)
+	url, err := srv.segmentURL("", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ package httpdash
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -27,23 +26,27 @@ import (
 	"ecavs/internal/tracing"
 )
 
-// chunkSize is the body-write granularity: pacing, byte accounting,
-// and client-disconnect checks all happen on 64 KiB boundaries.
+// chunkSize is the pacing granule. While a rate is set, a body goes
+// out in pieces of this size, and each piece reserves its bytes from
+// the token bucket before the next is written.
 const chunkSize = 64 << 10
 
-// chunkPool recycles pre-filled payload chunks across requests. The
-// synthetic payload is position-deterministic, so a recycled chunk is
-// byte-identical to a fresh one and the serving path never fills (or
-// even touches) the buffer contents — it only slices and writes.
-var chunkPool = sync.Pool{
-	New: func() any {
-		buf := make([]byte, chunkSize)
-		for i := range buf {
-			buf[i] = byte('0' + (i % 10)) // synthetic but non-trivial payload
-		}
-		return &buf
-	},
-}
+// pieceSize is the write size of an unshaped body: a 1.45 MB top-rung
+// segment goes out in 6 pieces rather than 23 pacing granules.
+const pieceSize = 256 << 10
+
+// bodyPayload is the one read-only payload every body is sliced from,
+// filled on first use so a process that never serves a segment never
+// holds it. It is four copies of a 64 KiB pattern and every piece
+// starts on a 64 KiB boundary, so a body's bytes depend only on their
+// offset, whichever piece size carried them.
+var bodyPayload = sync.OnceValue(func() []byte {
+	buf := make([]byte, pieceSize)
+	for i := range buf {
+		buf[i] = byte('0' + i%chunkSize%10) // synthetic but non-trivial payload
+	}
+	return buf
+})
 
 // Server serves one video: GET /manifest.mpd and
 // GET /seg/<repID>/<n>.m4s.
@@ -69,8 +72,8 @@ type Server struct {
 	segBytes [][]int
 	segCL    [][]string
 
-	// Per-rung traffic accounting: lock-free so the 64 KiB chunk loop
-	// in writeBody never serialises transfers on a shared mutex.
+	// Per-rung traffic accounting: lock-free so the piece loop in
+	// writeBody never serialises transfers on a shared mutex.
 	rungStats []rungCounters
 
 	// Optional telemetry mirrors (nil without WithServerTelemetry;
@@ -80,7 +83,7 @@ type Server struct {
 	telReg                                    *telemetry.Registry
 
 	// rateBits holds math.Float64bits of the shaping rate in MB/s
-	// (0 = unshaped). Published atomically so every in-flight chunk
+	// (0 = unshaped). Published atomically so every in-flight piece
 	// loop picks rate changes up without a lock.
 	rateBits atomic.Uint64
 
@@ -106,10 +109,10 @@ var _ http.Handler = (*Server)(nil)
 
 // pacer is a lock-free token bucket expressed as a virtual clock: the
 // single atomic word holds the nanosecond at which the last reserved
-// chunk's tokens run out. Each sender CASes the clock forward by its
-// chunk's cost (bytes ÷ rate) and sleeps until its own reservation
+// piece's tokens run out. Each sender CASes the clock forward by its
+// piece's cost (bytes ÷ rate) and sleeps until its own reservation
 // matures. Arrival order is service order, so concurrent connections
-// interleave chunk-by-chunk and the aggregate rate stays pinned to the
+// interleave piece by piece and the aggregate rate stays pinned to the
 // configured limit no matter how many transfers are in flight. An idle
 // bucket carries no credit: a reservation never starts before now, so
 // a quiet period is not followed by a burst above the cap.
@@ -118,20 +121,27 @@ type pacer struct {
 }
 
 // reserve books n bytes at rateMBps and waits for the reservation to
-// mature, returning false if the client went away first.
+// mature, returning false if the client went away first. The cost and
+// the clock saturate at math.MaxInt64 nanoseconds, so a rate too small
+// for the reservation to fit in an int64 waits until the client goes
+// away rather than wrapping into one that matures at once.
 func (p *pacer) reserve(r *http.Request, n int, rateMBps float64) bool {
-	cost := int64(float64(n) / (rateMBps * 1e6) * 1e9)
+	cost := int64(math.MaxInt64)
+	if c := float64(n) / (rateMBps * 1e6) * 1e9; c < math.MaxInt64 {
+		cost = int64(c)
+	}
 	for {
 		now := time.Now().UnixNano()
 		prev := p.next.Load()
-		start := prev
-		if start < now {
-			start = now
+		start := max(prev, now)
+		end := start + cost
+		if end < start {
+			end = math.MaxInt64
 		}
-		if !p.next.CompareAndSwap(prev, start+cost) {
+		if !p.next.CompareAndSwap(prev, end) {
 			continue
 		}
-		if d := time.Duration(start + cost - now); d > 0 {
+		if d := time.Duration(end - now); d > 0 {
 			return sleepOrGone(r, d)
 		}
 		return true
@@ -140,7 +150,8 @@ func (p *pacer) reserve(r *http.Request, n int, rateMBps float64) bool {
 
 // WithRateLimitMBps shapes segment responses to the given aggregate
 // rate (a token bucket shared by every connection, paced in 64 KiB
-// chunks). Zero disables shaping.
+// pieces; unshaped bodies are written in 256 KiB pieces). Zero
+// disables shaping.
 func WithRateLimitMBps(mbps float64) ServerOption {
 	return func(s *Server) {
 		if mbps > 0 {
@@ -211,7 +222,7 @@ func (s *Server) wireTelemetry() {
 // span that joins the caller's trace when the request carries a W3C
 // `traceparent` header (and starts a fresh trace otherwise), with
 // child spans for admission-queue wait, injected fault latency/stalls,
-// and the chunked body write — the write span carries the bytes
+// and the body write, piece by piece — the write span carries the bytes
 // written and the time spent waiting on the shared pacing bucket. Shed
 // and fault outcomes are recorded as span statuses, so the tail
 // sampler always keeps them. A nil tracer keeps tracing disabled at
@@ -298,7 +309,7 @@ func NewServer(m *dash.Manifest, opts ...ServerOption) (*Server, error) {
 // SetRateLimitMBps changes the shaping rate at runtime (0 disables) —
 // handy for emulating network dips mid-session. The rate is published
 // atomically: segment transfers already in flight pick the new rate up
-// at their next chunk.
+// at their next piece.
 func (s *Server) SetRateLimitMBps(mbps float64) {
 	if mbps < 0 {
 		mbps = 0
@@ -318,7 +329,9 @@ type RungSnapshot struct {
 	// Requests counts accepted segment requests (before any fault
 	// verdict), Bytes the payload actually written, Faults the injected
 	// fault verdicts realized, and Shed the requests bounced by
-	// admission control for this rung.
+	// admission control for this rung. Bytes grows one body piece at a
+	// time (64 KiB shaped, up to 256 KiB unshaped), once the piece's
+	// Write has returned without error.
 	Requests int64 `json:"requests"`
 	Bytes    int64 `json:"bytes"`
 	Faults   int64 `json:"faults"`
@@ -569,19 +582,22 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, r, rung, size, stall, span)
 }
 
-// writeBody streams size synthetic bytes for one rung from a pooled,
-// pre-filled chunk buffer — the serving path never copies or refills
-// payload, it only slices the shared pattern. The shaping rate is an
-// atomic load per chunk, so SetRateLimitMBps applies to transfers
-// already in flight, and pacing reserves tokens from the bucket shared
-// by every connection, so aggregate egress honours the limit. A
-// positive stall hangs the response before the first body byte — the
-// client sits blocked on the transfer until its per-attempt deadline
-// fires (or the stall ends). Under a non-nil span the stall becomes a
-// child span and the write gets one carrying the bytes sent and the
-// cumulative time spent waiting on the pacing bucket; that extra
-// timing only runs when the span exists, so disabled tracing leaves
-// the chunk loop untouched.
+// writeBody streams size synthetic bytes for one rung, sliced from the
+// shared payload — the serving path never copies or refills payload.
+// Each piece starts with one atomic load of the shaping rate, which
+// sets both its size and its reservation: unshaped, the piece is up to
+// pieceSize bytes; shaped, it is up to chunkSize bytes, booked on the
+// token bucket shared by every connection once it is written, so
+// aggregate egress honours the limit. A rate SetRateLimitMBps
+// publishes mid-transfer therefore applies from the next piece. Byte
+// accounting and the client-disconnect check run once per piece, after
+// its Write returns. A positive stall hangs the response before the
+// first body byte — the client sits blocked on the transfer until its
+// per-attempt deadline fires (or the stall ends). Under a non-nil span
+// the stall becomes a child span and the write gets one carrying the
+// bytes sent and the cumulative time spent waiting on the pacing
+// bucket; that extra timing only runs when the span exists, so
+// disabled tracing leaves the piece loop untouched.
 func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, rung, size int, stall time.Duration, span *tracing.Span) {
 	if stall > 0 {
 		ssp := span.StartChild("fault_stall")
@@ -598,25 +614,23 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, rung, size in
 	if span != nil {
 		wsp = span.StartChild("write")
 	}
+	buf := bodyPayload()
 	written := 0
-	bp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bp)
-	buf := *bp
-	remaining := size
-	for remaining > 0 {
-		n := chunkSize
-		if remaining < n {
-			n = remaining
+	for written < size {
+		rate := s.rateMBps()
+		n := pieceSize
+		if rate > 0 {
+			n = chunkSize
 		}
+		n = min(n, size-written)
 		if _, err := w.Write(buf[:n]); err != nil {
 			finishWriteSpan(wsp, written, paceWait, "client gone mid-write")
 			return // client went away
 		}
 		written += n
-		remaining -= n
 		s.rungStats[rung].bytes.Add(int64(n))
 		s.telBytes[rung].Add(int64(n))
-		if rate := s.rateMBps(); rate > 0 {
+		if rate > 0 {
 			if wsp == nil {
 				if !s.pacer.reserve(r, n, rate) {
 					return
@@ -647,13 +661,4 @@ func finishWriteSpan(wsp *tracing.Span, written int, paceWait time.Duration, rea
 		wsp.SetStatus("cancelled", reason)
 	}
 	wsp.End()
-}
-
-// SegmentURL renders the media URL for (rung, segment) through the
-// package's SegmentURL; a trailing slash on base is ignored.
-func (s *Server) SegmentURL(base string, rung, segment int) (string, error) {
-	if rung < 0 || rung >= len(s.repIDs) {
-		return "", fmt.Errorf("httpdash: rung %d out of range", rung)
-	}
-	return SegmentURL(strings.TrimSuffix(base, "/"), s.repIDs[rung], segment), nil
 }

@@ -47,7 +47,7 @@ func waitIdle(t *testing.T, srv *Server) {
 func TestServerSnapshotPerRung(t *testing.T) {
 	srv, ts := newTestServer(t, 20)
 	fetch := func(rung, seg int) int64 {
-		url, err := srv.SegmentURL(ts.URL, rung, seg)
+		url, err := srv.segmentURL(ts.URL, rung, seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestServerSnapshotCountsFaults(t *testing.T) {
 		{Kind: faults.None},
 	})
 	srv, ts := newTestServer(t, 20, WithFaults(plan))
-	url, err := srv.SegmentURL(ts.URL, 2, 0)
+	url, err := srv.segmentURL(ts.URL, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

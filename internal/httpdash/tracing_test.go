@@ -221,7 +221,7 @@ func TestTracingShedStatus(t *testing.T) {
 		// admission slot while the second request arrives.
 		WithRateLimitMBps(0.05),
 	)
-	url, err := srv.SegmentURL(ts.URL, 0, 0)
+	url, err := srv.segmentURL(ts.URL, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,6 @@ func NewAgent(space StateSpace, hyper Hyper, reward Reward, seed int64) (*Agent,
 // Freeze switches the agent to greedy (evaluation) mode.
 func (a *Agent) Freeze() { a.training = false }
 
-// Training reports whether the agent still explores and updates.
-func (a *Agent) Training() bool { return a.training }
-
 // Table exposes the learned table (e.g. for coverage diagnostics).
 func (a *Agent) Table() *QTable { return a.table }
 

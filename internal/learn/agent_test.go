@@ -51,12 +51,12 @@ func TestNewAgentValidation(t *testing.T) {
 
 func TestAgentNamesAndModes(t *testing.T) {
 	a := newTestAgent(t, 14)
-	if !a.Training() || a.Name() != "QLearn(train)" {
-		t.Errorf("training agent = %v %q", a.Training(), a.Name())
+	if !a.training || a.Name() != "QLearn(train)" {
+		t.Errorf("training agent = %v %q", a.training, a.Name())
 	}
 	a.Freeze()
-	if a.Training() || a.Name() != "QLearn" {
-		t.Errorf("frozen agent = %v %q", a.Training(), a.Name())
+	if a.training || a.Name() != "QLearn" {
+		t.Errorf("frozen agent = %v %q", a.training, a.Name())
 	}
 }
 
@@ -140,7 +140,7 @@ func TestTrainedAgentBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agent.Training() {
+	if agent.training {
 		t.Fatal("Train returned an unfrozen agent")
 	}
 	if cov := agent.Table().CoverageFraction(); cov < 0.05 {

@@ -80,7 +80,7 @@ func TestNewFrozenAgentFromLoadedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agent.Training() {
+	if agent.training {
 		t.Error("frozen agent still training")
 	}
 	// Greedy decisions match the trained agent's (same table, same

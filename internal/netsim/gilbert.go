@@ -81,9 +81,6 @@ func (g *GilbertElliott) sojourn(bad bool) float64 {
 // Now implements Link.
 func (g *GilbertElliott) Now() float64 { return g.now }
 
-// Bad reports whether the channel currently sits in the bad state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // SignalDBm implements Link.
 func (g *GilbertElliott) SignalDBm() float64 {
 	if g.bad {

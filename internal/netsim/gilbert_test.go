@@ -29,7 +29,7 @@ func TestGilbertElliottStartsGood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Bad() {
+	if g.bad {
 		t.Error("channel started in the bad state")
 	}
 	if g.ThroughputMBps() != 25.0/8 || g.SignalDBm() != -92 {
@@ -45,7 +45,7 @@ func TestGilbertElliottVisitsBothStates(t *testing.T) {
 	var goodSec, badSec float64
 	const step = 0.5
 	for i := 0; i < 4000; i++ { // 2000 simulated seconds
-		if g.Bad() {
+		if g.bad {
 			badSec += step
 		} else {
 			goodSec += step
@@ -68,7 +68,7 @@ func TestGilbertElliottDeterministicBySeed(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a.Advance(0.3)
 		b.Advance(0.3)
-		if a.Bad() != b.Bad() {
+		if a.bad != b.bad {
 			t.Fatal("channels with equal seeds diverged")
 		}
 	}

@@ -100,9 +100,6 @@ func (o *OutageLink) sojourn(down bool) float64 {
 // Now implements Link.
 func (o *OutageLink) Now() float64 { return o.under.Now() }
 
-// Down reports whether an outage is in progress.
-func (o *OutageLink) Down() bool { return o.down }
-
 // Outages reports the outage count and total down time so far.
 func (o *OutageLink) Outages() (count int, downSec float64) {
 	return o.downCount, o.downSec

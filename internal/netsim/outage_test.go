@@ -50,7 +50,7 @@ func TestOutageDegradesRateAndSignal(t *testing.T) {
 	sawDown := false
 	for i := 0; i < 400; i++ {
 		o.Advance(0.1)
-		if o.Down() {
+		if o.down {
 			sawDown = true
 			if th := o.ThroughputMBps(); math.Abs(th-0.4) > 1e-12 {
 				t.Fatalf("down throughput = %v, want 0.4", th)
@@ -91,7 +91,7 @@ func TestOutageDeterminism(t *testing.T) {
 		states := make([]bool, 0, 300)
 		for i := 0; i < 300; i++ {
 			o.Advance(0.1)
-			states = append(states, o.Down())
+			states = append(states, o.down)
 		}
 		return states
 	}

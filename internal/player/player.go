@@ -104,10 +104,6 @@ func (p *Player) CompareBuffer(levelSec float64) int {
 	return 0
 }
 
-// QueueCap reports the queue's backing-array capacity (test hook for
-// the bounded-growth guarantee).
-func (p *Player) QueueCap() int { return cap(p.queue) }
-
 // ThresholdSec returns the download-pacing threshold.
 func (p *Player) ThresholdSec() float64 { return p.thresholdSec }
 

@@ -222,7 +222,7 @@ func TestQueueCapacityBounded(t *testing.T) {
 			t.Fatalf("unexpected stall at segment %d", i)
 		}
 	}
-	if got := p.QueueCap(); got > 4*depth+16 {
+	if got := cap(p.queue); got > 4*depth+16 {
 		t.Errorf("queue capacity grew to %d for a depth-%d session; want bounded", got, depth)
 	}
 	if want := float64(depth * 2); math.Abs(p.BufferSec()-want) > 1e-6 {

@@ -97,9 +97,6 @@ func NewRRCTracker(cfg RRCConfig) (*RRCTracker, error) {
 	return &RRCTracker{cfg: cfg, state: RRCIdle}, nil
 }
 
-// State reports the current RRC state.
-func (t *RRCTracker) State() RRCState { return t.state }
-
 // StartTransfer moves the radio to connected, paying the promotion
 // cost when coming from idle. It returns the promotion latency the
 // transfer must additionally wait (0 when already connected or in the
@@ -147,15 +144,6 @@ func (t *RRCTracker) AdvanceIdle(dt float64) {
 		t.idleJ += t.cfg.IdlePowerW * dt
 	}
 }
-
-// PromotionJ returns the accumulated promotion energy.
-func (t *RRCTracker) PromotionJ() float64 { return t.promotedJ }
-
-// TailJ returns the accumulated tail energy.
-func (t *RRCTracker) TailJ() float64 { return t.tailJ }
-
-// IdleJ returns the accumulated idle paging energy.
-func (t *RRCTracker) IdleJ() float64 { return t.idleJ }
 
 // TotalJ returns all radio-control energy (excluding transfer energy,
 // which the caller integrates from RadioPowerW).

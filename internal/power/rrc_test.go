@@ -48,19 +48,19 @@ func TestRRCPromotionFromIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.State() != RRCIdle {
-		t.Fatalf("initial state = %v, want idle", tr.State())
+	if tr.state != RRCIdle {
+		t.Fatalf("initial state = %v, want idle", tr.state)
 	}
 	latency := tr.StartTransfer()
 	if latency != 0.26 {
 		t.Errorf("promotion latency = %v, want 0.26", latency)
 	}
-	if tr.State() != RRCConnected {
-		t.Errorf("state = %v, want connected", tr.State())
+	if tr.state != RRCConnected {
+		t.Errorf("state = %v, want connected", tr.state)
 	}
 	wantJ := 1.2 * 0.26
-	if !almostEqual(tr.PromotionJ(), wantJ, 1e-12) {
-		t.Errorf("PromotionJ = %v, want %v", tr.PromotionJ(), wantJ)
+	if !almostEqual(tr.promotedJ, wantJ, 1e-12) {
+		t.Errorf("PromotionJ = %v, want %v", tr.promotedJ, wantJ)
 	}
 }
 
@@ -71,13 +71,13 @@ func TestRRCNoPromotionFromTail(t *testing.T) {
 	}
 	tr.StartTransfer()
 	tr.EndTransfer()
-	if tr.State() != RRCTail {
-		t.Fatalf("state = %v, want tail", tr.State())
+	if tr.state != RRCTail {
+		t.Fatalf("state = %v, want tail", tr.state)
 	}
 	if latency := tr.StartTransfer(); latency != 0 {
 		t.Errorf("latency from tail = %v, want 0 (timer reset, no promotion)", latency)
 	}
-	if got := tr.PromotionJ(); !almostEqual(got, 1.2*0.26, 1e-12) {
+	if got := tr.promotedJ; !almostEqual(got, 1.2*0.26, 1e-12) {
 		t.Errorf("PromotionJ = %v, want single promotion only", got)
 	}
 }
@@ -91,16 +91,16 @@ func TestRRCTailThenIdleEnergy(t *testing.T) {
 	tr.EndTransfer()
 	// 20 s of inactivity: 11.5 s tail at 1.0 W + 8.5 s idle at 0.02 W.
 	tr.AdvanceIdle(20)
-	if tr.State() != RRCIdle {
-		t.Errorf("state = %v, want idle after timer expiry", tr.State())
+	if tr.state != RRCIdle {
+		t.Errorf("state = %v, want idle after timer expiry", tr.state)
 	}
-	if !almostEqual(tr.TailJ(), 11.5, 1e-9) {
-		t.Errorf("TailJ = %v, want 11.5", tr.TailJ())
+	if !almostEqual(tr.tailJ, 11.5, 1e-9) {
+		t.Errorf("TailJ = %v, want 11.5", tr.tailJ)
 	}
-	if !almostEqual(tr.IdleJ(), 8.5*0.02, 1e-9) {
-		t.Errorf("IdleJ = %v, want %v", tr.IdleJ(), 8.5*0.02)
+	if !almostEqual(tr.idleJ, 8.5*0.02, 1e-9) {
+		t.Errorf("IdleJ = %v, want %v", tr.idleJ, 8.5*0.02)
 	}
-	want := tr.PromotionJ() + tr.TailJ() + tr.IdleJ()
+	want := tr.promotedJ + tr.tailJ + tr.idleJ
 	if !almostEqual(tr.TotalJ(), want, 1e-12) {
 		t.Errorf("TotalJ inconsistent")
 	}
@@ -116,8 +116,8 @@ func TestRRCTailSplitAcrossAdvances(t *testing.T) {
 	for i := 0; i < 40; i++ { // 40 x 0.5 s = 20 s
 		tr.AdvanceIdle(0.5)
 	}
-	if !almostEqual(tr.TailJ(), 11.5, 1e-9) {
-		t.Errorf("TailJ = %v, want 11.5 (split advances)", tr.TailJ())
+	if !almostEqual(tr.tailJ, 11.5, 1e-9) {
+		t.Errorf("TailJ = %v, want 11.5 (split advances)", tr.tailJ)
 	}
 }
 
@@ -133,8 +133,8 @@ func TestRRCTransferResetsTail(t *testing.T) {
 	tr.EndTransfer()
 	tr.AdvanceIdle(11.5) // full fresh tail
 	wantTail := 5.0 + 11.5
-	if !almostEqual(tr.TailJ(), wantTail, 1e-9) {
-		t.Errorf("TailJ = %v, want %v (timer re-armed)", tr.TailJ(), wantTail)
+	if !almostEqual(tr.tailJ, wantTail, 1e-9) {
+		t.Errorf("TailJ = %v, want %v (timer re-armed)", tr.tailJ, wantTail)
 	}
 }
 
@@ -156,10 +156,10 @@ func TestRRCIdleOnlyEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.AdvanceIdle(100) // never connected: pure idle paging
-	if !almostEqual(tr.IdleJ(), 2.0, 1e-9) {
-		t.Errorf("IdleJ = %v, want 2.0", tr.IdleJ())
+	if !almostEqual(tr.idleJ, 2.0, 1e-9) {
+		t.Errorf("IdleJ = %v, want 2.0", tr.idleJ)
 	}
-	if tr.TailJ() != 0 || tr.PromotionJ() != 0 {
+	if tr.tailJ != 0 || tr.promotedJ != 0 {
 		t.Error("unexpected tail/promotion energy without transfers")
 	}
 }

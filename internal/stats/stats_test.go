@@ -26,11 +26,20 @@ func TestMean(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Mean(tt.in); !almostEqual(got, tt.want, 1e-12) {
+			if got := windowOf(tt.in).Mean(); !almostEqual(got, tt.want, 1e-12) {
 				t.Errorf("Mean(%v) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
 	}
+}
+
+// windowOf is a window holding exactly xs.
+func windowOf(xs []float64) *SlidingWindow {
+	w := NewSlidingWindow(len(xs))
+	for _, x := range xs {
+		w.Push(x)
+	}
+	return w
 }
 
 func TestHarmonicMean(t *testing.T) {
@@ -49,7 +58,7 @@ func TestHarmonicMean(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := HarmonicMean(tt.in)
+			got, err := windowOf(tt.in).HarmonicMean()
 			if !errors.Is(err, tt.wantErr) {
 				t.Fatalf("HarmonicMean(%v) err = %v, want %v", tt.in, err, tt.wantErr)
 			}
@@ -70,11 +79,11 @@ func TestHarmonicMeanProperties(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.Float64()*100 + 0.001
 		}
-		hm, err := HarmonicMean(xs)
+		hm, err := windowOf(xs).HarmonicMean()
 		if err != nil {
 			return false
 		}
-		if hm > Mean(xs)+1e-9 {
+		if hm > windowOf(xs).Mean()+1e-9 {
 			return false
 		}
 		// Permutation invariance: reverse order.
@@ -82,7 +91,7 @@ func TestHarmonicMeanProperties(t *testing.T) {
 		for i := range xs {
 			rev[i] = xs[size-1-i]
 		}
-		hm2, err := HarmonicMean(rev)
+		hm2, err := windowOf(rev).HarmonicMean()
 		if err != nil {
 			return false
 		}
@@ -94,15 +103,18 @@ func TestHarmonicMeanProperties(t *testing.T) {
 }
 
 func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
+	var acc Accumulator
+	if got := acc.Variance(); got != 0 {
+		t.Errorf("empty Variance = %v, want 0", got)
+	}
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		acc.Add(x)
+	}
+	if got := acc.Variance(); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
+	if got := acc.StdDev(); !almostEqual(got, 2, 1e-12) {
 		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := Variance(nil); got != 0 {
-		t.Errorf("Variance(nil) = %v, want 0", got)
 	}
 }
 
@@ -119,7 +131,7 @@ func TestRMS(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := RMS(tt.in); !almostEqual(got, tt.want, 1e-12) {
+			if got := windowOf(tt.in).RMS(); !almostEqual(got, tt.want, 1e-12) {
 				t.Errorf("RMS(%v) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
@@ -135,28 +147,10 @@ func TestRMSDominatesMean(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 10
 		}
-		return RMS(xs) >= math.Abs(Mean(xs))-1e-9
+		return windowOf(xs).RMS() >= math.Abs(windowOf(xs).Mean())-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-	xs := []float64{3, -1, 4, 1, 5}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Errorf("Min = %v, %v; want -1, nil", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 5 {
-		t.Errorf("Max = %v, %v; want 5, nil", mx, err)
 	}
 }
 
@@ -205,21 +199,5 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	tests := []struct {
-		x, lo, hi, want float64
-	}{
-		{x: 5, lo: 0, hi: 10, want: 5},
-		{x: -5, lo: 0, hi: 10, want: 0},
-		{x: 15, lo: 0, hi: 10, want: 10},
-		{x: 0, lo: 0, hi: 0, want: 0},
-	}
-	for _, tt := range tests {
-		if got := Clamp(tt.x, tt.lo, tt.hi); got != tt.want {
-			t.Errorf("Clamp(%v, %v, %v) = %v, want %v", tt.x, tt.lo, tt.hi, got, tt.want)
-		}
 	}
 }

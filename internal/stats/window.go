@@ -40,16 +40,6 @@ func (w *SlidingWindow) Len() int { return w.count }
 // Cap reports the window capacity.
 func (w *SlidingWindow) Cap() int { return len(w.buf) }
 
-// Values returns the samples in insertion order (oldest first) as a
-// fresh slice.
-func (w *SlidingWindow) Values() []float64 {
-	out := make([]float64, 0, w.count)
-	for i := 0; i < w.count; i++ {
-		out = append(out, w.buf[(w.head+i)%len(w.buf)])
-	}
-	return out
-}
-
 // Reset discards all samples.
 func (w *SlidingWindow) Reset() {
 	w.head = 0
@@ -57,7 +47,7 @@ func (w *SlidingWindow) Reset() {
 }
 
 // The aggregate queries walk the ring in insertion order directly
-// instead of materialising Values(): the bandwidth estimators call
+// instead of copying the samples out: the bandwidth estimators call
 // them once per simulated segment, and the per-call copy was one of
 // the session hot path's few remaining allocations.
 
@@ -73,7 +63,11 @@ func (w *SlidingWindow) Mean() float64 {
 	return sum / float64(w.count)
 }
 
-// HarmonicMean returns the harmonic mean of the held samples.
+// HarmonicMean returns the harmonic mean of the held samples: ErrEmpty
+// for an empty window, ErrNonPositive if any sample is <= 0. It is
+// dominated by the smallest samples, which makes it a conservative
+// bandwidth estimator in the presence of throughput spikes (the reason
+// FESTIVE and the paper's online algorithm use it).
 func (w *SlidingWindow) HarmonicMean() (float64, error) {
 	if w.count == 0 {
 		return 0, ErrEmpty
@@ -89,7 +83,7 @@ func (w *SlidingWindow) HarmonicMean() (float64, error) {
 	return float64(w.count) / sumInv, nil
 }
 
-// RMS returns the root mean square of the held samples.
+// RMS returns the root mean square of the held samples (0 if empty).
 func (w *SlidingWindow) RMS() float64 {
 	if w.count == 0 {
 		return 0

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,12 +14,12 @@ func TestSlidingWindowBasics(t *testing.T) {
 	}
 	w.Push(1)
 	w.Push(2)
-	if got := w.Values(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := w.values(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("Values = %v, want [1 2]", got)
 	}
 	w.Push(3)
 	w.Push(4) // evicts 1
-	got := w.Values()
+	got := w.values()
 	want := []float64{2, 3, 4}
 	if len(got) != 3 {
 		t.Fatalf("Values len = %d, want 3", len(got))
@@ -35,7 +36,7 @@ func TestSlidingWindowEvictionOrder(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		w.Push(float64(i))
 	}
-	got := w.Values()
+	got := w.values()
 	if got[0] != 9 || got[1] != 10 {
 		t.Errorf("Values = %v, want [9 10]", got)
 	}
@@ -50,7 +51,7 @@ func TestSlidingWindowReset(t *testing.T) {
 		t.Errorf("Len after Reset = %d, want 0", w.Len())
 	}
 	w.Push(9)
-	if got := w.Values(); len(got) != 1 || got[0] != 9 {
+	if got := w.values(); len(got) != 1 || got[0] != 9 {
 		t.Errorf("Values after Reset+Push = %v, want [9]", got)
 	}
 }
@@ -62,7 +63,7 @@ func TestSlidingWindowMinCapacity(t *testing.T) {
 	}
 	w.Push(1)
 	w.Push(2)
-	if got := w.Values(); len(got) != 1 || got[0] != 2 {
+	if got := w.values(); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Values = %v, want [2]", got)
 	}
 }
@@ -82,7 +83,7 @@ func TestSlidingWindowAggregates(t *testing.T) {
 	if hm != 2 {
 		t.Errorf("HarmonicMean = %v, want 2", hm)
 	}
-	if got := w.RMS(); !almostEqual(got, RMS([]float64{1, 4, 4}), 1e-12) {
+	if got := w.RMS(); !almostEqual(got, math.Sqrt(11), 1e-12) {
 		t.Errorf("RMS mismatch: %v", got)
 	}
 }
@@ -104,7 +105,7 @@ func TestSlidingWindowProperty(t *testing.T) {
 		if len(want) > capacity {
 			want = want[len(want)-capacity:]
 		}
-		got := w.Values()
+		got := w.values()
 		if len(got) != len(want) {
 			return false
 		}
@@ -180,4 +181,14 @@ func TestEWMABounded(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// values returns the samples in insertion order (oldest first) as a
+// fresh slice.
+func (w *SlidingWindow) values() []float64 {
+	out := make([]float64, 0, w.count)
+	for i := 0; i < w.count; i++ {
+		out = append(out, w.buf[(w.head+i)%len(w.buf)])
+	}
+	return out
 }

@@ -116,9 +116,6 @@ func New(cfg Config, store *Store) *Tracer {
 	return t
 }
 
-// Enabled reports whether spans will actually be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // newTraceID draws a non-zero 128-bit trace ID.
 func (t *Tracer) newTraceID() TraceID {
 	var id TraceID

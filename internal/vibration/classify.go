@@ -147,8 +147,8 @@ func Classify(f Features) ContextClass {
 	}
 }
 
-// Classifier is the streaming form: push samples, read the current
-// class over the trailing window.
+// Classifier is the streaming form: push samples, read the features of
+// the trailing window, and map them to a class with Classify.
 //
 // Construct with NewClassifier; the zero value is unusable.
 type Classifier struct {
@@ -174,14 +174,4 @@ func (c *Classifier) PushAll(samples []Sample) { c.est.PushAll(samples) }
 // Features extracts features over the current window.
 func (c *Classifier) Features() (Features, error) {
 	return ExtractFeatures(c.est.samples)
-}
-
-// Class returns the current context class; before enough samples have
-// arrived it reports ClassStill.
-func (c *Classifier) Class() ContextClass {
-	f, err := c.Features()
-	if err != nil {
-		return ClassStill
-	}
-	return Classify(f)
 }

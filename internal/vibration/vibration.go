@@ -54,9 +54,10 @@ func Level(samples []Sample) float64 {
 }
 
 // Estimator is the online vibration-level estimator of Section IV-B:
-// it keeps the accelerometer samples of the trailing WindowSec seconds
-// and reports Eq. 5 over that window. The paper uses a window of
-// 0.2 x the 30 s buffer threshold, i.e. 6 s.
+// it keeps the accelerometer samples of the trailing windowSec seconds
+// (the window NewEstimator was given) and reports Eq. 5 over that
+// window. The paper uses a window of 0.2 x the 30 s buffer threshold,
+// i.e. 6 s.
 //
 // The zero value is unusable; construct with NewEstimator.
 type Estimator struct {
@@ -82,8 +83,8 @@ func NewEstimator(windowSec float64) (*Estimator, error) {
 
 // Push adds a sample. Samples must arrive in non-decreasing time
 // order; older samples that fall out of the window are evicted. The
-// window is the closed interval [s.TimeSec - WindowSec, s.TimeSec]: a
-// sample exactly WindowSec old is retained, matching the inclusive
+// window is the closed interval [s.TimeSec - windowSec, s.TimeSec]: a
+// sample exactly windowSec old is retained, matching the inclusive
 // [t-w, t] bounds trace.VibrationAt uses, so the streaming estimator
 // and the trace-replay query agree sample-for-sample.
 func (e *Estimator) Push(s Sample) {
@@ -108,7 +109,7 @@ func (e *Estimator) PushAll(samples []Sample) {
 
 // Level returns Eq. 5 over the current window. With fewer than two
 // samples in the window — an empty estimator, or a stream whose last
-// sample is more than WindowSec older than everything before it —
+// sample is more than windowSec older than everything before it —
 // there is no deviation to measure and Level reports 0, the same
 // pinned edge behavior as trace.VibrationAt for queries past the
 // trace end.
@@ -116,9 +117,6 @@ func (e *Estimator) Level() float64 { return Level(e.samples) }
 
 // Len reports the number of samples currently in the window.
 func (e *Estimator) Len() int { return len(e.samples) }
-
-// WindowSec reports the estimation window length.
-func (e *Estimator) WindowSec() float64 { return e.windowSec }
 
 // Reset discards all samples.
 func (e *Estimator) Reset() { e.samples = e.samples[:0] }

@@ -111,8 +111,8 @@ func TestNewEstimatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.WindowSec() != DefaultWindowSec {
-		t.Errorf("WindowSec = %v, want %v", e.WindowSec(), DefaultWindowSec)
+	if e.windowSec != DefaultWindowSec {
+		t.Errorf("WindowSec = %v, want %v", e.windowSec, DefaultWindowSec)
 	}
 }
 
