@@ -189,18 +189,23 @@ func BenchmarkSessionAllocs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	comp, err := tr.Compiled()
+	if err != nil {
+		b.Fatal(err)
+	}
 	pm, qm := power.EvalModel(), qoe.Default()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := sim.TraceSession{
-			Trace:         tr,
+		m, err := sim.Run(sim.Config{
 			SessionParams: sim.SessionParams{MetricsOnly: true},
 			Manifest:      man,
+			Link:          comp.Link(),
+			VibrationAt:   comp.Vibration(0),
 			Algorithm:     abr.NewFESTIVE(),
 			Power:         pm,
 			QoE:           qm,
-		}.Run()
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,16 +231,21 @@ func TestSessionAllocsTelemetryDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	comp, err := tr.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pm, qm := power.EvalModel(), qoe.Default()
 	session := func(rec *sim.DecisionRecorder) *sim.Metrics {
-		m, err := sim.TraceSession{
-			Trace:         tr,
+		m, err := sim.Run(sim.Config{
 			SessionParams: sim.SessionParams{MetricsOnly: true, Recorder: rec},
 			Manifest:      man,
+			Link:          comp.Link(),
+			VibrationAt:   comp.Vibration(0),
 			Algorithm:     abr.NewFESTIVE(),
 			Power:         pm,
 			QoE:           qm,
-		}.Run()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,13 +62,6 @@ type (
 	DecisionRecorder = sim.DecisionRecorder
 	// DecisionEvent is one recorded ABR decision snapshot.
 	DecisionEvent = sim.DecisionEvent
-	// SessionParams are the session knobs shared by every way of
-	// launching a session (sim.Config, sim.TraceSession, and Stream's
-	// options): early abandonment, vibration scaling, outage overlays,
-	// metrics-only replay, decision recording, and the compiled
-	// per-rung QoE table. The simulator embeds it, so the fields read
-	// and write as flat selectors on either config struct.
-	SessionParams = sim.SessionParams
 )
 
 // DefaultAlpha is the paper's evaluation weighting (energy and QoE
@@ -161,14 +154,14 @@ func PlanOptimalForTrace(tr *Trace, alpha float64) (Algorithm, Plan, error) {
 	return core.NewPlannedAlgorithm("Optimal", plan), plan, nil
 }
 
-// StreamOption customises a Stream session.
-type StreamOption func(*sim.TraceSession)
+// StreamOption customises a Stream session's simulator config.
+type StreamOption func(*sim.Config)
 
 // WithBufferThreshold overrides the 30 s pacing threshold.
 func WithBufferThreshold(sec float64) StreamOption {
-	return func(s *sim.TraceSession) {
+	return func(c *sim.Config) {
 		if sec > 0 {
-			s.ThresholdSec = sec
+			c.BufferThresholdSec = sec
 		}
 	}
 }
@@ -177,15 +170,15 @@ func WithBufferThreshold(sec float64) StreamOption {
 // resumes only once the buffer drains to resumeSec — bursty
 // prefetching that amortises the LTE tail.
 func WithPacingHysteresis(resumeSec float64) StreamOption {
-	return func(s *sim.TraceSession) { s.ResumeThresholdSec = resumeSec }
+	return func(c *sim.Config) { c.ResumeThresholdSec = resumeSec }
 }
 
 // WithLTETailEnergy enables the RRC radio-state machine so promotion,
 // tail, and idle paging energy appear in Metrics.RadioCtlJ.
 func WithLTETailEnergy() StreamOption {
-	return func(s *sim.TraceSession) {
+	return func(c *sim.Config) {
 		rrc := power.DefaultRRC()
-		s.RRC = &rrc
+		c.RRC = &rrc
 	}
 }
 
@@ -203,7 +196,7 @@ func NewDecisionRecorder(capacity, sampleEvery int) (*DecisionRecorder, error) {
 // power draw, realized QoE). A nil recorder leaves the session's hot
 // path untouched.
 func WithDecisionRecorder(r *DecisionRecorder) StreamOption {
-	return func(s *sim.TraceSession) { s.Recorder = r }
+	return func(c *sim.Config) { c.Recorder = r }
 }
 
 // Stream replays a policy over a trace with the paper's evaluation
@@ -220,23 +213,28 @@ func Stream(tr *Trace, alg Algorithm, opts ...StreamOption) (*Metrics, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ecavs: manifest: %w", err)
 	}
-	session := sim.TraceSession{
-		Trace:        tr,
-		Manifest:     man,
-		Algorithm:    alg,
-		Power:        power.EvalModel(),
-		QoE:          qoe.Default(),
-		ThresholdSec: player.DefaultBufferThresholdSec,
+	comp, err := tr.Compiled()
+	if err != nil {
+		return nil, err
+	}
+	cfg := sim.Config{
+		Manifest:           man,
+		Link:               comp.Link(),
+		VibrationAt:        comp.Vibration(0),
+		Algorithm:          alg,
+		Power:              power.EvalModel(),
+		QoE:                qoe.Default(),
+		BufferThresholdSec: player.DefaultBufferThresholdSec,
 	}
 	for _, o := range opts {
-		o(&session)
+		o(&cfg)
 	}
 	// Compile the per-rung QoE table after the options ran, in case one
 	// swapped the model; the table must match the session's QoE.
-	if session.RungQoE == nil {
-		session.RungQoE = session.QoE.CompileRungs(man.Ladder().Bitrates())
+	if cfg.RungQoE == nil {
+		cfg.RungQoE = cfg.QoE.CompileRungs(man.Ladder().Bitrates())
 	}
-	return session.Run()
+	return sim.Run(cfg)
 }
 
 // LoadTrace reads a trace previously written by Trace.Save (or

@@ -48,7 +48,8 @@ type Algorithm interface {
 	// ObserveDownload feeds the measured throughput (Mbps) of the
 	// just-completed segment download back to the algorithm.
 	ObserveDownload(throughputMbps float64)
-	// Reset clears per-session state so the algorithm can be reused.
+	// Reset clears per-session state so the algorithm can be reused;
+	// sim.NewSession calls it at the start of every session.
 	Reset()
 }
 

@@ -328,15 +328,16 @@ func (f *fleet) session(u int) (*sim.Metrics, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: session %d %s: %w", u, spec.Name, err)
 	}
-	ses := sim.TraceSession{
-		Trace:         cfg.Traces[ti],
-		Compiled:      f.compiled[ti],
-		SessionParams: sim.SessionParams{MetricsOnly: true, RungQoE: f.rungQoE},
-		Manifest:      f.manifests[ti],
-		Algorithm:     alg,
-		Power:         cfg.Power,
-		QoE:           cfg.QoE,
-		ThresholdSec:  cfg.ThresholdSec,
+	comp := f.compiled[ti]
+	ses := sim.Config{
+		SessionParams:      sim.SessionParams{MetricsOnly: true, RungQoE: f.rungQoE},
+		Manifest:           f.manifests[ti],
+		Link:               comp.Link(),
+		VibrationAt:        comp.Vibration(0),
+		Algorithm:          alg,
+		Power:              cfg.Power,
+		QoE:                cfg.QoE,
+		BufferThresholdSec: cfg.ThresholdSec,
 	}
 	if abandonGate < cfg.AbandonProb {
 		ses.AbandonAtSec = (0.1 + 0.8*abandonFrac) * cfg.Traces[ti].LengthSec
@@ -349,7 +350,7 @@ func (f *fleet) session(u int) (*sim.Metrics, error) {
 		oc.Seed = int64(outageSeed)
 		ses.Outage = &oc
 	}
-	m, err := ses.Run()
+	m, err := sim.Run(ses)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: session %d %s on trace %d: %w", u, spec.Name, cfg.Traces[ti].ID, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"ecavs/internal/player"
 	"ecavs/internal/pool"
 	"ecavs/internal/sim"
+	"ecavs/internal/trace"
 )
 
 // variantResult is one "Ours" variant averaged over the five traces:
@@ -22,8 +23,10 @@ type variantResult struct {
 // over the worker pool (each unit builds its own algorithm instance);
 // the averages are then accumulated sequentially in trace order, so
 // the floating-point summation — and therefore the reported numbers —
-// match the sequential evaluation exactly.
-func (e *Env) runOursVariant(build func(obj core.Objective) *core.Online, session func(*sim.TraceSession)) (variantResult, error) {
+// match the sequential evaluation exactly. Each session replays its
+// trace's link and vibration signal; session, when non-nil, then
+// adjusts the config with the trace's compiled form at hand.
+func (e *Env) runOursVariant(build func(obj core.Objective) *core.Online, session func(*sim.Config, *trace.Compiled)) (variantResult, error) {
 	comp, err := e.Comparison()
 	if err != nil {
 		return variantResult{}, err
@@ -39,18 +42,23 @@ func (e *Env) runOursVariant(build func(obj core.Objective) *core.Online, sessio
 		if err != nil {
 			return err
 		}
-		ts := sim.TraceSession{
-			Trace:        r.Trace,
-			Manifest:     man,
-			Algorithm:    build(obj),
-			Power:        e.EvalPower,
-			QoE:          e.QoE,
-			ThresholdSec: player.DefaultBufferThresholdSec,
+		tc, err := r.Trace.Compiled()
+		if err != nil {
+			return err
+		}
+		cfg := sim.Config{
+			Manifest:           man,
+			Link:               tc.Link(),
+			VibrationAt:        tc.Vibration(0),
+			Algorithm:          build(obj),
+			Power:              e.EvalPower,
+			QoE:                e.QoE,
+			BufferThresholdSec: player.DefaultBufferThresholdSec,
 		}
 		if session != nil {
-			session(&ts)
+			session(&cfg, tc)
 		}
-		m, err := ts.Run()
+		m, err := sim.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -116,7 +124,6 @@ func (e *Env) AblationNoContext() (*Table, error) {
 			"without vibration sensing the algorithm cannot discount high bitrates on a shaking phone",
 		},
 	}
-	zero := 0.0
 	for _, alpha := range []float64{e.Alpha, 0.2} {
 		obj, err := core.NewObjective(alpha, e.EvalPower, e.QoE)
 		if err != nil {
@@ -130,8 +137,8 @@ func (e *Env) AblationNoContext() (*Table, error) {
 		}
 		noCtx, err := e.runOursVariant(func(core.Objective) *core.Online {
 			return core.NewOnline(obj)
-		}, func(ts *sim.TraceSession) {
-			ts.ForceVibration = &zero
+		}, func(cfg *sim.Config, _ *trace.Compiled) {
+			cfg.VibrationAt = nil // a still phone
 		})
 		if err != nil {
 			return nil, err
@@ -218,8 +225,8 @@ func (e *Env) AblationVibrationWindow() (*Table, error) {
 	}
 	for _, w := range []float64{1, 3, 6, 15, 30} {
 		w := w
-		r, err := e.runOursVariant(func(obj core.Objective) *core.Online { return core.NewOnline(obj) }, func(ts *sim.TraceSession) {
-			ts.VibrationWindowSec = w
+		r, err := e.runOursVariant(func(obj core.Objective) *core.Online { return core.NewOnline(obj) }, func(cfg *sim.Config, tc *trace.Compiled) {
+			cfg.VibrationAt = tc.Vibration(w)
 		})
 		if err != nil {
 			return nil, err

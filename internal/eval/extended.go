@@ -228,14 +228,14 @@ func (e *Env) AblationAbandonment() (*Table, error) {
 		if err != nil {
 			return err
 		}
-		link, err := r.Trace.Link()
+		tc, err := r.Trace.Compiled()
 		if err != nil {
 			return err
 		}
 		m, err := sim.Run(sim.Config{
 			SessionParams:      sim.SessionParams{AbandonAtSec: r.Trace.LengthSec / 3},
 			Manifest:           man,
-			Link:               link,
+			Link:               tc.Link(),
 			Algorithm:          abr.NewYoutube(),
 			Power:              e.EvalPower,
 			QoE:                e.QoE,
@@ -297,16 +297,21 @@ func (e *Env) AblationTailEnergy() (*Table, error) {
 		if err != nil {
 			return err
 		}
-		m, err := sim.TraceSession{
-			Trace:              r.Trace,
+		tc, err := r.Trace.Compiled()
+		if err != nil {
+			return err
+		}
+		m, err := sim.Run(sim.Config{
 			Manifest:           man,
+			Link:               tc.Link(),
+			VibrationAt:        tc.Vibration(0),
 			Algorithm:          core.NewOnline(obj),
 			Power:              e.EvalPower,
 			QoE:                e.QoE,
-			ThresholdSec:       player.DefaultBufferThresholdSec,
+			BufferThresholdSec: player.DefaultBufferThresholdSec,
 			ResumeThresholdSec: resumeSec,
 			RRC:                &rrc,
-		}.Run()
+		})
 		if err != nil {
 			return err
 		}

@@ -50,13 +50,13 @@ func (e *Env) AblationSegmentDuration() (*Table, error) {
 		if err != nil {
 			return err
 		}
-		link, err := tr.Link()
+		tc, err := tr.Compiled()
 		if err != nil {
 			return err
 		}
 		m, err := sim.Run(sim.Config{
 			Manifest:   man,
-			Link:       link,
+			Link:       tc.Link(),
 			Algorithm:  abr.NewYoutube(),
 			Power:      e.EvalPower,
 			QoE:        e.QoE,

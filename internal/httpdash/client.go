@@ -380,7 +380,6 @@ func (c *Client) Stream(ctx context.Context) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.algorithm.Reset()
 	return c.stream(ctx, info)
 }
 

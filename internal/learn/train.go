@@ -85,7 +85,6 @@ func Train(cfg TrainConfig) (*Agent, error) {
 			}
 			link = ch
 		}
-		agent.Reset()
 		if _, err := sim.Run(sim.Config{
 			Manifest:  manifest,
 			Link:      link,

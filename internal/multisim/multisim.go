@@ -120,7 +120,6 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multisim: client %d: %w", i, err)
 		}
-		c.Algorithm.Reset()
 		if d := c.Manifest.Video().DurationSec + c.StartOffsetSec; d > longest {
 			longest = d
 		}

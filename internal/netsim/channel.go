@@ -180,7 +180,7 @@ type TracePoint struct {
 // until the next one (zero-order hold) and clamping at the final
 // sample after the trace ends.
 //
-// Construct with NewTraceLink; the zero value is unusable.
+// Construct with ReplayTraceLink; the zero value is unusable.
 type TraceLink struct {
 	points []TracePoint
 	now    float64
@@ -192,31 +192,13 @@ var _ Link = (*TraceLink)(nil)
 // ErrEmptyTrace is returned when a trace has no points.
 var ErrEmptyTrace = errors.New("netsim: empty trace")
 
-// ErrUnorderedTrace is returned when trace points are not
-// time-ordered.
-var ErrUnorderedTrace = errors.New("netsim: trace points not time-ordered")
-
-// NewTraceLink returns a Link replaying the given points.
-func NewTraceLink(points []TracePoint) (*TraceLink, error) {
-	if len(points) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	for i := 1; i < len(points); i++ {
-		if points[i].TimeSec < points[i-1].TimeSec {
-			return nil, ErrUnorderedTrace
-		}
-	}
-	cp := make([]TracePoint, len(points))
-	copy(cp, points)
-	return &TraceLink{points: cp}, nil
-}
-
-// ReplayTraceLink returns a Link replaying points WITHOUT copying or
+// ReplayTraceLink returns a Link replaying points without copying or
 // re-validating them. The caller must guarantee the slice is
 // time-ordered, non-empty, and never mutated for the link's lifetime —
-// the contract trace.Compiled provides, where one validated point
-// slice backs a fresh TraceLink per session and a per-session copy
-// would dominate the session allocation profile.
+// the contract trace.Compiled provides (trace.Validate rejects
+// out-of-order points), where one validated point slice backs a fresh
+// TraceLink per session and a per-session copy would dominate the
+// session allocation profile.
 func ReplayTraceLink(points []TracePoint) (*TraceLink, error) {
 	if len(points) == 0 {
 		return nil, ErrEmptyTrace
@@ -246,9 +228,4 @@ func (t *TraceLink) Advance(dt float64) {
 	if dt > 0 {
 		t.now += dt
 	}
-}
-
-// Duration returns the trace's time span in seconds.
-func (t *TraceLink) Duration() float64 {
-	return t.points[len(t.points)-1].TimeSec - t.points[0].TimeSec
 }

@@ -9,121 +9,35 @@ import (
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
 	"ecavs/internal/trace"
-	"ecavs/internal/vibration"
 )
-
-// TraceSession configures a trace replay with the less-common knobs
-// the ablation experiments need.
-type TraceSession struct {
-	// Trace supplies the link and accelerometer streams.
-	Trace *trace.Trace
-	// Compiled, when non-nil, is the trace's compiled form — the
-	// shared, immutable artifact a campaign builds once per trace and
-	// hands to every shard (it must satisfy Compiled.Trace() == Trace).
-	// Nil falls back to Trace.Compiled(), which compiles on first use
-	// and memoizes on the trace, so repeated sessions over one trace
-	// still share a single compilation.
-	Compiled *trace.Compiled
-	// SessionParams carries the knobs shared with Config (abandonment,
-	// vibration scaling, outages, metrics-only replay, decision
-	// recording, the compiled QoE table); its fields read and write as
-	// if declared here.
-	SessionParams
-	// Manifest is the video being streamed.
-	Manifest *dash.Manifest
-	// Algorithm selects bitrates; it is Reset before the run.
-	Algorithm abr.Algorithm
-	// Power and QoE are the models.
-	Power power.Model
-	QoE   qoe.Model
-	// ThresholdSec is the buffer threshold beta (default 30 s).
-	ThresholdSec float64
-	// VibrationWindowSec is the online estimation window (default
-	// vibration.DefaultWindowSec).
-	VibrationWindowSec float64
-	// ForceVibration, when non-nil, overrides the sensed vibration with
-	// a constant — the context-awareness-off ablation.
-	ForceVibration *float64
-	// ResumeThresholdSec adds download-pacing hysteresis (see
-	// Config.ResumeThresholdSec).
-	ResumeThresholdSec float64
-	// RRC, when non-nil, enables the LTE radio-state machine (see
-	// Config.RRC).
-	RRC *power.RRCConfig
-}
-
-// Run replays the session. The trace is queried through its compiled
-// form (validated once at compile time and shared across sessions):
-// the link replays the trace's network points without copying them,
-// and the vibration signal comes from the O(1) prefix-sum query via a
-// per-session cursor, which agrees with the reference two-pass
-// computation within 1e-9 (DESIGN.md §10).
-func (s TraceSession) Run() (*Metrics, error) {
-	if s.Trace == nil {
-		return nil, errors.New("sim: nil trace")
-	}
-	comp := s.Compiled
-	if comp == nil {
-		var err error
-		comp, err = s.Trace.Compiled()
-		if err != nil {
-			return nil, err
-		}
-	} else if comp.Trace() != s.Trace {
-		return nil, errors.New("sim: compiled form belongs to a different trace")
-	}
-	link := comp.Link()
-	if s.Algorithm != nil {
-		s.Algorithm.Reset()
-	}
-	window := s.VibrationWindowSec
-	if window <= 0 {
-		window = vibration.DefaultWindowSec
-	}
-	cur := comp.Cursor()
-	params := s.SessionParams
-	var vibAt func(float64) float64
-	if s.ForceVibration != nil {
-		// The forced constant replaces the sensed signal entirely, so
-		// the Monte-Carlo scale must not apply on top of it.
-		v := *s.ForceVibration
-		vibAt = func(float64) float64 { return v }
-		params.VibrationScale = 0
-	} else {
-		vibAt = func(t float64) float64 { return cur.VibrationAt(t, window) }
-	}
-	return Run(Config{
-		SessionParams:      params,
-		Manifest:           s.Manifest,
-		Link:               link,
-		VibrationAt:        vibAt,
-		Algorithm:          s.Algorithm,
-		Power:              s.Power,
-		QoE:                s.QoE,
-		BufferThresholdSec: s.ThresholdSec,
-		ResumeThresholdSec: s.ResumeThresholdSec,
-		RRC:                s.RRC,
-	})
-}
 
 // RunOnTrace replays a recorded trace through Run: the link comes from
 // the trace's network points and the vibration signal from its
 // accelerometer stream, windowed the way the online estimator would
-// see it (Section IV-B).
+// see it (Section IV-B). Both are read through the trace's compiled
+// form, built once and shared by every session of the trace.
 func RunOnTrace(tr *trace.Trace, m *dash.Manifest, alg abr.Algorithm, pm power.Model, qm qoe.Model, thresholdSec float64) (*Metrics, error) {
+	if tr == nil {
+		return nil, errors.New("sim: nil trace")
+	}
+	comp, err := tr.Compiled()
+	if err != nil {
+		return nil, err
+	}
 	var rt *qoe.RungTable
 	if m != nil {
 		rt = qm.CompileRungs(m.Ladder().Bitrates())
 	}
-	return TraceSession{
-		Trace:         tr,
-		SessionParams: SessionParams{RungQoE: rt},
-		Manifest:      m,
-		Algorithm:     alg,
-		Power:         pm,
-		QoE:           qm,
-		ThresholdSec:  thresholdSec,
-	}.Run()
+	return Run(Config{
+		SessionParams:      SessionParams{RungQoE: rt},
+		Manifest:           m,
+		Link:               comp.Link(),
+		VibrationAt:        comp.Vibration(0),
+		Algorithm:          alg,
+		Power:              pm,
+		QoE:                qm,
+		BufferThresholdSec: thresholdSec,
+	})
 }
 
 // ManifestForTrace builds the manifest of the video a trace's session

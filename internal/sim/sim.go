@@ -17,12 +17,11 @@ import (
 	"ecavs/internal/qoe"
 )
 
-// SessionParams are the session knobs shared verbatim by every way of
-// launching a session — the synthetic-link Config, the trace-replay
-// TraceSession, and the public facade's options. They are embedded, so
-// callers keep writing flat selectors (cfg.AbandonAtSec = 90) while
-// the definition, documentation, and defaults live in exactly one
-// place.
+// SessionParams are the optional knobs of one session, beside the
+// manifest, link, algorithm and models Config names: early abandonment,
+// vibration scaling, outages, metrics-only replay, decision recording
+// and the compiled QoE table. Config embeds them, so callers write flat
+// selectors (cfg.AbandonAtSec = 90).
 type SessionParams struct {
 	// AbandonAtSec, when positive, ends the session once playback
 	// reaches that point (the viewer quits early — the behaviour that
@@ -31,8 +30,8 @@ type SessionParams struct {
 	// Metrics.WastedMB.
 	AbandonAtSec float64
 	// VibrationScale multiplies the session's vibration signal
-	// (Monte-Carlo viewer-context draws). Zero means 1 (unscaled). In a
-	// TraceSession, ForceVibration takes precedence.
+	// (Monte-Carlo viewer-context draws). Zero means 1 (unscaled). A nil
+	// VibrationAt stays a still phone at any scale.
 	VibrationScale float64
 	// Outage, when non-nil, overlays a seeded up/down outage process on
 	// the link (netsim.WithOutages): tunnels and dead zones on top of
@@ -66,18 +65,21 @@ type SessionParams struct {
 
 // Config describes one streaming session.
 type Config struct {
-	// SessionParams carries the knobs shared with TraceSession and the
-	// facade; its fields read and write as if declared here.
+	// SessionParams carries the optional knobs; its fields read and
+	// write as if declared here.
 	SessionParams
 
 	// Manifest is the video being streamed.
 	Manifest *dash.Manifest
-	// Link is the radio link (synthetic channel or trace replay).
+	// Link is the radio link: a synthetic channel, or a trace replay
+	// (trace.Compiled.Link).
 	Link netsim.Link
 	// VibrationAt reports the Eq. 5 vibration level at a session time;
-	// nil means a perfectly still phone.
+	// nil means a perfectly still phone. A trace replay reads the
+	// trace's accelerometer stream (trace.Compiled.Vibration).
 	VibrationAt func(tSec float64) float64
-	// Algorithm selects the bitrate per segment.
+	// Algorithm selects the bitrate per segment. NewSession resets it,
+	// so every session starts from a clean estimator.
 	Algorithm abr.Algorithm
 	// Power is the energy model.
 	Power power.Model

@@ -53,7 +53,9 @@ type Decision struct {
 
 // NewSession validates and keeps the session's part of cfg: Manifest,
 // Algorithm, Power, QoE, BufferThresholdSec, and the SessionParams but
-// VibrationScale and Outage. The rest of cfg belongs to the driver.
+// VibrationScale and Outage. The rest of cfg belongs to the driver. It
+// resets the algorithm, so every driver starts each session from a
+// clean algorithm state without resetting it itself.
 func NewSession(cfg Config) (*Session, error) {
 	if cfg.Manifest == nil {
 		return nil, ErrNilManifest
@@ -104,6 +106,7 @@ func NewSession(cfg Config) (*Session, error) {
 	if !cfg.MetricsOnly {
 		s.m.Segments = make([]SegmentLog, 0, n)
 	}
+	cfg.Algorithm.Reset()
 	return s, nil
 }
 

@@ -9,17 +9,18 @@ import (
 )
 
 // Compiled is an immutable once-per-trace compilation of the derived
-// series every session query needs (ISSUE 6 tentpole):
+// series every session query needs:
 //
 //   - prefix sums of the accelerometer magnitude and its square, so the
-//     Eq. 5 windowed RMS deviation VibrationAt becomes an O(log n) —
-//     O(1) amortized through a Cursor — query via
+//     Eq. 5 windowed RMS deviation becomes an O(log k) query through a
+//     Cursor (O(1) amortized over a session's monotone times) via
 //     sqrt(E[m²] − E[m]²) instead of an O(window) two-pass walk;
 //   - the sample/point timestamp arrays laid out for branchless binary
 //     search, with a cached last-index fast path (Cursor) for the
 //     monotone per-segment access pattern of a session replay;
 //   - the network step function, shared read-only so each session's
-//     TraceLink replays it without a per-session copy (Link).
+//     TraceLink replays it without a per-session copy (Link, the one
+//     link over a trace).
 //
 // Numerics: magnitudes are accumulated as deviations from the global
 // mean magnitude (refMag) with compensated (Kahan) summation, so the
@@ -175,22 +176,6 @@ func (c *Compiled) levelFromPrefix(i, j int) float64 {
 	return math.Sqrt(variance)
 }
 
-// VibrationAt returns the Eq. 5 vibration level over the window
-// [tSec−windowSec, tSec], matching (*Trace).VibrationAt to within the
-// 1e-9 tolerance contract (including its edge cases: non-positive
-// windows default to vibration.DefaultWindowSec, and windows covering
-// fewer than two samples — e.g. queries past the trace end — report
-// 0). Stateless; sessions replaying monotone query times should prefer
-// Cursor.VibrationAt.
-func (c *Compiled) VibrationAt(tSec, windowSec float64) float64 {
-	if windowSec <= 0 {
-		windowSec = vibration.DefaultWindowSec
-	}
-	i := searchGE(c.accelT, tSec-windowSec)
-	j := searchGT(c.accelT, tSec)
-	return c.levelFromPrefix(i, j)
-}
-
 // netIdxAt returns the step-function index active at tSec: the last
 // point with time <= tSec, clamped to the first point before the trace
 // starts (the same zero-order hold netsim.TraceLink applies).
@@ -202,21 +187,10 @@ func (c *Compiled) netIdxAt(tSec float64) int {
 	return idx
 }
 
-// SignalAt returns the recorded signal strength active at tSec.
-func (c *Compiled) SignalAt(tSec float64) float64 {
-	return c.sigDBm[c.netIdxAt(tSec)]
-}
-
-// ThroughputMBpsAt returns the recorded achievable rate active at
-// tSec.
-func (c *Compiled) ThroughputMBpsAt(tSec float64) float64 {
-	return c.thrMBps[c.netIdxAt(tSec)]
-}
-
 // Link returns a fresh replayable link over the trace's network
-// points, sharing the validated point slice instead of copying it
-// (the copy was one of the per-session allocations the compiled
-// substrate exists to amortize).
+// points, sharing the validated point slice instead of copying it.
+// Compile validated them non-empty and time-ordered, and the trace is
+// not mutated afterwards, which is what netsim.ReplayTraceLink needs.
 func (c *Compiled) Link() *netsim.TraceLink {
 	l, err := netsim.ReplayTraceLink(c.tr.Network)
 	if err != nil {
@@ -237,6 +211,17 @@ func (c *Compiled) Link() *netsim.TraceLink {
 // none), and must not be shared between goroutines.
 func (c *Compiled) Cursor() Cursor { return Cursor{c: c} }
 
+// Vibration returns a session's vibration signal over the trace: the
+// Eq. 5 level over the windowSec before each query time (a
+// non-positive window means vibration.DefaultWindowSec), read through
+// a Cursor of its own, so the returned function must not be shared
+// between sessions or goroutines. It is what a trace session sets as
+// sim.Config.VibrationAt.
+func (c *Compiled) Vibration(windowSec float64) func(tSec float64) float64 {
+	cur := c.Cursor()
+	return func(tSec float64) float64 { return cur.VibrationAt(tSec, windowSec) }
+}
+
 // Cursor is a stateful view over a Compiled trace optimized for
 // non-decreasing query times. The zero value is unusable; obtain one
 // from (*Compiled).Cursor.
@@ -247,7 +232,12 @@ type Cursor struct {
 	nidx int // last network step index
 }
 
-// VibrationAt is Compiled.VibrationAt with the cached-index fast path.
+// VibrationAt returns the Eq. 5 vibration level over the window
+// [tSec−windowSec, tSec]: within 1e-9 of the reference two-pass
+// computation over the same samples (vibration.Level). A non-positive
+// window means vibration.DefaultWindowSec, and a window covering fewer
+// than two samples (before the first sample, or more than windowSec
+// past the last) reports 0.
 func (cu *Cursor) VibrationAt(tSec, windowSec float64) float64 {
 	if windowSec <= 0 {
 		windowSec = vibration.DefaultWindowSec
@@ -271,13 +261,15 @@ func (cu *Cursor) VibrationAt(tSec, windowSec float64) float64 {
 	return cu.c.levelFromPrefix(i, j)
 }
 
-// SignalAt is Compiled.SignalAt with the cached-index fast path.
+// SignalAt returns the recorded signal strength active at tSec: the
+// last point at or before tSec, or the first point before the trace
+// starts (the zero-order hold netsim.TraceLink applies).
 func (cu *Cursor) SignalAt(tSec float64) float64 {
 	return cu.c.sigDBm[cu.netIdx(tSec)]
 }
 
-// ThroughputMBpsAt is Compiled.ThroughputMBpsAt with the cached-index
-// fast path.
+// ThroughputMBpsAt returns the recorded achievable rate active at
+// tSec, held as SignalAt holds the signal.
 func (cu *Cursor) ThroughputMBpsAt(tSec float64) float64 {
 	return cu.c.thrMBps[cu.netIdx(tSec)]
 }

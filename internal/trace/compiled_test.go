@@ -10,7 +10,7 @@ import (
 )
 
 // vibTolerance is the documented agreement contract between the
-// compiled prefix-sum VibrationAt and the reference two-pass
+// compiled prefix-sum vibration query and the reference two-pass
 // implementation (DESIGN.md §10).
 const vibTolerance = 1e-9
 
@@ -58,7 +58,7 @@ func randomTrace(rng *rand.Rand) *Trace {
 
 // The tentpole property: across randomized traces, windows, and query
 // times — including t beyond the trace end and windows longer than the
-// trace — the compiled O(1) VibrationAt agrees with the reference
+// trace — the compiled prefix-sum query agrees with the reference
 // two-pass implementation within the 1e-9 contract, for both the
 // stateless path and the cursor fast path.
 func TestCompiledVibrationMatchesReference(t *testing.T) {
@@ -83,9 +83,9 @@ func TestCompiledVibrationMatchesReference(t *testing.T) {
 			default:
 				windowSec = 0.05 + rng.Float64()*12
 			}
-			want := tr.VibrationAt(tSec, windowSec)
-			if got := c.VibrationAt(tSec, windowSec); math.Abs(got-want) > vibTolerance {
-				t.Fatalf("trial %d: Compiled.VibrationAt(%v, %v) = %.15g, reference %.15g (Δ=%g)",
+			want := tr.vibrationAt(tSec, windowSec)
+			if got := c.vibrationAt(tSec, windowSec); math.Abs(got-want) > vibTolerance {
+				t.Fatalf("trial %d: stateless vibrationAt(%v, %v) = %.15g, reference %.15g (Δ=%g)",
 					trial, tSec, windowSec, got, want, got-want)
 			}
 			if got := cur.VibrationAt(tSec, windowSec); math.Abs(got-want) > vibTolerance {
@@ -136,13 +136,13 @@ func cursorMatchesStateless(t *testing.T, rng *rand.Rand, tr *Trace) {
 	}
 	check := func(cur *Cursor, tSec float64) {
 		t.Helper()
-		if got, want := cur.VibrationAt(tSec, 6), c.VibrationAt(tSec, 6); got != want {
+		if got, want := cur.VibrationAt(tSec, 6), c.vibrationAt(tSec, 6); got != want {
 			t.Fatalf("cursor diverged at t=%v: %v != %v", tSec, got, want)
 		}
-		if got, want := cur.SignalAt(tSec), c.SignalAt(tSec); got != want {
+		if got, want := cur.SignalAt(tSec), c.signalAt(tSec); got != want {
 			t.Fatalf("cursor signal diverged at t=%v: %v != %v", tSec, got, want)
 		}
-		if got, want := cur.ThroughputMBpsAt(tSec), c.ThroughputMBpsAt(tSec); got != want {
+		if got, want := cur.ThroughputMBpsAt(tSec), c.throughputMBpsAt(tSec); got != want {
 			t.Fatalf("cursor throughput diverged at t=%v: %v != %v", tSec, got, want)
 		}
 	}
@@ -229,16 +229,16 @@ func TestCompiledNetworkMatchesTraceLink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	link, err := tr.Link()
+	link, err := netsim.ReplayTraceLink(tr.Network)
 	if err != nil {
-		t.Fatalf("Link: %v", err)
+		t.Fatalf("ReplayTraceLink: %v", err)
 	}
 	for tSec := 0.0; tSec < tr.LengthSec+5; tSec += 0.51 {
 		link.Advance(tSec - link.Now())
-		if got, want := c.SignalAt(tSec), link.SignalDBm(); got != want {
+		if got, want := c.signalAt(tSec), link.SignalDBm(); got != want {
 			t.Fatalf("SignalAt(%v) = %v, TraceLink says %v", tSec, got, want)
 		}
-		if got, want := c.ThroughputMBpsAt(tSec), link.ThroughputMBps(); got != want {
+		if got, want := c.throughputMBpsAt(tSec), link.ThroughputMBps(); got != want {
 			t.Fatalf("ThroughputMBpsAt(%v) = %v, TraceLink says %v", tSec, got, want)
 		}
 	}
@@ -277,8 +277,8 @@ func TestVibrationAtEdgeCases(t *testing.T) {
 		{"default window fallback", 3, 0, false},
 	}
 	for _, tc := range cases {
-		ref := tr.VibrationAt(tc.tSec, tc.win)
-		got := c.VibrationAt(tc.tSec, tc.win)
+		ref := tr.vibrationAt(tc.tSec, tc.win)
+		got := c.vibrationAt(tc.tSec, tc.win)
 		if (ref == 0) != tc.wantZero {
 			t.Errorf("%s: reference VibrationAt(%v, %v) = %v, wantZero=%v",
 				tc.name, tc.tSec, tc.win, ref, tc.wantZero)
@@ -310,8 +310,8 @@ func TestCompiledVibrationNearConstantStream(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	for _, tSec := range []float64{6, 500, 1800, 3599} {
-		want := tr.VibrationAt(tSec, 6)
-		got := c.VibrationAt(tSec, 6)
+		want := tr.vibrationAt(tSec, 6)
+		got := c.vibrationAt(tSec, 6)
 		if math.Abs(got-want) > vibTolerance {
 			t.Fatalf("near-constant stream at t=%v: compiled %.15g vs reference %.15g (Δ=%g)",
 				tSec, got, want, got-want)
@@ -362,9 +362,9 @@ func TestCompiledLink(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	l := c.Link()
-	ref, err := tr.Link()
+	ref, err := netsim.ReplayTraceLink(tr.Network)
 	if err != nil {
-		t.Fatalf("Link: %v", err)
+		t.Fatalf("ReplayTraceLink: %v", err)
 	}
 	for i := 0; i < 20; i++ {
 		if l.SignalDBm() != ref.SignalDBm() || l.ThroughputMBps() != ref.ThroughputMBps() {
@@ -381,7 +381,7 @@ func BenchmarkVibrationAtReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.VibrationAt(float64(i%int(tr.LengthSec)), 6)
+		tr.vibrationAt(float64(i%int(tr.LengthSec)), 6)
 	}
 }
 
@@ -395,7 +395,7 @@ func BenchmarkVibrationAtCompiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.VibrationAt(float64(i%int(tr.LengthSec)), 6)
+		c.vibrationAt(float64(i%int(tr.LengthSec)), 6)
 	}
 }
 

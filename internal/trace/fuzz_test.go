@@ -49,9 +49,9 @@ func FuzzDecodeAccelCSV(f *testing.F) {
 // FuzzCompiledVibrationAt drives the compiled-vs-reference agreement
 // contract: for any generated trace, query time, and window —
 // including query times beyond the trace end and windows longer than
-// the whole trace — Compiled.VibrationAt must match the reference
-// (*Trace).VibrationAt within 1e-9, and the Cursor fast path must
-// equal Compiled.VibrationAt exactly, cold and after a monotone
+// the whole trace — the stateless compiled query must match the
+// reference two-pass query within 1e-9, and the Cursor fast path must
+// equal the stateless query exactly, cold and after a monotone
 // approach. The fuzzer controls the trace shape (seed, sample count,
 // rate irregularity, vibration amplitude) and the query geometry.
 func FuzzCompiledVibrationAt(f *testing.F) {
@@ -93,17 +93,17 @@ func FuzzCompiledVibrationAt(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Compile rejected a valid trace: %v", err)
 		}
-		ref := tr.VibrationAt(tSec, windowSec)
-		want := c.VibrationAt(tSec, windowSec)
+		ref := tr.vibrationAt(tSec, windowSec)
+		want := c.vibrationAt(tSec, windowSec)
 		if math.Abs(want-ref) > vibTolerance {
-			t.Fatalf("Compiled.VibrationAt(%v, %v) = %.15g, reference %.15g (Δ=%g, n=%d amp=%v)",
+			t.Fatalf("stateless vibrationAt(%v, %v) = %.15g, reference %.15g (Δ=%g, n=%d amp=%v)",
 				tSec, windowSec, want, ref, want-ref, n, amp)
 		}
 		// The cursor must equal the stateless query both on a cold
 		// query and after a monotone approach to the same time.
 		cur := c.Cursor()
 		if got := cur.VibrationAt(tSec, windowSec); got != want {
-			t.Fatalf("cold Cursor.VibrationAt(%v, %v) = %.15g, Compiled %.15g",
+			t.Fatalf("cold Cursor.VibrationAt(%v, %v) = %.15g, stateless %.15g",
 				tSec, windowSec, got, want)
 		}
 		cur = c.Cursor()
@@ -111,7 +111,7 @@ func FuzzCompiledVibrationAt(f *testing.F) {
 			cur.VibrationAt(tSec*frac, windowSec)
 		}
 		if got := cur.VibrationAt(tSec, windowSec); got != want {
-			t.Fatalf("warm Cursor.VibrationAt(%v, %v) = %.15g, Compiled %.15g",
+			t.Fatalf("warm Cursor.VibrationAt(%v, %v) = %.15g, stateless %.15g",
 				tSec, windowSec, got, want)
 		}
 	})

@@ -9,7 +9,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"ecavs/internal/netsim"
@@ -174,44 +173,4 @@ func (t *Trace) AvgThroughputMbps() float64 {
 		sum += p.ThroughputMBps
 	}
 	return sum / float64(len(t.Network)) * 8
-}
-
-// Link returns a replayable netsim.Link over the trace's network
-// points.
-func (t *Trace) Link() (*netsim.TraceLink, error) {
-	return netsim.NewTraceLink(t.Network)
-}
-
-// VibrationAt returns the Eq. 5 vibration level over the window
-// [tSec-windowSec, tSec] of the accelerometer stream — what the online
-// algorithm's estimator would report at time tSec.
-//
-// Edge cases are pinned (and shared with the compiled fast path and
-// vibration.Estimator):
-//   - windowSec <= 0 falls back to vibration.DefaultWindowSec;
-//   - a window covering fewer than two samples reports 0 — in
-//     particular any query more than windowSec past the last sample
-//     (there is no context to estimate from, and 0 keeps the QoE
-//     impairment term inactive rather than extrapolating);
-//   - queries before the first sample likewise see an empty window and
-//     report 0.
-//
-// This is the REFERENCE implementation: the compiled prefix-sum path
-// (Compiled.VibrationAt) must agree with it within 1e-9, enforced by
-// property and fuzz tests.
-//
-// Accel is validated time-ordered, so the window is a contiguous run
-// of samples: its bounds are binary-searched and the sub-slice handed
-// to vibration.Level directly, keeping the per-segment call O(log n +
-// window) and allocation-free (the simulator calls this once per
-// segment, and a linear rescan from the stream start dominated whole
-// session replays).
-func (t *Trace) VibrationAt(tSec, windowSec float64) float64 {
-	if windowSec <= 0 {
-		windowSec = vibration.DefaultWindowSec
-	}
-	lo := tSec - windowSec
-	i := sort.Search(len(t.Accel), func(k int) bool { return t.Accel[k].TimeSec >= lo })
-	j := sort.Search(len(t.Accel), func(k int) bool { return t.Accel[k].TimeSec > tSec })
-	return vibration.Level(t.Accel[i:j])
 }

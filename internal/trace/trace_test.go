@@ -143,29 +143,32 @@ func TestWindowedVibration(t *testing.T) {
 }
 
 func TestVibrationAt(t *testing.T) {
-	tr := tinyTrace(t)
+	c, err := Compile(tinyTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Mid-stream vibration should be near the bus level.
-	v := tr.VibrationAt(8, 6)
+	vib := c.Vibration(6)
+	v := vib(8)
 	if v < 3 || v > 10 {
-		t.Errorf("VibrationAt(8) = %v, want bus-like level", v)
+		t.Errorf("Vibration(6)(8) = %v, want bus-like level", v)
 	}
 	// Before any samples: zero.
-	if got := tr.VibrationAt(-5, 6); got != 0 {
-		t.Errorf("VibrationAt(-5) = %v, want 0", got)
+	if got := vib(-5); got != 0 {
+		t.Errorf("Vibration(6)(-5) = %v, want 0", got)
 	}
 	// Default window kicks in for non-positive windowSec.
-	if got := tr.VibrationAt(8, 0); got <= 0 {
-		t.Errorf("VibrationAt with default window = %v, want > 0", got)
+	if got := c.Vibration(0)(8); got <= 0 {
+		t.Errorf("Vibration(0)(8) = %v, want > 0 (default window)", got)
 	}
 }
 
 func TestLink(t *testing.T) {
-	tr := tinyTrace(t)
-	link, err := tr.Link()
+	c, err := Compile(tinyTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if link.SignalDBm() != -90 {
+	if link := c.Link(); link.SignalDBm() != -90 {
 		t.Errorf("link initial signal = %v, want -90", link.SignalDBm())
 	}
 }
