@@ -148,6 +148,29 @@ func (p *pacer) reserve(r *http.Request, n int, rateMBps float64) bool {
 	}
 }
 
+// reprice scales the time the bucket still owes, booked at oldMBps, by
+// oldMBps/newMBps, so it is what the same bytes cost at newMBps. With
+// oldMBps 0 (shaping was off) the bucket restarts at now. The clock
+// saturates at math.MaxInt64 nanoseconds, as in reserve.
+func (p *pacer) reprice(oldMBps, newMBps float64) {
+	for {
+		now := time.Now().UnixNano()
+		prev := p.next.Load()
+		end := now
+		if oldMBps > 0 && prev > now {
+			end = math.MaxInt64
+			if owed := float64(prev-now) * (oldMBps / newMBps); owed < math.MaxInt64 {
+				if e := now + int64(owed); e >= now {
+					end = e
+				}
+			}
+		}
+		if p.next.CompareAndSwap(prev, end) {
+			return
+		}
+	}
+}
+
 // WithRateLimitMBps shapes segment responses to the given aggregate
 // rate (a token bucket shared by every connection, paced in 64 KiB
 // pieces; unshaped bodies are written in 256 KiB pieces). Zero
@@ -309,12 +332,20 @@ func NewServer(m *dash.Manifest, opts ...ServerOption) (*Server, error) {
 // SetRateLimitMBps changes the shaping rate at runtime (0 disables) —
 // handy for emulating network dips mid-session. The rate is published
 // atomically: segment transfers already in flight pick the new rate up
-// at their next piece.
+// at their next piece. The bucket's unmatured reservations were priced
+// at the old rate and are re-priced at the new one, so the debt a dip
+// left behind shrinks when the rate rises; shaping turned on from off
+// starts the bucket at now. A piece that loaded the old rate just
+// before the swap still books at that rate: at most one piece per
+// transfer.
 func (s *Server) SetRateLimitMBps(mbps float64) {
 	if mbps < 0 {
 		mbps = 0
 	}
-	s.rateBits.Store(math.Float64bits(mbps))
+	old := math.Float64frombits(s.rateBits.Swap(math.Float64bits(mbps)))
+	if mbps > 0 && mbps != old {
+		s.pacer.reprice(old, mbps)
+	}
 }
 
 // rateMBps reads the currently published shaping rate.
@@ -555,7 +586,10 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request) {
 		}
 	case faults.Truncate:
 		// Deliver a prefix while still advertising the full size; the
-		// aborted connection surfaces client-side as a short body.
+		// aborted connection surfaces client-side as a short body. The
+		// prefix is flushed before the abort: its last piece may still
+		// sit in net/http's response buffer, which the abort discards,
+		// and the byte counters already hold it.
 		cut := int(float64(size) * verdict.TruncateFrac)
 		if cut < 1 {
 			cut = 1
@@ -565,6 +599,9 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request) {
 		h.Set("Content-Length", s.segCL[rung][n])
 		span.SetStatus("error", "injected truncation")
 		s.writeBody(w, r, rung, cut, 0, span)
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
 		panic(http.ErrAbortHandler)
 	}
 

@@ -2,6 +2,7 @@ package httpdash
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -144,31 +145,36 @@ func TestServerWritesPerSegment(t *testing.T) {
 
 // TestServerTruncateWritesItsPrefix pins the Truncate fault on the
 // piece loop: the origin writes exactly the prefix the verdict cuts,
-// here two whole 256 KiB pieces and part of a third, counts exactly
-// those bytes, and aborts, so the client reads a truncated body of that
-// length.
+// counts exactly those bytes, and aborts, so the client reads a
+// truncated body of that length. Half the top rung is two whole 256 KiB
+// pieces and part of a third; the short-tail cut (525,288 bytes) ends
+// in a 1,000-byte piece, small enough to sit in net/http's response
+// buffer until the prefix is flushed.
 func TestServerTruncateWritesItsPrefix(t *testing.T) {
-	const frac = 0.5
-	srv := newBenchServer(t, WithFaults(faults.NewScript([]faults.Verdict{{Kind: faults.Truncate, TruncateFrac: frac}})))
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	top := len(srv.repIDs) - 1
-	cut := int64(float64(srv.segBytes[top][0]) * frac)
-	url, err := srv.segmentURL(ts.URL, top, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := GetSegment(context.Background(), ts.Client(), url, "", false)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Truncated || a.Bytes != cut {
-		t.Errorf("client read %d bytes (truncated %v), want a truncated body of %d", a.Bytes, a.Truncated, cut)
-	}
-	if got := srv.Snapshot().Bytes; got != cut {
-		t.Errorf("Snapshot().Bytes = %d, want the %d-byte prefix", got, cut)
+	for _, frac := range []float64{0.5, 0.3622679} {
+		t.Run(fmt.Sprint(frac), func(t *testing.T) {
+			srv := newBenchServer(t, WithFaults(faults.NewScript([]faults.Verdict{{Kind: faults.Truncate, TruncateFrac: frac}})))
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			top := len(srv.repIDs) - 1
+			cut := int64(float64(srv.segBytes[top][0]) * frac)
+			url, err := srv.segmentURL(ts.URL, top, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := GetSegment(context.Background(), ts.Client(), url, "", false)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if !a.Truncated || a.Bytes != cut {
+				t.Errorf("client read %d bytes (truncated %v), want a truncated body of %d", a.Bytes, a.Truncated, cut)
+			}
+			if got := srv.Snapshot().Bytes; got != cut {
+				t.Errorf("Snapshot().Bytes = %d, want the %d-byte prefix", got, cut)
+			}
+		})
 	}
 }
 
@@ -195,5 +201,34 @@ func TestRateLimitTinyRateHoldsUntilDeadline(t *testing.T) {
 	}
 	if !a.Cancelled || elapsed < deadline {
 		t.Errorf("attempt ended after %v, cancelled %v; want it held until its %v deadline", elapsed, a.Cancelled, deadline)
+	}
+}
+
+// TestRateRiseRepricesPacerDebt pins the bucket across a rate rise. A
+// request abandoned during a dip leaves its first piece's reservation
+// behind, priced at the dip's rate: 64 KiB at 0.01 MB/s books 6.55 s.
+// Once the rate rises to 100 MB/s, that debt must shrink with it, so
+// the next request is paced at the new rate (the whole top-rung
+// segment in about 15 ms) instead of waiting out the old booking past
+// its 3 s deadline.
+func TestRateRiseRepricesPacerDebt(t *testing.T) {
+	srv, ts := newTestServer(t, 20, WithRateLimitMBps(0.01))
+	url, err := srv.segmentURL(ts.URL, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(srv.segBytes[5][0])
+	dip, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if a := GetSegment(dip, ts.Client(), url, "", false); a.Err == nil || a.Bytes >= size {
+		t.Fatalf("dip request got %d of %d bytes (err %v); want it cut off at its deadline", a.Bytes, size, a.Err)
+	}
+
+	srv.SetRateLimitMBps(100)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	if a := GetSegment(ctx, ts.Client(), url, "", false); a.Err != nil || a.Bytes != size {
+		t.Fatalf("after the rise: got %d of %d bytes in %v (err %v); want the whole segment", a.Bytes, size, time.Since(start), a.Err)
 	}
 }
