@@ -265,7 +265,7 @@ func TestSessionAllocsTelemetryDisabled(t *testing.T) {
 	if !reflect.DeepEqual(plain, traced) {
 		t.Errorf("decision recorder perturbed metrics:\nplain  = %+v\ntraced = %+v", plain, traced)
 	}
-	if rec.Seen() == 0 {
+	if rec.Len() == 0 {
 		t.Error("recorder saw no decisions — trace path not exercised")
 	}
 }

@@ -1,14 +1,19 @@
 package ecavs_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,6 +30,7 @@ var testOnlyExports = map[string]string{
 	"abr.WithoutGradualSwitching": "option a caller sets: FESTIVE without its one-rung-per-step rule",
 	"abr.WithoutRobustness":       "option a caller sets: MPC without the RobustMPC discount",
 	"faults.NewScript":            "fixture shared by the faults and httpdash tests: a scripted verdict sequence",
+	"faults.Plan.Stats":           "fixture shared by the faults and httpdash chaos tests: a plan's injection counters",
 	"faults.Stats.Injected":       "fixture shared by the faults and httpdash chaos tests: a plan's total verdicts",
 	"httpdash.Breaker.Opens":      "reads a breaker the caller builds and shares through WithSharedBreaker",
 	"httpdash.Breaker.State":      "reads a breaker the caller builds and shares through WithSharedBreaker",
@@ -38,154 +44,141 @@ var testOnlyExports = map[string]string{
 // TestNoTestOnlyExports fails when an exported identifier declared
 // under internal/ is referenced only from _test.go files. Only this
 // module can import internal/, so such a name is either dead code or a
-// test hook in the production API. Every non-test Go file below the
-// repository root counts as a caller: internal/, cmd/, examples/, the
-// root package and perfbench/, which imports internal/ through its
-// replace directive. The scan matches by name, without type checking:
-// a package-level name is used when another package selects it through
-// an import of its package, or its own package names it outside its
-// declaration; a method is used when any production file selects a
-// method or field of that name. A method only the standard library
-// calls, through an interface, needs an allowlist entry. Struct fields
-// and interface methods are not checked.
+// test hook in the production API. Every non-test package of the
+// module counts as a caller, and so does every package of perfbench/,
+// which imports internal/ through its replace directive.
+//
+// The scan type-checks each of those packages from source with
+// go/types, importing their dependencies from the export data that
+// `go list -export -deps` reports, so a use is a resolved object, not
+// a name: a package-level name is used when a non-test identifier
+// resolves to it, and a method when a non-test selection resolves to
+// it. A method whose name is a method of an interface the scanned
+// packages can see (ChooseRung, ServeHTTP, String, ...) counts as used
+// too, since a caller may reach it through that interface. A receiver
+// naming its own type is not a use. Struct fields and interface methods
+// are not checked.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
-	type prodFile struct {
-		dir string // slash-separated, relative to the repository root
-		f   *ast.File
-	}
-	var files []prodFile
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
+	declared := map[string]bool{}
+	used := map[string]bool{}
+	ifaceMethods := map[string]bool{"Error": true} // the predeclared error
+	addIfaces := func(pkg *types.Package) {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			if iface, ok := scope.Lookup(name).Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < iface.NumMethods(); i++ {
+					ifaceMethods[iface.Method(i).Name()] = true
+				}
 			}
-			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, prodFile{filepath.ToSlash(filepath.Dir(p)), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-
-	// Declarations: every exported name declared in a non-test file
-	// under internal/, with the identifiers that declare them.
-	declared := map[string]string{} // key -> declaring dir
-	declSites := map[*ast.Ident]bool{}
-	for _, pf := range files {
-		if !strings.HasPrefix(pf.dir, "internal/") {
-			continue
+	for _, dir := range []string{".", "perfbench"} {
+		pkgs := goListExports(t, dir)
+		exports := map[string]string{}
+		for _, p := range pkgs {
+			exports[p.ImportPath] = p.Export
 		}
-		pkg := pf.f.Name.Name
-		for _, decl := range pf.f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
+		imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			if f := exports[path]; f != "" {
+				return os.Open(f)
+			}
+			return nil, fmt.Errorf("no export data for %s", path)
+		})
+		for _, p := range pkgs {
+			if p.DepOnly {
+				dep, err := imp.Import(p.ImportPath)
+				if err != nil {
+					t.Fatal(err)
 				}
-				declSites[d.Name] = true
-				if d.Recv == nil {
-					declared[pkg+"."+d.Name.Name] = pf.dir
-				} else if recv := receiverType(d.Recv.List[0].Type); ast.IsExported(recv) {
-					declared[pkg+"."+recv+"."+d.Name.Name] = pf.dir
+				addIfaces(dep)
+				continue
+			}
+			files := make([]*ast.File, 0, len(p.GoFiles))
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
 				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							declSites[s.Name] = true
-							declared[pkg+"."+s.Name.Name] = pf.dir
+				files = append(files, f)
+			}
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
+			if err != nil {
+				t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			}
+			addIfaces(pkg)
+
+			// A receiver names its type without using it; an anonymous
+			// interface's methods are callable like a named one's.
+			receivers := map[*ast.Ident]bool{}
+			for _, f := range files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.FuncDecl:
+						if x.Recv != nil {
+							ast.Inspect(x.Recv, func(n ast.Node) bool {
+								if id, ok := n.(*ast.Ident); ok {
+									receivers[id] = true
+								}
+								return true
+							})
 						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							if n.IsExported() {
-								declSites[n] = true
-								declared[pkg+"."+n.Name] = pf.dir
+					case *ast.InterfaceType:
+						for _, m := range x.Methods.List {
+							for _, name := range m.Names {
+								ifaceMethods[name.Name] = true
 							}
 						}
 					}
+					return true
+				})
+			}
+			for id, obj := range info.Uses {
+				if key, ok := exportKey(obj); ok && !receivers[id] {
+					used[key] = true
 				}
 			}
-		}
-	}
 
-	// References from production files: qualified names selected
-	// through an import, bare names inside their own package, and
-	// selected method or field names anywhere.
-	used := map[string]bool{}     // "pkg.Name", from another package
-	ownUse := map[string]bool{}   // "dir:Name", bare inside dir
-	selected := map[string]bool{} // method or field name
-	for _, pf := range files {
-		imports := map[string]string{} // local name -> package name
-		for _, imp := range pf.f.Imports {
-			ip, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || !strings.HasPrefix(ip, "ecavs/internal/") {
+			if !strings.HasPrefix(p.ImportPath, "ecavs/internal/") {
 				continue
 			}
-			name := path.Base(ip)
-			local := name
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = name
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				// A receiver names its type without using it.
-				if x.Type != nil {
-					ast.Inspect(x.Type, visit)
+			scope := pkg.Scope()
+			for _, name := range scope.Names() {
+				obj := scope.Lookup(name)
+				if !obj.Exported() {
+					continue
 				}
-				if x.Body != nil {
-					ast.Inspect(x.Body, visit)
+				key, _ := exportKey(obj)
+				declared[key] = true
+				tn, isType := obj.(*types.TypeName)
+				if !isType || tn.IsAlias() {
+					continue
 				}
-				return false
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok {
-					if pkg, ok := imports[id.Name]; ok {
-						used[pkg+"."+x.Sel.Name] = true
-						return false
+				named, ok := tn.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						if key, ok := exportKey(m); ok {
+							declared[key] = true
+						}
 					}
 				}
-				selected[x.Sel.Name] = true
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.Ident:
-				if !declSites[x] {
-					ownUse[pf.dir+":"+x.Name] = true
-				}
 			}
-			return true
 		}
-		ast.Inspect(pf.f, visit)
 	}
 
 	var testOnly []string
-	for key, dir := range declared {
-		parts := strings.Split(key, ".")
-		name := parts[len(parts)-1]
-		var ok bool
-		if len(parts) == 3 {
-			ok = selected[name]
-		} else {
-			ok = used[key] || ownUse[dir+":"+name]
+	for key := range declared {
+		if used[key] {
+			continue
 		}
-		if !ok {
-			testOnly = append(testOnly, key)
+		if parts := strings.Split(key, "."); len(parts) == 3 && ifaceMethods[parts[2]] {
+			continue
 		}
+		testOnly = append(testOnly, key)
 	}
 	sort.Strings(testOnly)
 	for _, key := range testOnly {
@@ -205,21 +198,66 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// receiverType is the name of a method receiver's type: T for T, *T,
-// T[P] and *T[P].
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// listedPackage is the part of a `go list -json` record the scan reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string // the compiler's export data file
+	DepOnly    bool   // a dependency, not matched by ./...
+}
+
+// goListExports lists the packages matching ./... in the module at dir,
+// and every package they depend on, each with its export data.
+func goListExports(t *testing.T, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,DepOnly", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// exportKey names an object declared at package level under internal/
+// as testOnlyExports does: "pkg.Name", or "pkg.Type.Method" for a
+// method of a named non-interface type, where pkg is the import path
+// below internal/. ok is false for any other object: struct fields,
+// interface methods, local names, and names outside internal/.
+func exportKey(obj types.Object) (key string, ok bool) {
+	pkg := obj.Pkg()
+	if pkg == nil || !strings.HasPrefix(pkg.Path(), "ecavs/internal/") {
+		return "", false
+	}
+	prefix := strings.TrimPrefix(pkg.Path(), "ecavs/internal/")
+	if fn, isFunc := obj.(*types.Func); isFunc {
+		fn = fn.Origin()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			rt := recv.Type()
+			if p, isPtr := rt.(*types.Pointer); isPtr {
+				rt = p.Elem()
+			}
+			named, isNamed := rt.(*types.Named)
+			if !isNamed || types.IsInterface(named) {
+				return "", false
+			}
+			return prefix + "." + named.Origin().Obj().Name() + "." + fn.Name(), true
 		}
 	}
+	if obj.Parent() != pkg.Scope() {
+		return "", false
+	}
+	return prefix + "." + obj.Name(), true
 }

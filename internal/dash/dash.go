@@ -5,10 +5,7 @@
 // and per-segment manifests with variable-bitrate size jitter.
 package dash
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Representation is one rung of a bitrate ladder.
 type Representation struct {
@@ -95,14 +92,6 @@ func (l Ladder) Lowest() Representation { return l[0] }
 
 // Highest returns the ladder's top rung.
 func (l Ladder) Highest() Representation { return l[len(l)-1] }
-
-// Rung returns the representation at the given index.
-func (l Ladder) Rung(index int) (Representation, error) {
-	if index < 0 || index >= len(l) {
-		return Representation{}, fmt.Errorf("%w: index %d of %d", ErrNoSuchRung, index, len(l))
-	}
-	return l[index], nil
-}
 
 // HighestBelow returns the highest rung whose bitrate does not exceed
 // mbps, falling back to the bottom rung when every rung exceeds it.

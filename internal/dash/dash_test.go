@@ -63,15 +63,8 @@ func TestLowestHighestRung(t *testing.T) {
 	if l.Highest().BitrateMbps != 5.8 {
 		t.Errorf("Highest = %v, want 5.8", l.Highest().BitrateMbps)
 	}
-	r, err := l.Rung(3)
-	if err != nil || r.BitrateMbps != 1.5 {
-		t.Errorf("Rung(3) = %v, %v; want 1.5", r.BitrateMbps, err)
-	}
-	if _, err := l.Rung(-1); !errors.Is(err, ErrNoSuchRung) {
-		t.Errorf("Rung(-1) err = %v, want ErrNoSuchRung", err)
-	}
-	if _, err := l.Rung(6); !errors.Is(err, ErrNoSuchRung) {
-		t.Errorf("Rung(6) err = %v, want ErrNoSuchRung", err)
+	if l[3].BitrateMbps != 1.5 {
+		t.Errorf("rung 3 = %v, want 1.5", l[3].BitrateMbps)
 	}
 }
 

@@ -113,9 +113,6 @@ func NewQTable(space StateSpace) (*QTable, error) {
 	return &QTable{space: space, q: q, seen: make([]int, space.Size())}, nil
 }
 
-// Space returns the table's state space.
-func (t *QTable) Space() StateSpace { return t.space }
-
 // Best returns the greedy action and its value for a state.
 func (t *QTable) Best(state int) (action int, value float64) {
 	row := t.q[state]

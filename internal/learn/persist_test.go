@@ -31,8 +31,8 @@ func TestTableSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Space() != space {
-		t.Errorf("space mismatch: %+v", got.Space())
+	if got.space != space {
+		t.Errorf("space mismatch: %+v", got.space)
 	}
 	a1, v1 := table.Best(5)
 	a2, v2 := got.Best(5)

@@ -104,9 +104,6 @@ func (p *Player) CompareBuffer(levelSec float64) int {
 	return 0
 }
 
-// ThresholdSec returns the download-pacing threshold.
-func (p *Player) ThresholdSec() float64 { return p.thresholdSec }
-
 // ShouldDownload reports whether the next segment download should
 // start now (buffer below the threshold).
 func (p *Player) ShouldDownload() bool { return p.CompareBuffer(p.thresholdSec) < 0 }

@@ -28,8 +28,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ThresholdSec() != 30 {
-		t.Errorf("ThresholdSec = %v, want 30", p.ThresholdSec())
+	if p.thresholdSec != 30 {
+		t.Errorf("thresholdSec = %v, want 30", p.thresholdSec)
 	}
 }
 
@@ -380,7 +380,7 @@ func TestDrainIntoMatchesLoopOracle(t *testing.T) {
 				t.Fatalf("trial %d op %d %s: tailSec %v, recomputed %v", trial, op, desc, a.tailSec, tail)
 			}
 			buf := a.BufferSec()
-			levels := []float64{buf, math.Nextafter(buf, 0), math.Nextafter(buf, math.Inf(1)), a.ThresholdSec()}
+			levels := []float64{buf, math.Nextafter(buf, 0), math.Nextafter(buf, math.Inf(1)), a.thresholdSec}
 			if a.head < len(a.queue) {
 				est := a.queue[a.head].DurationSec + a.tailSec
 				levels = append(levels, est, math.Nextafter(est, 0), math.Nextafter(est, math.Inf(1)))
@@ -391,7 +391,7 @@ func TestDrainIntoMatchesLoopOracle(t *testing.T) {
 						trial, op, desc, x, got, want, buf)
 				}
 			}
-			if got, want := a.ShouldDownload(), buf < a.ThresholdSec(); got != want {
+			if got, want := a.ShouldDownload(), buf < a.thresholdSec; got != want {
 				t.Fatalf("trial %d op %d %s: ShouldDownload = %v with BufferSec %v", trial, op, desc, got, buf)
 			}
 		}

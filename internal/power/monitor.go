@@ -238,9 +238,6 @@ func (mo *Monitor) Observe(powerW, durationSec float64) error {
 	return nil
 }
 
-// EnergyJ returns the integrated ("measured") energy so far.
-func (mo *Monitor) EnergyJ() float64 { return mo.energyJ }
-
 // Reset clears the accumulated energy and time, rewinding the drift to
 // its initial phase (the noise stream continues).
 func (mo *Monitor) Reset() {

@@ -14,8 +14,8 @@ func TestMonitorIntegratesConstantPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 W * 10 s = 20 J, within noise+drift (a few percent).
-	if relErr(mo.EnergyJ(), 20) > 0.05 {
-		t.Errorf("EnergyJ = %v, want ≈ 20", mo.EnergyJ())
+	if relErr(mo.energyJ, 20) > 0.05 {
+		t.Errorf("energyJ = %v, want ≈ 20", mo.energyJ)
 	}
 	if !almostEqual(mo.elapsed, 10, 1e-9) {
 		t.Errorf("elapsed = %v, want 10", mo.elapsed)
@@ -27,8 +27,8 @@ func TestMonitorZeroAndNegative(t *testing.T) {
 	if err := mo.Observe(2.0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if mo.EnergyJ() != 0 {
-		t.Errorf("zero-duration energy = %v, want 0", mo.EnergyJ())
+	if mo.energyJ != 0 {
+		t.Errorf("zero-duration energy = %v, want 0", mo.energyJ)
 	}
 	if err := mo.Observe(2.0, -1); !errors.Is(err, ErrNegativeInterval) {
 		t.Errorf("err = %v, want ErrNegativeInterval", err)
@@ -37,8 +37,8 @@ func TestMonitorZeroAndNegative(t *testing.T) {
 	if err := mo.Observe(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if mo.EnergyJ() != 0 || mo.elapsed != 5 {
-		t.Errorf("after zero-power observe: E=%v t=%v, want 0, 5", mo.EnergyJ(), mo.elapsed)
+	if mo.energyJ != 0 || mo.elapsed != 5 {
+		t.Errorf("after zero-power observe: E=%v t=%v, want 0, 5", mo.energyJ, mo.elapsed)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestMonitorReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	mo.Reset()
-	if mo.EnergyJ() != 0 || mo.elapsed != 0 {
+	if mo.energyJ != 0 || mo.elapsed != 0 {
 		t.Error("Reset did not clear accumulators")
 	}
 }
@@ -62,8 +62,8 @@ func TestMonitorDeterministicBySeed(t *testing.T) {
 	if err := b.Observe(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if a.EnergyJ() != b.EnergyJ() {
-		t.Errorf("monitors with equal seeds diverged: %v vs %v", a.EnergyJ(), b.EnergyJ())
+	if a.energyJ != b.energyJ {
+		t.Errorf("monitors with equal seeds diverged: %v vs %v", a.energyJ, b.energyJ)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestMonitorNoiseGolden(t *testing.T) {
 		if err := mo.Observe(2, 0.5); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, mo.EnergyJ())
+		got = append(got, mo.energyJ)
 	}
 	want := []float64{0.013097026850400954, 1.0047466309895796, 1.024719127718519, 2.0526323806918003, 3.0814642346382266}
 	if len(got) != len(want) {

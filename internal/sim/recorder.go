@@ -85,16 +85,6 @@ func (r *DecisionRecorder) Record(ev DecisionEvent) {
 	r.mu.Unlock()
 }
 
-// Seen reports how many decisions were offered (kept or not).
-func (r *DecisionRecorder) Seen() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seen
-}
-
 // Len reports how many events are currently held.
 func (r *DecisionRecorder) Len() int {
 	if r == nil {

@@ -20,8 +20,8 @@ func TestRecorderRingAndSampling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(DecisionEvent{Segment: i})
 	}
-	if r.Seen() != 10 || r.Len() != 4 {
-		t.Errorf("seen %d len %d, want 10 and 4", r.Seen(), r.Len())
+	if r.seen != 10 || r.Len() != 4 {
+		t.Errorf("seen %d len %d, want 10 and 4", r.seen, r.Len())
 	}
 	evs := r.Events()
 	for i, ev := range evs {
@@ -61,7 +61,7 @@ func TestRecorderValidation(t *testing.T) {
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *DecisionRecorder
 	r.Record(DecisionEvent{})
-	if r.Seen() != 0 || r.Len() != 0 || r.Events() != nil {
+	if r.Len() != 0 || r.Events() != nil {
 		t.Error("nil recorder reported state")
 	}
 	if err := r.WriteNDJSON(&strings.Builder{}); err != nil {

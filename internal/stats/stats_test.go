@@ -26,7 +26,7 @@ func TestMean(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := windowOf(tt.in).Mean(); !almostEqual(got, tt.want, 1e-12) {
+			if got := windowOf(tt.in).mean(); !almostEqual(got, tt.want, 1e-12) {
 				t.Errorf("Mean(%v) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
@@ -83,7 +83,7 @@ func TestHarmonicMeanProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if hm > windowOf(xs).Mean()+1e-9 {
+		if hm > windowOf(xs).mean()+1e-9 {
 			return false
 		}
 		// Permutation invariance: reverse order.
@@ -131,7 +131,7 @@ func TestRMS(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := windowOf(tt.in).RMS(); !almostEqual(got, tt.want, 1e-12) {
+			if got := windowOf(tt.in).rms(); !almostEqual(got, tt.want, 1e-12) {
 				t.Errorf("RMS(%v) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
@@ -147,7 +147,7 @@ func TestRMSDominatesMean(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 10
 		}
-		return windowOf(xs).RMS() >= math.Abs(windowOf(xs).Mean())-1e-9
+		return windowOf(xs).rms() >= math.Abs(windowOf(xs).mean())-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // SlidingWindow is a fixed-capacity FIFO of float64 samples with O(1)
 // append and O(n) aggregate queries. It backs the bandwidth and
 // vibration estimators, which repeatedly compute statistics over the
@@ -46,22 +44,10 @@ func (w *SlidingWindow) Reset() {
 	w.count = 0
 }
 
-// The aggregate queries walk the ring in insertion order directly
-// instead of copying the samples out: the bandwidth estimators call
-// them once per simulated segment, and the per-call copy was one of
-// the session hot path's few remaining allocations.
-
-// Mean returns the arithmetic mean of the held samples (0 if empty).
-func (w *SlidingWindow) Mean() float64 {
-	if w.count == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < w.count; i++ {
-		sum += w.buf[(w.head+i)%len(w.buf)]
-	}
-	return sum / float64(w.count)
-}
+// HarmonicMean walks the ring in insertion order directly instead of
+// copying the samples out: the bandwidth estimators call it once per
+// simulated segment, and the per-call copy was one of the session hot
+// path's few remaining allocations.
 
 // HarmonicMean returns the harmonic mean of the held samples: ErrEmpty
 // for an empty window, ErrNonPositive if any sample is <= 0. It is
@@ -81,19 +67,6 @@ func (w *SlidingWindow) HarmonicMean() (float64, error) {
 		sumInv += 1 / x
 	}
 	return float64(w.count) / sumInv, nil
-}
-
-// RMS returns the root mean square of the held samples (0 if empty).
-func (w *SlidingWindow) RMS() float64 {
-	if w.count == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < w.count; i++ {
-		x := w.buf[(w.head+i)%len(w.buf)]
-		sum += x * x
-	}
-	return math.Sqrt(sum / float64(w.count))
 }
 
 // EWMA is an exponentially weighted moving average with smoothing

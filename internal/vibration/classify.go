@@ -168,9 +168,6 @@ func NewClassifier(windowSec float64) (*Classifier, error) {
 // Push adds a sample.
 func (c *Classifier) Push(s Sample) { c.est.Push(s) }
 
-// PushAll adds a batch of time-ordered samples.
-func (c *Classifier) PushAll(samples []Sample) { c.est.PushAll(samples) }
-
 // Features extracts features over the current window.
 func (c *Classifier) Features() (Features, error) {
 	return ExtractFeatures(c.est.samples)

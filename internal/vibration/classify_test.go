@@ -121,7 +121,7 @@ func TestClassifierOnProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.PushAll(gen.Generate(tt.profile, 0, 10))
+			c.pushAll(gen.Generate(tt.profile, 0, 10))
 			if got := c.class(); got != tt.want {
 				f, _ := c.Features()
 				t.Errorf("Class(%s) = %v, want %v (features %+v)", tt.profile.Name, got, tt.want, f)
@@ -152,12 +152,12 @@ func TestClassifierTracksTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PushAll(gen.Generate(Bus, 0, 10))
+	c.pushAll(gen.Generate(Bus, 0, 10))
 	if got := c.class(); got != ClassRoughVehicle {
 		t.Fatalf("bus phase = %v, want rough-vehicle", got)
 	}
 	// The bus stops: the class should settle back within the window.
-	c.PushAll(gen.Generate(QuietRoom, 10, 10))
+	c.pushAll(gen.Generate(QuietRoom, 10, 10))
 	if got := c.class(); got != ClassStill {
 		t.Errorf("stop phase = %v, want still", got)
 	}
@@ -176,6 +176,16 @@ func TestGoertzelDegenerate(t *testing.T) {
 	}
 	if p := goertzelPower(xs, 50, 30); p != 0 {
 		t.Errorf("above-Nyquist power = %v, want 0", p)
+	}
+}
+
+// pushAll adds a batch of time-ordered samples.
+func (c *Classifier) pushAll(samples []Sample) { c.est.pushAll(samples) }
+
+// pushAll adds a batch of time-ordered samples.
+func (e *Estimator) pushAll(samples []Sample) {
+	for _, s := range samples {
+		e.Push(s)
 	}
 }
 

@@ -100,19 +100,12 @@ func (e *Estimator) Push(s Sample) {
 	}
 }
 
-// PushAll adds a batch of time-ordered samples.
-func (e *Estimator) PushAll(samples []Sample) {
-	for _, s := range samples {
-		e.Push(s)
-	}
-}
-
 // Level returns Eq. 5 over the current window. With fewer than two
 // samples in the window — an empty estimator, or a stream whose last
 // sample is more than windowSec older than everything before it —
 // there is no deviation to measure and Level reports 0, the same
-// pinned edge behavior as trace.VibrationAt for queries past the
-// trace end.
+// pinned edge behavior as trace.Cursor.VibrationAt for queries past
+// the trace end.
 func (e *Estimator) Level() float64 { return Level(e.samples) }
 
 // Len reports the number of samples currently in the window.

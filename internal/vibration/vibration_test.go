@@ -151,7 +151,7 @@ func TestEstimatorPushAllAndReset(t *testing.T) {
 		{TimeSec: 0.5, Z: Gravity - 1},
 		{TimeSec: 1.0, Z: Gravity + 1},
 	}
-	e.PushAll(batch)
+	e.pushAll(batch)
 	if e.Len() != 3 {
 		t.Errorf("Len = %d, want 3", e.Len())
 	}
@@ -353,7 +353,7 @@ func TestEstimatorEdgeCasesTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewEstimator: %v", tc.name, err)
 		}
-		e.PushAll(tc.pushes)
+		e.pushAll(tc.pushes)
 		if e.Len() != tc.wantLen {
 			t.Errorf("%s: Len = %d, want %d", tc.name, e.Len(), tc.wantLen)
 		}
