@@ -1,22 +1,29 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test test-short race chaos fuzz obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check goldens vuln bench bench-diff benchsmoke experiments examples cover
+.PHONY: all check build vet fmt test test-short race chaos fuzz obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check goldens vuln bench bench-diff benchsmoke experiments examples cover
 
 all: build vet test
 
-# check is the CI gate for local use: build, vet, tests, the race
-# detector, the observability suite, a load-generator smoke run, the
-# overload shed-path smoke, the request-tracing smoke, the edge-cache
-# smoke, the benchmark module's own vet and tests, the committed
-# evaluation output, and the campaign goldens at every seed. CI runs the
-# same targets as one named step each.
-check: build vet test race obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check goldens
+# check is the CI gate for local use: build, vet, formatting, tests,
+# the race detector, the observability suite, a load-generator smoke
+# run, the overload shed-path smoke, the request-tracing smoke, the
+# edge-cache smoke, the benchmark module's own vet and tests, the
+# committed evaluation output, and the campaign goldens at every seed.
+# CI runs the same targets as one named step each.
+check: build vet fmt test race obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check goldens
 
 build:
 	go build ./...
 
 vet:
 	go vet ./...
+
+# fmt fails when gofmt would reformat a tracked Go file (or cannot
+# parse one). It checks git's file list, not the working tree, so a
+# local .bench_build/ tree is not scanned.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) || exit 1; \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	go test ./...
