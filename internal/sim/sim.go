@@ -79,7 +79,7 @@ type Config struct {
 	// trace's accelerometer stream (trace.Compiled.Vibration).
 	VibrationAt func(tSec float64) float64
 	// Algorithm selects the bitrate per segment. NewSession resets it,
-	// so every session starts from a clean estimator.
+	// so every session starts from a clean per-session state.
 	Algorithm abr.Algorithm
 	// Power is the energy model.
 	Power power.Model

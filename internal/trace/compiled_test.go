@@ -354,7 +354,8 @@ func TestTraceCompiledMemoizes(t *testing.T) {
 	}
 }
 
-// Link must replay the shared network points with TraceLink semantics.
+// Link must replay the trace's network points with the zero-order
+// hold of the compiled step queries.
 func TestCompiledLink(t *testing.T) {
 	tr := tinyTrace(t)
 	c, err := Compile(tr)
@@ -362,16 +363,12 @@ func TestCompiledLink(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	l := c.Link()
-	ref, err := netsim.ReplayTraceLink(tr.Network)
-	if err != nil {
-		t.Fatalf("ReplayTraceLink: %v", err)
-	}
 	for i := 0; i < 20; i++ {
-		if l.SignalDBm() != ref.SignalDBm() || l.ThroughputMBps() != ref.ThroughputMBps() {
-			t.Fatalf("replay diverged at step %d", i)
+		tSec := l.Now()
+		if l.SignalDBm() != c.signalAt(tSec) || l.ThroughputMBps() != c.throughputMBpsAt(tSec) {
+			t.Fatalf("replay diverged at step %d (t = %v s)", i, tSec)
 		}
 		l.Advance(0.7)
-		ref.Advance(0.7)
 	}
 }
 
