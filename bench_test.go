@@ -219,7 +219,7 @@ func BenchmarkSessionAllocs(b *testing.B) {
 // metrics-only session (see BenchmarkSessionAllocs). The telemetry
 // layer must not move it: with no recorder attached, the hot path pays
 // exactly one nil comparison per segment.
-const sessionAllocBudget = 18
+const sessionAllocBudget = 15
 
 // TestSessionAllocsTelemetryDisabled pins the zero-overhead contract
 // from the observability layer: a metrics-only session with a nil

@@ -13,15 +13,17 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // testOnlyExports lists the exported identifiers under internal/ that
-// no production file references, each with the reason it stays
-// exported. Keys are "pkg.Name" for package-level names and
-// "pkg.Type.Method" for methods.
+// no production file references, and the exported struct fields that
+// none reads, each with the reason it stays exported. Keys are
+// "pkg.Name" for package-level names and "pkg.Type.Method" or
+// "pkg.Type.Field" for methods and fields.
 var testOnlyExports = map[string]string{
 	"abr.WithBBARegion":           "option a caller sets: BBA's reservoir and cushion fractions",
 	"abr.WithBOLAGP":              "option a caller sets: BOLA's gamma*p",
@@ -29,11 +31,19 @@ var testOnlyExports = map[string]string{
 	"abr.WithMPCHorizon":          "option a caller sets: MPC's planning horizon",
 	"abr.WithoutGradualSwitching": "option a caller sets: FESTIVE without its one-rung-per-step rule",
 	"abr.WithoutRobustness":       "option a caller sets: MPC without the RobustMPC discount",
+	"core.Plan.TotalCost":         "objective of the plan ecavs.PlanOptimalForTrace returns; the planner's oracle tests compare it",
 	"faults.NewScript":            "fixture shared by the faults and httpdash tests: a scripted verdict sequence",
 	"faults.Plan.Stats":           "fixture shared by the faults and httpdash chaos tests: a plan's injection counters",
 	"faults.Stats.Injected":       "fixture shared by the faults and httpdash chaos tests: a plan's total verdicts",
+	"faults.Stats.Requests":       "fixture shared by the faults and httpdash chaos tests: the verdicts a plan handed out",
 	"httpdash.Breaker.Opens":      "reads a breaker the caller builds and shares through WithSharedBreaker",
 	"httpdash.Breaker.State":      "reads a breaker the caller builds and shares through WithSharedBreaker",
+	"httpdash.Fetch.Attempts":     "per-segment retry outcome in the Stats a caller of Client.Stream gets: how many attempts the segment took",
+	"httpdash.Fetch.ChosenRung":   "per-segment retry outcome in the Stats a caller of Client.Stream gets: the rung asked for before any downgrade",
+	"httpdash.Stats.Downgrades":   "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
+	"httpdash.Stats.FastFails":    "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
+	"httpdash.Stats.Timeouts":     "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
+	"httpdash.Stats.Truncations":  "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
 	"httpdash.WithCircuitBreaker": "option a caller sets: a circuit breaker per client",
 	"httpdash.WithEdgeRetryAfter": "option a caller sets: the Retry-After of the edge's own 503s",
 	"httpdash.WithFetchAhead":     "option a caller sets: the client's prefetch depth",
@@ -42,9 +52,11 @@ var testOnlyExports = map[string]string{
 }
 
 // TestNoTestOnlyExports fails when an exported identifier declared
-// under internal/ is referenced only from _test.go files. Only this
-// module can import internal/, so such a name is either dead code or a
-// test hook in the production API. Every non-test package of the
+// under internal/ is referenced only from _test.go files, or when an
+// exported struct field declared there is read only from them. Only
+// this module can import internal/, so such a name is either dead code
+// or a test hook in the production API, and such a field is a result
+// the program computes but never reads. Every non-test package of the
 // module counts as a caller, and so does every package of perfbench/,
 // which imports internal/ through its replace directive.
 //
@@ -56,12 +68,28 @@ var testOnlyExports = map[string]string{
 // it. A method whose name is a method of an interface the scanned
 // packages can see (ChooseRung, ServeHTTP, String, ...) counts as used
 // too, since a caller may reach it through that interface. A receiver
-// naming its own type is not a use. Struct fields and interface methods
-// are not checked.
+// naming its own type is not a use. Interface methods are not checked.
+//
+// A field of an exported struct type is read when a non-test selection
+// of it is not the target of an assignment (=, := or op=) or of an
+// increment or decrement; a composite-literal key only writes it. A
+// selection through promotion reads every embedded field on its path.
+// A field that json or xml encodes counts as read when an encoder call
+// (Marshal, MarshalIndent, Encode, EncodeElement) receives a value
+// whose static type reaches it, and a json or xml tag on a type that
+// no encoder receives fails the check, since it documents a wire
+// format that nothing writes.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	declared := map[string]bool{}
 	used := map[string]bool{}
+	// Field keys are "pkg.Type.Field"; encoded also holds the "pkg.Type"
+	// of every struct an encoder reaches, and tagged of every struct
+	// declared under internal/ with a json or xml tag.
+	fields := map[string]bool{}
+	read := map[string]bool{}
+	encoded := map[string]bool{}
+	tagged := map[string]bool{}
 	ifaceMethods := map[string]bool{"Error": true} // the predeclared error
 	addIfaces := func(pkg *types.Package) {
 		scope := pkg.Scope()
@@ -102,7 +130,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 				files = append(files, f)
 			}
-			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			info := &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
 			pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
 			if err != nil {
 				t.Fatalf("type-checking %s: %v", p.ImportPath, err)
@@ -110,8 +142,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 			addIfaces(pkg)
 
 			// A receiver names its type without using it; an anonymous
-			// interface's methods are callable like a named one's.
+			// interface's methods are callable like a named one's. A
+			// selection that is assigned or stepped is written, not read.
 			receivers := map[*ast.Ident]bool{}
+			written := map[*ast.SelectorExpr]bool{}
 			for _, f := range files {
 				ast.Inspect(f, func(n ast.Node) bool {
 					switch x := n.(type) {
@@ -130,6 +164,20 @@ func TestNoTestOnlyExports(t *testing.T) {
 								ifaceMethods[name.Name] = true
 							}
 						}
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								written[sel] = true
+							}
+						}
+					case *ast.IncDecStmt:
+						if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok {
+							written[sel] = true
+						}
+					case *ast.CallExpr:
+						if tag := encoderTag(info, x); tag != "" {
+							markEncoded(info.TypeOf(x.Args[0]), tag, encoded, map[types.Type]bool{})
+						}
 					}
 					return true
 				})
@@ -139,6 +187,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 					used[key] = true
 				}
 			}
+			for sel, s := range info.Selections {
+				markRead(s, written[sel], read)
+			}
 
 			if !strings.HasPrefix(p.ImportPath, "ecavs/internal/") {
 				continue
@@ -146,12 +197,26 @@ func TestNoTestOnlyExports(t *testing.T) {
 			scope := pkg.Scope()
 			for _, name := range scope.Names() {
 				obj := scope.Lookup(name)
+				tn, isType := obj.(*types.TypeName)
+				if isType && !tn.IsAlias() {
+					if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+						key, _ := typeKey(tn.Type())
+						for i := 0; i < st.NumFields(); i++ {
+							tag := reflect.StructTag(st.Tag(i))
+							if tag.Get("json") != "" || tag.Get("xml") != "" {
+								tagged[key] = true
+							}
+							if f := st.Field(i); obj.Exported() && f.Exported() {
+								fields[key+"."+f.Name()] = true
+							}
+						}
+					}
+				}
 				if !obj.Exported() {
 					continue
 				}
 				key, _ := exportKey(obj)
 				declared[key] = true
-				tn, isType := obj.(*types.TypeName)
 				if !isType || tn.IsAlias() {
 					continue
 				}
@@ -180,10 +245,25 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		testOnly = append(testOnly, key)
 	}
+	for key := range fields {
+		if !read[key] && !encoded[key] {
+			testOnly = append(testOnly, key)
+		}
+	}
 	sort.Strings(testOnly)
 	for _, key := range testOnly {
-		if _, ok := testOnlyExports[key]; !ok {
+		if _, ok := testOnlyExports[key]; ok {
+			continue
+		}
+		if fields[key] {
+			t.Errorf("field %s is read only from tests: delete it with the code that computes it, or list it in testOnlyExports with the reason it stays", key)
+		} else {
 			t.Errorf("%s is exported but referenced only from tests: unexport or delete it, or list it in testOnlyExports with the reason it stays", key)
+		}
+	}
+	for key := range tagged {
+		if !encoded[key] {
+			t.Errorf("%s has json or xml tags, but no encoder receives it: drop the tags", key)
 		}
 	}
 	listed := make([]string, 0, len(testOnlyExports))
@@ -229,6 +309,107 @@ func goListExports(t *testing.T, dir string) []listedPackage {
 		}
 		pkgs = append(pkgs, p)
 	}
+}
+
+// encoderTag returns "json" or "xml" when call passes a value to an
+// encoder of that package (Marshal, MarshalIndent, Encoder.Encode or
+// Encoder.EncodeElement), and "" otherwise.
+func encoderTag(info *types.Info, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return ""
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return ""
+	}
+	switch fn.Name() {
+	case "Marshal", "MarshalIndent", "Encode", "EncodeElement":
+	default:
+		return ""
+	}
+	switch fn.Pkg().Path() {
+	case "encoding/json":
+		return "json"
+	case "encoding/xml":
+		return "xml"
+	}
+	return ""
+}
+
+// markEncoded records in encoded what an encoder writes from a value of
+// type typ: the key of every struct under internal/ it reaches and of
+// each exported field whose tag is not "-", through pointers, slices,
+// arrays, map values and nested structs.
+func markEncoded(typ types.Type, tag string, encoded map[string]bool, seen map[types.Type]bool) {
+	if typ == nil || seen[typ] {
+		return
+	}
+	seen[typ] = true
+	switch u := typ.Underlying().(type) {
+	case *types.Pointer:
+		markEncoded(u.Elem(), tag, encoded, seen)
+	case *types.Slice:
+		markEncoded(u.Elem(), tag, encoded, seen)
+	case *types.Array:
+		markEncoded(u.Elem(), tag, encoded, seen)
+	case *types.Map:
+		markEncoded(u.Elem(), tag, encoded, seen)
+	case *types.Struct:
+		key, named := typeKey(typ)
+		if named {
+			encoded[key] = true
+		}
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if name, _, _ := strings.Cut(reflect.StructTag(u.Tag(i)).Get(tag), ","); !f.Exported() || name == "-" {
+				continue
+			}
+			if named {
+				encoded[key+"."+f.Name()] = true
+			}
+			markEncoded(f.Type(), tag, encoded, seen)
+		}
+	}
+}
+
+// markRead records in read the fields under internal/ that selection s
+// reads: every embedded field on its path, and the selected field
+// unless the selection is only written.
+func markRead(s *types.Selection, written bool, read map[string]bool) {
+	path := s.Index()
+	last := len(path) - 1
+	if s.Kind() != types.FieldVal {
+		path = path[:last] // the last index picks the method
+	}
+	typ := s.Recv()
+	for i, idx := range path {
+		if p, ok := typ.Underlying().(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		st, ok := typ.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		if key, ok := typeKey(typ); ok && (i < last || !written) {
+			read[key+"."+st.Field(idx).Name()] = true
+		}
+		typ = st.Field(idx).Type()
+	}
+}
+
+// typeKey names a named type declared under internal/ as "pkg.Type",
+// where pkg is the import path below internal/.
+func typeKey(typ types.Type) (key string, ok bool) {
+	named, isNamed := types.Unalias(typ).(*types.Named)
+	if !isNamed {
+		return "", false
+	}
+	obj := named.Origin().Obj()
+	if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), "ecavs/internal/") {
+		return "", false
+	}
+	return strings.TrimPrefix(obj.Pkg().Path(), "ecavs/internal/") + "." + obj.Name(), true
 }
 
 // exportKey names an object declared at package level under internal/

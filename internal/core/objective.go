@@ -75,8 +75,6 @@ type Estimate struct {
 	EnergyJ float64
 	// QoE is the predicted task QoE (Eq. 1).
 	QoE float64
-	// RebufferSec is the predicted stall time.
-	RebufferSec float64
 }
 
 // Estimate predicts a candidate's energy and QoE using the models.
@@ -96,7 +94,7 @@ func (o Objective) Estimate(c Candidate) Estimate {
 		Vibration:       c.Vibration,
 		RebufferSec:     b.RebufferSec,
 	})
-	return Estimate{EnergyJ: b.TotalJ(), QoE: q, RebufferSec: b.RebufferSec}
+	return Estimate{EnergyJ: b.TotalJ(), QoE: q}
 }
 
 // Cost scores a candidate against the reference (top-rung) estimate
@@ -146,9 +144,8 @@ func (o Objective) ScoreRungsCompiled(base Candidate, rt *qoe.RungTable, prevRun
 			BufferSec:      base.BufferSec,
 		})
 		ests[j] = Estimate{
-			EnergyJ:     b.TotalJ(),
-			QoE:         rt.SegmentQoE(j, prevRung, base.Vibration, b.RebufferSec),
-			RebufferSec: b.RebufferSec,
+			EnergyJ: b.TotalJ(),
+			QoE:     rt.SegmentQoE(j, prevRung, base.Vibration, b.RebufferSec),
 		}
 	}
 	ref := ests[k-1]

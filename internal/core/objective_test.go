@@ -58,16 +58,14 @@ func TestEstimateComposition(t *testing.T) {
 	if est.QoE < qoe.MinQuality || est.QoE > qoe.MaxQuality {
 		t.Errorf("QoE = %v escapes scale", est.QoE)
 	}
-	if est.RebufferSec != 0 {
-		t.Errorf("RebufferSec = %v, want 0 (ample buffer)", est.RebufferSec)
+	// An ample buffer predicts no stall: the QoE term sees none.
+	if want := obj.QoE.SegmentQoE(qoe.Segment{BitrateMbps: 3, Vibration: 4}); est.QoE != want {
+		t.Errorf("QoE = %v, want the stall-free %v (ample buffer)", est.QoE, want)
 	}
 	// Starved buffer predicts a stall and both models see it.
 	c.BandwidthMbps = 0.5
 	c.BufferSec = 1
 	est2 := obj.Estimate(c)
-	if est2.RebufferSec <= 0 {
-		t.Error("expected predicted rebuffering")
-	}
 	if est2.QoE >= est.QoE {
 		t.Error("stall did not hurt QoE")
 	}

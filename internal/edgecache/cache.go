@@ -1,7 +1,7 @@
 // Package edgecache is the in-memory segment cache behind the httpdash
 // edge tier: a byte-capped store sharded across power-of-two LRU
 // shards, keyed by an internal/rng hash of the segment path
-// ("<rung>/<segment>"), with lock-free hit/miss/fill/evict counters.
+// ("<rung>/<segment>"), with a lock-free eviction counter.
 // Each shard owns an intrusive LRU list under its own mutex, so
 // concurrent requests for different keys rarely contend, and the
 // per-shard byte budget bounds total memory no matter what the
@@ -63,19 +63,12 @@ type Entry struct {
 	prev, next *Entry
 }
 
-// Stats is a point-in-time copy of the cache counters. Counters are
-// sampled one atomic load at a time: totals are never torn within one
-// counter but may be approximate across counters mid-traffic.
+// Stats is a point-in-time copy of the cache's eviction count and
+// residency. Hits and fills are the edge's to count: it knows which
+// hits are fresh and which fills were shared.
 type Stats struct {
-	// Hits and Misses classify Get calls (a stale entry is still a hit
-	// at this layer — freshness is the edge's policy, not the cache's).
-	Hits, Misses int64
-	// Fills counts Fill calls that stored an entry; Evictions counts
-	// entries displaced to make room.
-	Fills, Evictions int64
-	// Uncacheable counts Fill calls whose payload exceeded a shard's
-	// byte budget and was served without being stored.
-	Uncacheable int64
+	// Evictions counts entries displaced to make room.
+	Evictions int64
 	// Bytes and Entries describe current residency.
 	Bytes, Entries int64
 }
@@ -86,7 +79,7 @@ type Cache struct {
 	shards []shard
 	mask   uint64
 
-	hits, misses, fills, evictions, uncacheable atomic.Int64
+	evictions atomic.Int64
 }
 
 // shard is one LRU slice of the byte budget. The sentinel head makes
@@ -138,9 +131,8 @@ func (c *Cache) shardFor(key string) *shard {
 }
 
 // Get returns the entry for key (freshest first in its shard's LRU) or
-// nil. A non-nil return counts as a hit even when the entry is stale by
-// the caller's policy: the cache tracks residency, the edge tracks
-// freshness.
+// nil. It returns an entry that is stale by the caller's policy too:
+// the cache tracks residency, the edge tracks freshness.
 func (c *Cache) Get(key string) *Entry {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -151,11 +143,6 @@ func (c *Cache) Get(key string) *Entry {
 		s.pushFront(e)
 	}
 	s.mu.Unlock()
-	if e == nil {
-		c.misses.Add(1)
-		return nil
-	}
-	c.hits.Add(1)
 	return e
 }
 
@@ -176,7 +163,6 @@ func (c *Cache) Fill(key string, data []byte, contentType, contentLength string,
 	s := c.shardFor(key)
 	size := int64(len(data))
 	if size > s.capacity {
-		c.uncacheable.Add(1)
 		return e, false
 	}
 	s.mu.Lock()
@@ -196,7 +182,6 @@ func (c *Cache) Fill(key string, data []byte, contentType, contentLength string,
 	s.bytes += size
 	s.pushFront(e)
 	s.mu.Unlock()
-	c.fills.Add(1)
 	return e, true
 }
 
@@ -213,15 +198,9 @@ func (c *Cache) Remove(key string) {
 	s.mu.Unlock()
 }
 
-// Stats samples the counters and current residency.
+// Stats samples the eviction counter and current residency.
 func (c *Cache) Stats() Stats {
-	st := Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Fills:       c.fills.Load(),
-		Evictions:   c.evictions.Load(),
-		Uncacheable: c.uncacheable.Load(),
-	}
+	st := Stats{Evictions: c.evictions.Load()}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

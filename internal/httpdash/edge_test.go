@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ecavs/internal/edgecache"
+	"ecavs/internal/faults"
 	"ecavs/internal/telemetry"
 	"ecavs/internal/tracing"
 )
@@ -498,6 +499,88 @@ func TestEdgeHammer(t *testing.T) {
 	origin := srv.Snapshot().Requests
 	if origin >= snap.Requests/10 {
 		t.Errorf("origin saw %d of %d requests — cache is not offloading", origin, snap.Requests)
+	}
+}
+
+// TestEdgeAccountingUnderOriginFaults holds the edge's accounting
+// against the origin's under seeded fault storms: 8 goroutines request
+// 10 segments through an edge whose entries go stale after 1 ns, so
+// every request that does not join a fill in flight revalidates
+// against a faulted origin. The edge's outcomes must sum to its
+// requests, and each segment round trip its transport makes must be
+// one request the origin counted (Requests + Shed). A reset breaks the
+// equality one way only: net/http sends an idempotent GET again when a
+// reused keep-alive connection closes before any response, and that
+// second request reaches the origin inside the same round trip.
+func TestEdgeAccountingUnderOriginFaults(t *testing.T) {
+	const (
+		goroutines = 8
+		iterations = 25
+		segments   = 10
+	)
+	for _, tc := range []struct {
+		name   string
+		cfg    faults.Config
+		resets bool
+	}{
+		{"5xx", faults.Config{Error5xxProb: 0.3}, false},
+		{"truncate", faults.Config{TruncateProb: 0.3}, false},
+		{"reset", faults.Config{ResetProb: 0.3}, true},
+		{"mixed", faults.Config{Error5xxProb: 0.1, TruncateProb: 0.1, ResetProb: 0.1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := faults.NewPlan(tc.cfg, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := newBenchServer(t, WithFaults(plan))
+			origin := httptest.NewServer(srv)
+			defer origin.Close()
+			base := NewTransport()
+			defer base.CloseIdleConnections()
+			var trips atomic.Int64
+			counting := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				if strings.HasPrefix(r.URL.Path, "/seg/") {
+					trips.Add(1)
+				}
+				return base.RoundTrip(r)
+			})
+			edge, err := NewEdge(origin.URL,
+				WithEdgeFreshness(time.Nanosecond, time.Hour),
+				WithEdgeHTTPClient(&http.Client{Timeout: 30 * time.Second, Transport: counting}))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < iterations; i++ {
+						edgeGet(t, edge, fmt.Sprintf("/seg/v0-144p/%d.m4s", (g+i)%segments))
+					}
+				}(g)
+			}
+			wg.Wait()
+
+			snap := edge.Snapshot()
+			checkEdgeInvariant(t, snap)
+			if snap.Requests != goroutines*iterations {
+				t.Errorf("edge requests = %d, want %d", snap.Requests, goroutines*iterations)
+			}
+			if plan.Stats().Injected() == 0 {
+				t.Fatal("the plan injected no fault")
+			}
+			o := srv.Snapshot()
+			switch got := trips.Load(); {
+			case tc.resets && o.Requests+o.Shed < got:
+				t.Errorf("origin counted %d requests + %d shed, fewer than the edge's %d round trips", o.Requests, o.Shed, got)
+			case !tc.resets && o.Requests+o.Shed != got:
+				t.Errorf("origin counted %d requests + %d shed, want the edge's %d round trips", o.Requests, o.Shed, got)
+			}
+			t.Logf("edge %+v; round trips %d, origin requests %d + shed %d", snap, trips.Load(), o.Requests, o.Shed)
+		})
 	}
 }
 

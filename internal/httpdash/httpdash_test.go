@@ -219,8 +219,8 @@ func TestClientStreamsWholePresentation(t *testing.T) {
 	if stats.Switches == 0 {
 		t.Error("no switches recorded during the climb")
 	}
-	if stats.MeanThroughputMbps <= 0 || stats.MeanBitrateMbps <= 0 {
-		t.Errorf("degenerate means: %+v", stats)
+	if last.ThroughputMbps <= 0 || stats.MeanBitrateMbps <= 0 {
+		t.Errorf("degenerate rates: %+v", stats)
 	}
 }
 
@@ -253,8 +253,12 @@ func TestClientHonoursRateShaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.MeanThroughputMbps > 120 { // 4 MB/s = 32 Mbps; generous slack for chunk timing
-		t.Errorf("throughput %.1f Mbps ignores shaping", stats.MeanThroughputMbps)
+	var weighted float64 // byte-weighted mean download rate
+	for _, f := range stats.Fetches {
+		weighted += f.ThroughputMbps * float64(f.Bytes)
+	}
+	if mean := weighted / float64(stats.TotalBytes); mean > 120 { // 4 MB/s = 32 Mbps; generous slack for chunk timing
+		t.Errorf("throughput %.1f Mbps ignores shaping", mean)
 	}
 }
 

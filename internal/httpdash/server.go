@@ -355,40 +355,38 @@ func (s *Server) rateMBps() float64 {
 
 // RungSnapshot is one ladder rung's traffic totals.
 type RungSnapshot struct {
-	// RepID is the rung's representation ID in the MPD.
-	RepID string `json:"rep_id"`
 	// Requests counts accepted segment requests (before any fault
 	// verdict), Bytes the payload actually written, Faults the injected
 	// fault verdicts realized, and Shed the requests bounced by
 	// admission control for this rung. Bytes grows one body piece at a
 	// time (64 KiB shaped, up to 256 KiB unshaped), once the piece's
 	// Write has returned without error.
-	Requests int64 `json:"requests"`
-	Bytes    int64 `json:"bytes"`
-	Faults   int64 `json:"faults"`
-	Shed     int64 `json:"shed"`
+	Requests int64
+	Bytes    int64
+	Faults   int64
+	Shed     int64
 }
 
 // Snapshot is a point-in-time copy of the server's traffic counters.
 type Snapshot struct {
 	// Rungs is index-aligned with the manifest ladder.
-	Rungs []RungSnapshot `json:"rungs"`
+	Rungs []RungSnapshot
 	// Requests, Bytes, Faults are the cross-rung totals.
-	Requests int64 `json:"requests"`
-	Bytes    int64 `json:"bytes"`
-	Faults   int64 `json:"faults"`
+	Requests int64
+	Bytes    int64
+	Faults   int64
 	// Shed totals every refused request: per-rung admission sheds plus
 	// requests bounced while draining. Requests+Shed therefore equals
 	// every request that resolved to a real segment (or arrived during
 	// a drain) — the accepted+shed == issued accounting overload tests
 	// gate on.
-	Shed int64 `json:"shed"`
+	Shed int64
 	// Queued counts requests that waited in the admission queue before
 	// being admitted or shed.
-	Queued int64 `json:"queued"`
+	Queued int64
 	// InFlight is the number of requests being served at snapshot time
 	// (0 after a completed Shutdown — no leaked transfers).
-	InFlight int64 `json:"in_flight"`
+	InFlight int64
 }
 
 // Snapshot reads the per-rung traffic counters. Counters are sampled
@@ -399,7 +397,6 @@ func (s *Server) Snapshot() Snapshot {
 	for i := range s.rungStats {
 		rc := &s.rungStats[i]
 		r := RungSnapshot{
-			RepID:    s.repIDs[i],
 			Requests: rc.requests.Load(),
 			Bytes:    rc.bytes.Load(),
 			Faults:   rc.faults.Load(),

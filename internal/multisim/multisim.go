@@ -59,8 +59,6 @@ type ClientResult struct {
 	Switches int
 	// RebufferSec is total stalling.
 	RebufferSec float64
-	// DownloadedMB is the payload fetched.
-	DownloadedMB float64
 	// Rungs logs the per-segment choices.
 	Rungs []int
 }
@@ -72,8 +70,6 @@ type Result struct {
 	// JainFairness is Jain's index over the clients' mean bitrates
 	// (1 = perfectly fair).
 	JainFairness float64
-	// DurationSec is the simulated span.
-	DurationSec float64
 }
 
 // Config validation errors.
@@ -204,7 +200,7 @@ func Run(cfg Config) (*Result, error) {
 		now += step
 	}
 
-	res := &Result{DurationSec: now}
+	res := &Result{}
 	bitrates := make([]float64, 0, len(states))
 	for _, st := range states {
 		m := st.sess.Finish(nil)
@@ -213,7 +209,6 @@ func Run(cfg Config) (*Result, error) {
 			MeanBitrateMbps: m.MeanBitrateMbps,
 			Switches:        m.Switches,
 			RebufferSec:     st.rebufferSec,
-			DownloadedMB:    m.DownloadedMB,
 			Rungs:           st.rungs,
 		})
 		bitrates = append(bitrates, m.MeanBitrateMbps)

@@ -25,20 +25,6 @@ type Link interface {
 	Advance(dt float64)
 }
 
-// DownloadStep reports one integration step of a download to the
-// caller, letting it integrate energy without netsim knowing about
-// power models.
-type DownloadStep struct {
-	// Dt is the step duration in seconds.
-	Dt float64
-	// SignalDBm is the signal strength during the step.
-	SignalDBm float64
-	// ThroughputMBps is the link rate during the step.
-	ThroughputMBps float64
-	// TransferredMB is the payload moved during the step.
-	TransferredMB float64
-}
-
 // Result summarises a completed download.
 type Result struct {
 	// DurationSec is the wall-clock download time.
@@ -63,13 +49,16 @@ const downloadStepSec = 0.1
 const maxStallSec = 120
 
 // DownloadRamped transfers sizeMB over the link, advancing it as time
-// passes, and invokes onStep (if non-nil) for every integration step.
+// passes, and invokes onStep (if non-nil) with the duration and signal
+// strength of every integration step that moves payload, before the
+// link advances over it, so the caller can integrate energy without
+// netsim knowing about power models.
 // A positive rampSec applies a TCP-slow-start-style ramp: the
 // achievable rate scales linearly from zero to the link rate over the
 // first rampSec seconds of the transfer. Short transfers (small
 // segments) never reach full speed, which is the classic reason longer
 // DASH segments use a link more efficiently.
-func DownloadRamped(link Link, sizeMB, rampSec float64, onStep func(DownloadStep)) (Result, error) {
+func DownloadRamped(link Link, sizeMB, rampSec float64, onStep func(dt, signalDBm float64)) (Result, error) {
 	if sizeMB <= 0 {
 		return Result{}, nil
 	}
@@ -107,7 +96,7 @@ func DownloadRamped(link Link, sizeMB, rampSec float64, onStep func(DownloadStep
 		}
 		sig := link.SignalDBm()
 		if onStep != nil {
-			onStep(DownloadStep{Dt: dt, SignalDBm: sig, ThroughputMBps: th, TransferredMB: moved})
+			onStep(dt, sig)
 		}
 		sigWeight += sig * moved
 		remaining -= moved

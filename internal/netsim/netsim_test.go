@@ -43,18 +43,18 @@ func TestDownloadConstantRate(t *testing.T) {
 func TestDownloadStepCallbackConservation(t *testing.T) {
 	link := &constLink{signal: -100, rate: 1.5}
 	var moved, dur float64
-	res, err := DownloadRamped(link, 7.3, 0, func(s DownloadStep) {
-		moved += s.TransferredMB
-		dur += s.Dt
-		if s.ThroughputMBps != 1.5 || s.SignalDBm != -100 {
-			t.Errorf("unexpected step: %+v", s)
+	res, err := DownloadRamped(link, 7.3, 0, func(dt, signalDBm float64) {
+		moved += link.ThroughputMBps() * dt
+		dur += dt
+		if signalDBm != -100 {
+			t.Errorf("step signal = %v, want -100", signalDBm)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(moved, 7.3, 1e-9) {
-		t.Errorf("sum of TransferredMB = %v, want 7.3", moved)
+		t.Errorf("link rate integrated over the steps = %v MB, want 7.3", moved)
 	}
 	if !almostEqual(dur, res.DurationSec, 1e-9) {
 		t.Errorf("sum of Dt = %v, want %v", dur, res.DurationSec)

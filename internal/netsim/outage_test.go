@@ -140,7 +140,7 @@ func TestOutageDownloadConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var moved float64
-	res, err := DownloadRamped(o, 10, 0, func(s DownloadStep) { moved += s.TransferredMB })
+	res, err := DownloadRamped(o, 10, 0, func(dt, _ float64) { moved += o.ThroughputMBps() * dt })
 	if err != nil {
 		t.Fatal(err)
 	}

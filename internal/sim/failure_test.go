@@ -137,8 +137,8 @@ func TestDownloadConservationOnVolatileLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var moved float64
-	res, err := netsim.DownloadRamped(ch, 25, 0, func(s netsim.DownloadStep) {
-		moved += s.TransferredMB
+	res, err := netsim.DownloadRamped(ch, 25, 0, func(dt, _ float64) {
+		moved += ch.ThroughputMBps() * dt
 	})
 	if err != nil {
 		t.Fatal(err)

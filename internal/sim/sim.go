@@ -49,7 +49,7 @@ type SessionParams struct {
 	// the sampled decision trace behind the telemetry layer's NDJSON
 	// output. Nil (the default) keeps the hot path untouched: the only
 	// cost is one pointer comparison per segment, preserving the
-	// 18-alloc session pin and bit-identical campaign determinism.
+	// 15-alloc session pin and bit-identical campaign determinism.
 	Recorder *DecisionRecorder
 	// RungQoE, when non-nil, is a per-rung QoE table compiled from the
 	// QoE model over the manifest ladder's bitrates
@@ -142,9 +142,6 @@ type Metrics struct {
 	PlaybackJ, DownloadJ, RebufferJ, StartupJ, RadioCtlJ float64
 	// MeanQoE is the average per-segment Eq. 1 quality.
 	MeanQoE float64
-	// SessionQoE is the recency- and oscillation-aware session score
-	// (qoe.SessionModel with defaults).
-	SessionQoE float64
 	// MeanBitrateMbps is the duration-weighted mean selected bitrate.
 	MeanBitrateMbps float64
 	// DownloadedMB is the total payload fetched.
@@ -239,8 +236,8 @@ func Run(cfg Config) (*Metrics, error) {
 
 	// The closures are built once per session: onStep meters a download
 	// step with the radio on; idle moves the clocks while it is off.
-	onStep := func(step netsim.DownloadStep) {
-		s.Transfer(step.Dt, step.SignalDBm)
+	onStep := func(dt, signalDBm float64) {
+		s.Transfer(dt, signalDBm)
 	}
 	idle := func(dt float64) {
 		link.Advance(dt)

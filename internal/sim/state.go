@@ -35,11 +35,10 @@ type Session struct {
 	segStall                        float64
 
 	// Scratch sized once, so the per-segment path stays allocation-free:
-	// delivered payloads (abandonment waste) and QoE scores (session
-	// model). The sums add the same terms in the same order as passes
-	// over Metrics.Segments would.
+	// delivered payloads, for the abandonment waste and the count of
+	// delivered segments. The sums add the same terms in the same order
+	// as passes over Metrics.Segments would.
 	segSizes                   []float64
-	scores                     []qoe.SegmentScore
 	qoeSum, brWeighted, durSum float64
 }
 
@@ -101,7 +100,6 @@ func NewSession(cfg Config) (*Session, error) {
 		issuedRung: -1,
 		prevRung:   -1,
 		segSizes:   make([]float64, 0, n),
-		scores:     make([]qoe.SegmentScore, 0, n),
 	}
 	if !cfg.MetricsOnly {
 		s.m.Segments = make([]SegmentLog, 0, n)
@@ -246,7 +244,6 @@ func (s *Session) Deliver(d Decision, rung int, sizeMB float64, dl netsim.Result
 		})
 	}
 	s.segSizes = append(s.segSizes, sizeMB)
-	s.scores = append(s.scores, qoe.SegmentScore{StartSec: d.AtSec, QoE: segQoE})
 	s.qoeSum += segQoE
 	s.brWeighted += br * d.SegmentDurationSec
 	s.durSum += d.SegmentDurationSec
@@ -295,10 +292,8 @@ func (s *Session) Finish(advance func(dt float64)) *Metrics {
 	m.StartupJ = s.cfg.Power.RebufferPowerW * m.StartupSec
 	m.RebufferSec = s.pl.StallSec()
 	m.DurationSec = s.ElapsedSec()
-	if len(s.scores) > 0 {
-		m.MeanQoE = s.qoeSum / float64(len(s.scores))
-		// Cannot fail: the default model is valid and scores non-empty.
-		m.SessionQoE, _ = qoe.DefaultSession().Score(s.scores, m.StartupSec)
+	if len(s.segSizes) > 0 {
+		m.MeanQoE = s.qoeSum / float64(len(s.segSizes))
 	}
 	if s.durSum > 0 {
 		m.MeanBitrateMbps = s.brWeighted / s.durSum

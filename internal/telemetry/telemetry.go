@@ -6,7 +6,7 @@
 // nil receiver, so call sites need no `if enabled` branching — wiring
 // a nil registry (or never attaching one) leaves the instrumented code
 // allocation-free and branch-cheap, which is what keeps the campaign
-// runner's 18-alloc session pin and bit-identical determinism intact
+// runner's 15-alloc session pin and bit-identical determinism intact
 // when telemetry is off.
 //
 // Naming follows the Prometheus conventions: snake_case metric names

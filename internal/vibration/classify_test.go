@@ -103,16 +103,17 @@ func TestClassifyThresholds(t *testing.T) {
 // End-to-end: synthetic profiles classify to the expected classes.
 func TestClassifierOnProfiles(t *testing.T) {
 	tests := []struct {
+		name    string
 		profile Profile
 		want    ContextClass
 	}{
-		{profile: QuietRoom, want: ClassStill},
-		{profile: Cafe, want: ClassHandheld},
-		{profile: Train, want: ClassSmoothVehicle},
-		{profile: Bus, want: ClassRoughVehicle},
+		{name: "quiet-room", profile: QuietRoom, want: ClassStill},
+		{name: "cafe", profile: Cafe, want: ClassHandheld},
+		{name: "train", profile: Train, want: ClassSmoothVehicle},
+		{name: "bus", profile: Bus, want: ClassRoughVehicle},
 	}
 	for _, tt := range tests {
-		t.Run(tt.profile.Name, func(t *testing.T) {
+		t.Run(tt.name, func(t *testing.T) {
 			gen, err := NewGenerator(DefaultSampleRateHz, 77)
 			if err != nil {
 				t.Fatal(err)
@@ -124,7 +125,7 @@ func TestClassifierOnProfiles(t *testing.T) {
 			c.pushAll(gen.Generate(tt.profile, 0, 10))
 			if got := c.class(); got != tt.want {
 				f, _ := c.Features()
-				t.Errorf("Class(%s) = %v, want %v (features %+v)", tt.profile.Name, got, tt.want, f)
+				t.Errorf("Class(%s) = %v, want %v (features %+v)", tt.name, got, tt.want, f)
 			}
 		})
 	}

@@ -11,8 +11,6 @@ import (
 // Eq. 5 level tracks BaseLevel, modulated by periodic oscillation
 // (engine/road frequency) and random bumps (potholes, braking).
 type Profile struct {
-	// Name identifies the context ("quiet-room", "bus", ...).
-	Name string
 	// BaseLevel is the target steady-state vibration level (m/s²).
 	BaseLevel float64
 	// OscFreqHz is the dominant oscillation frequency (engine/road).
@@ -30,15 +28,15 @@ type Profile struct {
 // traces reproduce the Table V range (quiet ≈ 0.2, vehicle 2.5-7).
 var (
 	// QuietRoom is the paper's static context: sensor noise only.
-	QuietRoom = Profile{Name: "quiet-room", BaseLevel: 0.15, OscFreqHz: 0, OscShare: 0, BumpRatePerSec: 0, BumpAmp: 0}
+	QuietRoom = Profile{BaseLevel: 0.15, OscFreqHz: 0, OscShare: 0, BumpRatePerSec: 0, BumpAmp: 0}
 	// Cafe has light ambient motion (table knocks, handling).
-	Cafe = Profile{Name: "cafe", BaseLevel: 0.5, OscFreqHz: 0.5, OscShare: 0.2, BumpRatePerSec: 0.02, BumpAmp: 0.8}
+	Cafe = Profile{BaseLevel: 0.5, OscFreqHz: 0.5, OscShare: 0.2, BumpRatePerSec: 0.02, BumpAmp: 0.8}
 	// Train is a smooth-riding vehicle.
-	Train = Profile{Name: "train", BaseLevel: 2.5, OscFreqHz: 1.8, OscShare: 0.5, BumpRatePerSec: 0.05, BumpAmp: 1.5}
+	Train = Profile{BaseLevel: 2.5, OscFreqHz: 1.8, OscShare: 0.5, BumpRatePerSec: 0.05, BumpAmp: 1.5}
 	// Car is a passenger car on city roads.
-	Car = Profile{Name: "car", BaseLevel: 4.5, OscFreqHz: 2.4, OscShare: 0.45, BumpRatePerSec: 0.08, BumpAmp: 2.0}
+	Car = Profile{BaseLevel: 4.5, OscFreqHz: 2.4, OscShare: 0.45, BumpRatePerSec: 0.08, BumpAmp: 2.0}
 	// Bus is the paper's moving-bus context: strong vibration.
-	Bus = Profile{Name: "bus", BaseLevel: 6.5, OscFreqHz: 3.1, OscShare: 0.4, BumpRatePerSec: 0.12, BumpAmp: 2.5}
+	Bus = Profile{BaseLevel: 6.5, OscFreqHz: 3.1, OscShare: 0.4, BumpRatePerSec: 0.12, BumpAmp: 2.5}
 )
 
 // Profiles returns all predefined profiles, ordered by vibration level.
