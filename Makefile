@@ -35,9 +35,11 @@ race:
 	go build ./... && go test -race ./...
 
 # chaos drives every ABR algorithm through deterministic fault storms
-# (HTTP 5xx/reset/stall/truncate via internal/faults, link outages via
-# netsim.OutageLink) under the race detector. -count=1 defeats the test
-# cache so the storms actually run.
+# (HTTP 5xx/reset/stall/truncate from internal/faults plans, injected at
+# the origin by Server's WithFaults and at the client by the httpdash
+# tests' faultRoundTripper; link outages via netsim.OutageLink) under
+# the race detector. -count=1 defeats the test cache so the storms
+# actually run.
 chaos:
 	go test -race -count=1 ./internal/faults/
 	go test -race -count=1 -run 'Chaos|Outage|Truncated|Cancellation' ./internal/httpdash/ ./internal/netsim/ ./internal/sim/ ./internal/campaign/

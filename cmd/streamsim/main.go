@@ -72,17 +72,11 @@ func run(args []string) error {
 	case "festive":
 		alg = ecavs.NewFESTIVE()
 	case "bba":
-		if alg, err = ecavs.NewBBA(); err != nil {
-			return err
-		}
+		alg = ecavs.NewBBA()
 	case "bola":
-		if alg, err = ecavs.NewBOLA(); err != nil {
-			return err
-		}
+		alg = ecavs.NewBOLA()
 	case "mpc":
-		if alg, err = ecavs.NewRobustMPC(); err != nil {
-			return err
-		}
+		alg = ecavs.NewRobustMPC()
 	case "ours":
 		if alg, err = ecavs.NewOnline(*alpha); err != nil {
 			return err

@@ -22,7 +22,7 @@ func TestStreamMetricsDigest(t *testing.T) {
 	policies := []func() (Algorithm, error){
 		func() (Algorithm, error) { return NewYoutube(), nil },
 		func() (Algorithm, error) { return NewFESTIVE(), nil },
-		NewBBA,
+		func() (Algorithm, error) { return NewBBA(), nil },
 		func() (Algorithm, error) { return NewOnline(0.5) },
 	}
 	optionSets := []func() ([]StreamOption, error){

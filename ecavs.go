@@ -107,15 +107,15 @@ func NewYoutube() Algorithm { return abr.NewYoutube() }
 func NewFESTIVE() Algorithm { return abr.NewFESTIVE() }
 
 // NewBBA returns the buffer-based BBA baseline.
-func NewBBA() (Algorithm, error) { return abr.NewBBA() }
+func NewBBA() Algorithm { return abr.NewBBA() }
 
 // NewBOLA returns the Lyapunov buffer-based BOLA baseline (the paper's
 // reference [5]).
-func NewBOLA() (Algorithm, error) { return abr.NewBOLA() }
+func NewBOLA() Algorithm { return abr.NewBOLA() }
 
 // NewRobustMPC returns the model-predictive-control baseline (the
 // paper's reference [17]).
-func NewRobustMPC() (Algorithm, error) { return abr.NewMPC() }
+func NewRobustMPC() Algorithm { return abr.NewMPC() }
 
 // NewOnline returns the paper's online bitrate-selection algorithm
 // (Algorithm 1) at the given energy weight.

@@ -147,12 +147,8 @@ func TestFacadeNilGuards(t *testing.T) {
 }
 
 func TestFacadeBaselines(t *testing.T) {
-	bba, err := NewBBA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bba.Name() != "BBA" {
-		t.Errorf("BBA name = %q", bba.Name())
+	if NewBBA().Name() != "BBA" {
+		t.Error("BBA name wrong")
 	}
 	if NewFESTIVE().Name() != "FESTIVE" {
 		t.Error("FESTIVE name wrong")
@@ -160,12 +156,10 @@ func TestFacadeBaselines(t *testing.T) {
 	if NewYoutube().Name() != "Youtube" {
 		t.Error("Youtube name wrong")
 	}
-	bola, err := NewBOLA()
-	if err != nil || bola.Name() != "BOLA" {
-		t.Errorf("BOLA = %v, %v", bola, err)
+	if NewBOLA().Name() != "BOLA" {
+		t.Error("BOLA name wrong")
 	}
-	mpc, err := NewRobustMPC()
-	if err != nil || mpc.Name() != "RobustMPC" {
-		t.Errorf("RobustMPC = %v, %v", mpc, err)
+	if NewRobustMPC().Name() != "RobustMPC" {
+		t.Error("RobustMPC name wrong")
 	}
 }

@@ -23,10 +23,10 @@ func main() {
 func run() error {
 	policies := []struct {
 		name string
-		make func() (abr.Algorithm, error)
+		make func() abr.Algorithm
 	}{
-		{name: "FESTIVE", make: func() (abr.Algorithm, error) { return abr.NewFESTIVE(), nil }},
-		{name: "BBA", make: func() (abr.Algorithm, error) { return abr.NewBBA() }},
+		{name: "FESTIVE", make: func() abr.Algorithm { return abr.NewFESTIVE() }},
+		{name: "BBA", make: func() abr.Algorithm { return abr.NewBBA() }},
 	}
 	for _, p := range policies {
 		clients := make([]multisim.Client, 3)
@@ -41,14 +41,10 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			alg, err := p.make()
-			if err != nil {
-				return err
-			}
 			clients[i] = multisim.Client{
 				Name:           fmt.Sprintf("viewer-%d", i),
 				Manifest:       man,
-				Algorithm:      alg,
+				Algorithm:      p.make(),
 				StartOffsetSec: float64(i) * 8, // staggered arrivals
 			}
 		}

@@ -20,35 +20,34 @@ import (
 )
 
 // testOnlyExports lists the exported identifiers under internal/ that
-// no production file references, and the exported struct fields that
-// none reads, each with the reason it stays exported. Keys are
-// "pkg.Name" for package-level names and "pkg.Type.Method" or
-// "pkg.Type.Field" for methods and fields.
+// no production file references, the exported struct fields that none
+// reads, and those that production reads but only tests set, each with
+// the reason it stays exported. Keys are "pkg.Name" for package-level
+// names and "pkg.Type.Method" or "pkg.Type.Field" for methods and
+// fields.
 var testOnlyExports = map[string]string{
-	"abr.WithBBARegion":           "option a caller sets: BBA's reservoir and cushion fractions",
-	"abr.WithBOLAGP":              "option a caller sets: BOLA's gamma*p",
-	"abr.WithFESTIVEWindow":       "option a caller sets: FESTIVE's harmonic-mean window",
-	"abr.WithMPCHorizon":          "option a caller sets: MPC's planning horizon",
-	"abr.WithoutGradualSwitching": "option a caller sets: FESTIVE without its one-rung-per-step rule",
-	"abr.WithoutRobustness":       "option a caller sets: MPC without the RobustMPC discount",
-	"core.Plan.TotalCost":         "objective of the plan ecavs.PlanOptimalForTrace returns; the planner's oracle tests compare it",
-	"faults.NewScript":            "fixture shared by the faults and httpdash tests: a scripted verdict sequence",
-	"faults.Plan.Stats":           "fixture shared by the faults and httpdash chaos tests: a plan's injection counters",
-	"faults.Stats.Injected":       "fixture shared by the faults and httpdash chaos tests: a plan's total verdicts",
-	"faults.Stats.Requests":       "fixture shared by the faults and httpdash chaos tests: the verdicts a plan handed out",
-	"httpdash.Breaker.Opens":      "reads a breaker the caller builds and shares through WithSharedBreaker",
-	"httpdash.Breaker.State":      "reads a breaker the caller builds and shares through WithSharedBreaker",
-	"httpdash.Fetch.Attempts":     "per-segment retry outcome in the Stats a caller of Client.Stream gets: how many attempts the segment took",
-	"httpdash.Fetch.ChosenRung":   "per-segment retry outcome in the Stats a caller of Client.Stream gets: the rung asked for before any downgrade",
-	"httpdash.Stats.Downgrades":   "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
-	"httpdash.Stats.FastFails":    "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
-	"httpdash.Stats.Timeouts":     "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
-	"httpdash.Stats.Truncations":  "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
-	"httpdash.WithCircuitBreaker": "option a caller sets: a circuit breaker per client",
-	"httpdash.WithEdgeRetryAfter": "option a caller sets: the Retry-After of the edge's own 503s",
-	"httpdash.WithFetchAhead":     "option a caller sets: the client's prefetch depth",
-	"httpdash.WithRetryPolicy":    "option a caller sets: the client's retries, backoff and downgrades",
-	"httpdash.WithSharedBreaker":  "option a caller sets: one breaker across a fleet of clients",
+	"core.Plan.TotalCost":                   "objective of the plan ecavs.PlanOptimalForTrace returns; the planner's oracle tests compare it",
+	"faults.NewScript":                      "fixture shared by the faults and httpdash tests: a scripted verdict sequence",
+	"faults.Plan.Stats":                     "fixture shared by the faults and httpdash chaos tests: a plan's injection counters",
+	"faults.Stats.Injected":                 "fixture shared by the faults and httpdash chaos tests: a plan's total verdicts",
+	"faults.Stats.Requests":                 "fixture shared by the faults and httpdash chaos tests: the verdicts a plan handed out",
+	"httpdash.Breaker.Opens":                "reads a breaker the caller builds and shares through WithSharedBreaker",
+	"httpdash.Breaker.State":                "reads a breaker the caller builds and shares through WithSharedBreaker",
+	"httpdash.Fetch.Attempts":               "per-segment retry outcome in the Stats a caller of Client.Stream gets: how many attempts the segment took",
+	"httpdash.Fetch.ChosenRung":             "per-segment retry outcome in the Stats a caller of Client.Stream gets: the rung asked for before any downgrade",
+	"httpdash.NewBreaker":                   "client circuit breaker, passed through WithSharedBreaker; no program turns it on, make chaos exercises it",
+	"httpdash.RetryPolicy.AttemptTimeout":   "client retry policy, passed through WithRetryPolicy; no program turns it on, make chaos exercises it",
+	"httpdash.RetryPolicy.BackoffBase":      "client retry policy, passed through WithRetryPolicy; no program turns it on, make chaos exercises it",
+	"httpdash.RetryPolicy.BackoffMax":       "client retry policy, passed through WithRetryPolicy; no program turns it on, make chaos exercises it",
+	"httpdash.RetryPolicy.DowngradeOnRetry": "client retry policy, passed through WithRetryPolicy; no program turns it on, make chaos exercises it",
+	"httpdash.RetryPolicy.JitterSeed":       "client retry policy, passed through WithRetryPolicy; no program turns it on, make chaos exercises it",
+	"httpdash.Stats.Downgrades":             "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
+	"httpdash.Stats.FastFails":              "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
+	"httpdash.Stats.Timeouts":               "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
+	"httpdash.Stats.Truncations":            "session resilience counter a caller of Client.Stream gets, beside the Retries perfbench reads",
+	"httpdash.WithFetchAhead":               "client prefetch pipeline; no program turns it on, the TestFetchAhead tests pin it, and the HTTP replay on ROADMAP is to call it",
+	"httpdash.WithRetryPolicy":              "client retries, backoff and downgrades; no program turns them on, make chaos exercises them",
+	"httpdash.WithSharedBreaker":            "client circuit breaker; no program turns it on, make chaos exercises it",
 }
 
 // TestNoTestOnlyExports fails when an exported identifier declared
@@ -70,6 +69,9 @@ var testOnlyExports = map[string]string{
 // too, since a caller may reach it through that interface. A receiver
 // naming its own type is not a use. Interface methods are not checked.
 //
+// A package-level `var _ I = (*T)(nil)` assertion is not a use either:
+// it proves that T implements I, not that anything calls T.
+//
 // A field of an exported struct type is read when a non-test selection
 // of it is not the target of an assignment (=, := or op=) or of an
 // increment or decrement; a composite-literal key only writes it. A
@@ -79,6 +81,12 @@ var testOnlyExports = map[string]string{
 // whose static type reaches it, and a json or xml tag on a type that
 // no encoder receives fails the check, since it documents a wire
 // format that nothing writes.
+//
+// A field that non-test code reads must also be set by non-test code:
+// a keyed or positional composite-literal element, the target of an
+// assignment, increment or decrement, or the operand of & (as in
+// flag.IntVar(&cfg.F, ...)). Otherwise production always sees its zero
+// value, and the field is a knob that only tests turn.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	declared := map[string]bool{}
@@ -88,6 +96,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	// declared under internal/ with a json or xml tag.
 	fields := map[string]bool{}
 	read := map[string]bool{}
+	set := map[string]bool{}
 	encoded := map[string]bool{}
 	tagged := map[string]bool{}
 	ifaceMethods := map[string]bool{"Error": true} // the predeclared error
@@ -141,22 +150,36 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			addIfaces(pkg)
 
-			// A receiver names its type without using it; an anonymous
-			// interface's methods are callable like a named one's. A
-			// selection that is assigned or stepped is written, not read.
-			receivers := map[*ast.Ident]bool{}
+			// A receiver or a `var _` assertion names a type without
+			// using it; an anonymous interface's methods are callable
+			// like a named one's. A selection that is assigned or stepped
+			// is written, not read; one whose address is taken is both.
+			notUses := map[*ast.Ident]bool{}
+			markNotUses := func(n ast.Node) {
+				ast.Inspect(n, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						notUses[id] = true
+					}
+					return true
+				})
+			}
 			written := map[*ast.SelectorExpr]bool{}
+			addressed := map[*ast.SelectorExpr]bool{}
 			for _, f := range files {
+				for _, d := range f.Decls {
+					if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+						for _, spec := range gd.Specs {
+							if blankSpec(spec.(*ast.ValueSpec)) {
+								markNotUses(spec)
+							}
+						}
+					}
+				}
 				ast.Inspect(f, func(n ast.Node) bool {
 					switch x := n.(type) {
 					case *ast.FuncDecl:
 						if x.Recv != nil {
-							ast.Inspect(x.Recv, func(n ast.Node) bool {
-								if id, ok := n.(*ast.Ident); ok {
-									receivers[id] = true
-								}
-								return true
-							})
+							markNotUses(x.Recv)
 						}
 					case *ast.InterfaceType:
 						for _, m := range x.Methods.List {
@@ -174,6 +197,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 						if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok {
 							written[sel] = true
 						}
+					case *ast.UnaryExpr:
+						if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok && x.Op == token.AND {
+							addressed[sel] = true
+						}
+					case *ast.CompositeLit:
+						markLiteral(info, x, set)
 					case *ast.CallExpr:
 						if tag := encoderTag(info, x); tag != "" {
 							markEncoded(info.TypeOf(x.Args[0]), tag, encoded, map[types.Type]bool{})
@@ -183,12 +212,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 				})
 			}
 			for id, obj := range info.Uses {
-				if key, ok := exportKey(obj); ok && !receivers[id] {
+				if key, ok := exportKey(obj); ok && !notUses[id] {
 					used[key] = true
 				}
 			}
 			for sel, s := range info.Selections {
-				markRead(s, written[sel], read)
+				markSelection(s, written[sel], addressed[sel], read, set)
 			}
 
 			if !strings.HasPrefix(p.ImportPath, "ecavs/internal/") {
@@ -246,7 +275,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		testOnly = append(testOnly, key)
 	}
 	for key := range fields {
-		if !read[key] && !encoded[key] {
+		if (!read[key] && !encoded[key]) || (read[key] && !set[key]) {
 			testOnly = append(testOnly, key)
 		}
 	}
@@ -255,9 +284,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if _, ok := testOnlyExports[key]; ok {
 			continue
 		}
-		if fields[key] {
+		switch {
+		case read[key]:
+			t.Errorf("field %s is set only from tests, so the program always reads its zero value: make it a constant, or list it in testOnlyExports with the reason it stays", key)
+		case fields[key]:
 			t.Errorf("field %s is read only from tests: delete it with the code that computes it, or list it in testOnlyExports with the reason it stays", key)
-		} else {
+		default:
 			t.Errorf("%s is exported but referenced only from tests: unexport or delete it, or list it in testOnlyExports with the reason it stays", key)
 		}
 	}
@@ -373,10 +405,11 @@ func markEncoded(typ types.Type, tag string, encoded map[string]bool, seen map[t
 	}
 }
 
-// markRead records in read the fields under internal/ that selection s
-// reads: every embedded field on its path, and the selected field
-// unless the selection is only written.
-func markRead(s *types.Selection, written bool, read map[string]bool) {
+// markSelection records what selection s does to the fields under
+// internal/. It reads every embedded field on its path. It reads the
+// selected field unless it is only written, and sets it when it is
+// written or its address is taken.
+func markSelection(s *types.Selection, written, addressed bool, read, set map[string]bool) {
 	path := s.Index()
 	last := len(path) - 1
 	if s.Kind() != types.FieldVal {
@@ -391,11 +424,51 @@ func markRead(s *types.Selection, written bool, read map[string]bool) {
 		if !ok {
 			return
 		}
-		if key, ok := typeKey(typ); ok && (i < last || !written) {
-			read[key+"."+st.Field(idx).Name()] = true
+		if key, ok := typeKey(typ); ok {
+			key += "." + st.Field(idx).Name()
+			if i < last || !written {
+				read[key] = true
+			}
+			if i == last && (written || addressed) {
+				set[key] = true
+			}
 		}
 		typ = st.Field(idx).Type()
 	}
+}
+
+// markLiteral records in set the fields under internal/ that composite
+// literal lit sets: each keyed element's field, and each positional
+// element's field by its position.
+func markLiteral(info *types.Info, lit *ast.CompositeLit, set map[string]bool) {
+	typ := info.TypeOf(lit)
+	if p, ok := typ.Underlying().(*types.Pointer); ok {
+		typ = p.Elem() // an elided &T{...} element
+	}
+	key, named := typeKey(typ)
+	st, ok := typ.Underlying().(*types.Struct)
+	if !named || !ok {
+		return
+	}
+	for i, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			set[key+"."+kv.Key.(*ast.Ident).Name] = true
+		} else {
+			set[key+"."+st.Field(i).Name()] = true
+		}
+	}
+}
+
+// blankSpec reports whether a var spec declares only blank names, as a
+// compile-time assertion such as `var _ http.Handler = (*Edge)(nil)`
+// does.
+func blankSpec(spec *ast.ValueSpec) bool {
+	for _, name := range spec.Names {
+		if name.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 // typeKey names a named type declared under internal/ as "pkg.Type",

@@ -1,8 +1,6 @@
 package abr
 
 import (
-	"errors"
-
 	"ecavs/internal/netsim"
 )
 
@@ -15,48 +13,23 @@ import (
 //
 // Construct with NewBBA; the zero value is unusable.
 type BBA struct {
-	// reservoirFrac and cushionFrac position the linear region within
-	// the buffer threshold: reservoir = reservoirFrac x beta,
-	// cushion top = cushionFrac x beta.
-	reservoirFrac float64
-	cushionFrac   float64
-
 	est    *netsim.LastSampleEstimator
 	steady bool
 }
 
 var _ Algorithm = (*BBA)(nil)
 
-// BBAOption customises the baseline.
-type BBAOption func(*BBA)
-
-// WithBBARegion overrides the reservoir/cushion fractions of the
-// buffer threshold (defaults 0.25 and 0.9).
-func WithBBARegion(reservoirFrac, cushionFrac float64) BBAOption {
-	return func(b *BBA) {
-		b.reservoirFrac = reservoirFrac
-		b.cushionFrac = cushionFrac
-	}
-}
-
-// ErrBadBBARegion is returned when the reservoir/cushion fractions are
-// not 0 < reservoir < cushion <= 1.
-var ErrBadBBARegion = errors.New("abr: BBA region must satisfy 0 < reservoir < cushion <= 1")
+// bbaReservoirFrac and bbaCushionFrac position the linear region
+// within the buffer threshold: reservoir = bbaReservoirFrac x beta,
+// cushion top = bbaCushionFrac x beta.
+const (
+	bbaReservoirFrac = 0.25
+	bbaCushionFrac   = 0.9
+)
 
 // NewBBA returns the BBA baseline.
-func NewBBA(opts ...BBAOption) (*BBA, error) {
-	b := &BBA{
-		reservoirFrac: 0.25,
-		cushionFrac:   0.9,
-		est:           netsim.NewLastSampleEstimator(),
-	}
-	for _, o := range opts {
-		o(b)
-	}
-	if b.reservoirFrac <= 0 || b.cushionFrac <= b.reservoirFrac || b.cushionFrac > 1 {
-		return nil, ErrBadBBARegion
-	}
-	return b, nil
+func NewBBA() *BBA {
+	return &BBA{est: netsim.NewLastSampleEstimator()}
 }
 
 // Name implements Algorithm.
@@ -71,8 +44,8 @@ func (b *BBA) ChooseRung(ctx Context) (int, error) {
 	if beta <= 0 {
 		beta = 30
 	}
-	reservoir := b.reservoirFrac * beta
-	cushionTop := b.cushionFrac * beta
+	reservoir := bbaReservoirFrac * beta
+	cushionTop := bbaCushionFrac * beta
 
 	// Startup phase: follow throughput until the buffer first clears
 	// the reservoir.

@@ -16,38 +16,17 @@ import (
 // Lyapunov control parameters. V is derived from the buffer target so
 // the top rung is reached just below the threshold.
 //
-// Construct with NewBOLA; the zero value is unusable.
-type BOLA struct {
-	// gp is the gamma*p utility offset (controls how strongly BOLA
-	// avoids rebuffering).
-	gp float64
-}
+// BOLA is stateless; construct it with NewBOLA.
+type BOLA struct{}
 
 var _ Algorithm = (*BOLA)(nil)
 
-// BOLAOption customises the algorithm.
-type BOLAOption func(*BOLA)
-
-// WithBOLAGP overrides the gamma*p parameter (default 5.0, mirroring
-// the reference player's stable default).
-func WithBOLAGP(gp float64) BOLAOption {
-	return func(b *BOLA) { b.gp = gp }
-}
-
-// ErrBadBOLAGP is returned for non-positive gp.
-var ErrBadBOLAGP = errors.New("abr: BOLA gp must be positive")
+// bolaGP is the gamma*p utility offset, which controls how strongly
+// BOLA avoids rebuffering: 5.0, the reference player's stable default.
+const bolaGP = 5.0
 
 // NewBOLA returns the BOLA-BASIC baseline.
-func NewBOLA(opts ...BOLAOption) (*BOLA, error) {
-	b := &BOLA{gp: 5}
-	for _, o := range opts {
-		o(b)
-	}
-	if b.gp <= 0 {
-		return nil, ErrBadBOLAGP
-	}
-	return b, nil
-}
+func NewBOLA() *BOLA { return &BOLA{} }
 
 // Name implements Algorithm.
 func (b *BOLA) Name() string { return "BOLA" }
@@ -86,14 +65,14 @@ func (b *BOLA) ChooseRung(ctx Context) (int, error) {
 	// V such that the top rung's score turns positive once the buffer
 	// is comfortably below the threshold: at Q = beta - p, the top rung
 	// should break even.
-	v := (beta/p - 1) / (uMax + b.gp)
+	v := (beta/p - 1) / (uMax + bolaGP)
 	q := ctx.BufferSec / p // buffer in segments
 
 	best := 0
 	bestScore := math.Inf(-1)
 	for j, s := range sizes {
 		u := math.Log(s / sMin)
-		score := (v*(u+b.gp) - q) / s
+		score := (v*(u+bolaGP) - q) / s
 		if score > bestScore {
 			bestScore = score
 			best = j

@@ -25,26 +25,10 @@ func bolaCtx(t *testing.T, bufferSec float64) Context {
 	}
 }
 
-func TestNewBOLAValidation(t *testing.T) {
-	if _, err := NewBOLA(WithBOLAGP(0)); !errors.Is(err, ErrBadBOLAGP) {
-		t.Errorf("err = %v, want ErrBadBOLAGP", err)
-	}
-	if _, err := NewBOLA(WithBOLAGP(-2)); !errors.Is(err, ErrBadBOLAGP) {
-		t.Errorf("err = %v, want ErrBadBOLAGP", err)
-	}
-	b, err := NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestBOLALowBufferPicksLowRung(t *testing.T) {
+	b := NewBOLA()
 	if b.Name() != "BOLA" {
 		t.Errorf("Name = %q", b.Name())
-	}
-}
-
-func TestBOLALowBufferPicksLowRung(t *testing.T) {
-	b, err := NewBOLA()
-	if err != nil {
-		t.Fatal(err)
 	}
 	rung, err := b.ChooseRung(bolaCtx(t, 0))
 	if err != nil {
@@ -56,10 +40,7 @@ func TestBOLALowBufferPicksLowRung(t *testing.T) {
 }
 
 func TestBOLAFullBufferPicksTopRung(t *testing.T) {
-	b, err := NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBOLA()
 	rung, err := b.ChooseRung(bolaCtx(t, 29))
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +52,7 @@ func TestBOLAFullBufferPicksTopRung(t *testing.T) {
 
 // BOLA's choice is monotone non-decreasing in buffer level.
 func TestBOLAMonotoneInBuffer(t *testing.T) {
-	b, err := NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBOLA()
 	prev := -1
 	for buf := 0.0; buf <= 30; buf += 0.5 {
 		rung, err := b.ChooseRung(bolaCtx(t, buf))
@@ -90,10 +68,7 @@ func TestBOLAMonotoneInBuffer(t *testing.T) {
 
 // BOLA never panics or errors across random buffer/threshold configs.
 func TestBOLAQuick(t *testing.T) {
-	b, err := NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBOLA()
 	f := func(bufRaw, betaRaw uint8) bool {
 		ctx := bolaCtx(t, float64(bufRaw%60))
 		ctx.BufferThresholdSec = float64(betaRaw%50) + 5
@@ -106,10 +81,7 @@ func TestBOLAQuick(t *testing.T) {
 }
 
 func TestBOLAFallbackSizes(t *testing.T) {
-	b, err := NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBOLA()
 	ctx := bolaCtx(t, 10)
 	ctx.SegmentSizesMB = nil // missing manifest sizes
 	if _, err := b.ChooseRung(ctx); err != nil {
@@ -122,10 +94,7 @@ func TestBOLAFallbackSizes(t *testing.T) {
 }
 
 func TestBOLAErrors(t *testing.T) {
-	b, err := NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBOLA()
 	if _, err := b.ChooseRung(Context{}); !errors.Is(err, ErrEmptyContext) {
 		t.Errorf("err = %v, want ErrEmptyContext", err)
 	}

@@ -14,40 +14,14 @@ import (
 //
 // Construct with NewFESTIVE; the zero value is unusable.
 type FESTIVE struct {
-	est     *netsim.HarmonicMeanEstimator
-	window  int
-	gradual bool
+	est *netsim.HarmonicMeanEstimator
 }
 
 var _ Algorithm = (*FESTIVE)(nil)
 
-// FESTIVEOption customises the baseline.
-type FESTIVEOption func(*FESTIVE)
-
-// WithFESTIVEWindow overrides the 20-sample harmonic-mean window.
-func WithFESTIVEWindow(k int) FESTIVEOption {
-	return func(f *FESTIVE) {
-		if k >= 1 {
-			f.window = k
-		}
-	}
-}
-
-// WithoutGradualSwitching disables the one-rung-per-step stability
-// rule (pure "highest below estimate", as the paper's one-line summary
-// reads).
-func WithoutGradualSwitching() FESTIVEOption {
-	return func(f *FESTIVE) { f.gradual = false }
-}
-
 // NewFESTIVE returns the FESTIVE baseline.
-func NewFESTIVE(opts ...FESTIVEOption) *FESTIVE {
-	f := &FESTIVE{window: netsim.DefaultHarmonicWindow, gradual: true}
-	for _, o := range opts {
-		o(f)
-	}
-	f.est = netsim.NewHarmonicMeanEstimator(f.window)
-	return f
+func NewFESTIVE() *FESTIVE {
+	return &FESTIVE{est: netsim.NewHarmonicMeanEstimator(netsim.DefaultHarmonicWindow)}
 }
 
 // Name implements Algorithm.
@@ -64,7 +38,7 @@ func (f *FESTIVE) ChooseRung(ctx Context) (int, error) {
 		return ctx.Ladder.Lowest().Index, nil
 	}
 	target := ctx.Ladder.HighestBelow(bw).Index
-	if !f.gradual || ctx.PrevRung < 0 {
+	if ctx.PrevRung < 0 {
 		return target, nil
 	}
 	// Gradual switching: move at most one rung towards the target.

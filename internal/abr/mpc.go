@@ -1,7 +1,6 @@
 package abr
 
 import (
-	"errors"
 	"math"
 
 	"ecavs/internal/netsim"
@@ -11,8 +10,9 @@ import (
 // and Sinopoli (SIGCOMM 2015), cited by the paper as reference [17]:
 // it plans a short horizon ahead against a bandwidth prediction,
 // maximising a linear QoE objective (average bitrate, minus rebuffer
-// time, minus bitrate switches) and commits only the first step. The
-// RobustMPC variant discounts the prediction by its recent error.
+// time, minus bitrate switches) and commits only the first step. It
+// runs as the RobustMPC variant, which discounts the prediction by its
+// recent error.
 //
 // The horizon search runs as dynamic programming over (step, rung)
 // with a discretised buffer state, which keeps the 14-rung ladder
@@ -20,60 +20,30 @@ import (
 //
 // Construct with NewMPC; the zero value is unusable.
 type MPC struct {
-	horizon     int
-	robust      bool
 	lambdaRebuf float64
 	muSwitch    float64
 
 	est     *netsim.HarmonicMeanEstimator
 	lastErr *netsim.EWMAEstimator // tracks relative prediction error
-	lastBW  float64
 }
 
 var _ Algorithm = (*MPC)(nil)
 
-// MPCOption customises the algorithm.
-type MPCOption func(*MPC)
+// mpcHorizon is the planning horizon in segments.
+const mpcHorizon = 5
 
-// WithMPCHorizon overrides the planning horizon (default 5 segments).
-func WithMPCHorizon(h int) MPCOption {
-	return func(m *MPC) { m.horizon = h }
-}
-
-// WithoutRobustness disables the RobustMPC prediction discount.
-func WithoutRobustness() MPCOption {
-	return func(m *MPC) { m.robust = false }
-}
-
-// ErrBadHorizon is returned for non-positive horizons.
-var ErrBadHorizon = errors.New("abr: MPC horizon must be positive")
-
-// NewMPC returns the (Robust)MPC baseline.
-func NewMPC(opts ...MPCOption) (*MPC, error) {
-	m := &MPC{
-		horizon:     5,
-		robust:      true,
+// NewMPC returns the RobustMPC baseline.
+func NewMPC() *MPC {
+	return &MPC{
 		lambdaRebuf: 4.3, // rebuffer weight, as in the MPC paper's setup
 		muSwitch:    1.0,
 		est:         netsim.NewHarmonicMeanEstimator(5),
 		lastErr:     netsim.NewEWMAEstimator(0.3),
 	}
-	for _, o := range opts {
-		o(m)
-	}
-	if m.horizon <= 0 {
-		return nil, ErrBadHorizon
-	}
-	return m, nil
 }
 
 // Name implements Algorithm.
-func (m *MPC) Name() string {
-	if m.robust {
-		return "RobustMPC"
-	}
-	return "MPC"
-}
+func (m *MPC) Name() string { return "RobustMPC" }
 
 // bufferBins discretises the buffer for the DP (0.25 s resolution).
 const (
@@ -102,11 +72,9 @@ func (m *MPC) ChooseRung(ctx Context) (int, error) {
 	if !ok {
 		return ctx.Ladder.Lowest().Index, nil
 	}
-	if m.robust {
-		// Discount by the tracked relative prediction error.
-		if errEst, primed := m.lastErr.Estimate(); primed && errEst > 0 {
-			bw /= 1 + errEst
-		}
+	// Discount by the tracked relative prediction error.
+	if errEst, primed := m.lastErr.Estimate(); primed && errEst > 0 {
+		bw /= 1 + errEst
 	}
 	if bw <= 0 {
 		return ctx.Ladder.Lowest().Index, nil
@@ -140,13 +108,13 @@ func (m *MPC) ChooseRung(ctx Context) (int, error) {
 
 	// value[state] = best objective achievable from this state onward;
 	// computed backwards. To bound the state space we memoise per step.
-	memo := make([]map[state]float64, m.horizon+1)
+	memo := make([]map[state]float64, mpcHorizon+1)
 	for i := range memo {
 		memo[i] = make(map[state]float64)
 	}
 	var visit func(step int, st state) float64
 	visit = func(step int, st state) float64 {
-		if step == m.horizon {
+		if step == mpcHorizon {
 			return 0
 		}
 		if v, done := memo[step][st]; done {
@@ -215,12 +183,10 @@ func (m *MPC) ObserveDownload(thMbps float64) {
 		m.lastErr.Push(relErr)
 	}
 	m.est.Push(thMbps)
-	m.lastBW = thMbps
 }
 
 // Reset implements Algorithm.
 func (m *MPC) Reset() {
 	m.est.Reset()
 	m.lastErr = netsim.NewEWMAEstimator(0.3)
-	m.lastBW = 0
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ecavs/internal/dash"
+	"ecavs/internal/netsim"
 )
 
 func mpcCtx(t *testing.T, bufferSec float64, prevRung int) Context {
@@ -24,30 +25,10 @@ func mpcCtx(t *testing.T, bufferSec float64, prevRung int) Context {
 	}
 }
 
-func TestNewMPCValidation(t *testing.T) {
-	if _, err := NewMPC(WithMPCHorizon(0)); !errors.Is(err, ErrBadHorizon) {
-		t.Errorf("err = %v, want ErrBadHorizon", err)
-	}
-	m, err := NewMPC()
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestMPCStartupAtBottom(t *testing.T) {
+	m := NewMPC()
 	if m.Name() != "RobustMPC" {
 		t.Errorf("Name = %q, want RobustMPC", m.Name())
-	}
-	plain, err := NewMPC(WithoutRobustness())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Name() != "MPC" {
-		t.Errorf("Name = %q, want MPC", plain.Name())
-	}
-}
-
-func TestMPCStartupAtBottom(t *testing.T) {
-	m, err := NewMPC()
-	if err != nil {
-		t.Fatal(err)
 	}
 	rung, err := m.ChooseRung(mpcCtx(t, 0, -1))
 	if err != nil || rung != 0 {
@@ -56,10 +37,7 @@ func TestMPCStartupAtBottom(t *testing.T) {
 }
 
 func TestMPCHighBandwidthPicksHighRung(t *testing.T) {
-	m, err := NewMPC(WithoutRobustness())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMPC()
 	for i := 0; i < 5; i++ {
 		m.ObserveDownload(40)
 	}
@@ -73,10 +51,7 @@ func TestMPCHighBandwidthPicksHighRung(t *testing.T) {
 }
 
 func TestMPCLowBandwidthAvoidsRebuffering(t *testing.T) {
-	m, err := NewMPC(WithoutRobustness())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMPC()
 	for i := 0; i < 5; i++ {
 		m.ObserveDownload(1.0)
 	}
@@ -94,10 +69,7 @@ func TestMPCSwitchPenaltySmoothsChoices(t *testing.T) {
 	// With a moderate estimate, MPC at prev=top steps down but not to
 	// the floor in one go (the switch penalty is linear so it won't
 	// crash unless rebuffering forces it).
-	m, err := NewMPC(WithoutRobustness())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMPC()
 	for i := 0; i < 5; i++ {
 		m.ObserveDownload(6.0)
 	}
@@ -110,39 +82,37 @@ func TestMPCSwitchPenaltySmoothsChoices(t *testing.T) {
 	}
 }
 
+// An erratic history accumulates prediction error, which discounts the
+// estimate; a steady history with the same harmonic-mean estimate has
+// no error to discount by.
 func TestMPCRobustnessDiscountsPrediction(t *testing.T) {
-	robust, err := NewMPC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewMPC(WithoutRobustness())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed an erratic history: prediction error accumulates.
+	erratic := NewMPC()
+	hm := netsim.NewHarmonicMeanEstimator(5)
 	for _, th := range []float64{20, 2, 25, 3, 22, 2.5} {
-		robust.ObserveDownload(th)
-		plain.ObserveDownload(th)
+		erratic.ObserveDownload(th)
+		hm.Push(th)
+	}
+	est, _ := hm.Estimate()
+	steady := NewMPC()
+	for i := 0; i < 6; i++ {
+		steady.ObserveDownload(est)
 	}
 	ctx := mpcCtx(t, 12, 7)
-	r1, err := robust.ChooseRung(ctx)
+	r1, err := erratic.ChooseRung(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := plain.ChooseRung(ctx)
+	r2, err := steady.ChooseRung(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 > r2 {
-		t.Errorf("robust rung %d exceeds plain rung %d under erratic history", r1, r2)
+	if r1 >= r2 {
+		t.Errorf("rung %d under an erratic history, want below %d under a steady one at the same %.3f Mbps estimate", r1, r2, est)
 	}
 }
 
 func TestMPCReset(t *testing.T) {
-	m, err := NewMPC()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMPC()
 	m.ObserveDownload(30)
 	m.Reset()
 	rung, err := m.ChooseRung(mpcCtx(t, 10, 5))
@@ -152,24 +122,8 @@ func TestMPCReset(t *testing.T) {
 }
 
 func TestMPCEmptyLadder(t *testing.T) {
-	m, err := NewMPC()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMPC()
 	if _, err := m.ChooseRung(Context{}); !errors.Is(err, ErrEmptyContext) {
 		t.Errorf("err = %v, want ErrEmptyContext", err)
-	}
-}
-
-func TestMPCHorizonOption(t *testing.T) {
-	m, err := NewMPC(WithMPCHorizon(2), WithoutRobustness())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		m.ObserveDownload(10)
-	}
-	if _, err := m.ChooseRung(mpcCtx(t, 15, 7)); err != nil {
-		t.Errorf("short horizon failed: %v", err)
 	}
 }

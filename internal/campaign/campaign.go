@@ -46,7 +46,7 @@ func DefaultAlgorithms(pm power.Model, qm qoe.Model, alpha float64) ([]Algorithm
 	return []AlgorithmSpec{
 		{Name: "Youtube", New: func() (abr.Algorithm, error) { return abr.NewYoutube(), nil }},
 		{Name: "FESTIVE", New: func() (abr.Algorithm, error) { return abr.NewFESTIVE(), nil }},
-		{Name: "BBA", New: func() (abr.Algorithm, error) { return abr.NewBBA() }},
+		{Name: "BBA", New: func() (abr.Algorithm, error) { return abr.NewBBA(), nil }},
 		{Name: "Ours", New: func() (abr.Algorithm, error) { return core.NewOnline(obj), nil }},
 	}, nil
 }

@@ -39,7 +39,6 @@ type Live struct {
 // liveAlgo tracks one policy's running aggregates. The struct embeds
 // atomics, so the slice is allocated once and never copied.
 type liveAlgo struct {
-	name      string
 	sessions  *telemetry.Counter
 	qoeSum    telemetry.Gauge // unregistered accumulators feeding the means
 	energySum telemetry.Gauge
@@ -107,7 +106,6 @@ func (l *Live) init(algos []AlgorithmSpec, sessions int) {
 		"Sessions finished, by algorithm.", "algorithm")
 	l.algos = make([]liveAlgo, len(algos))
 	for i, spec := range algos {
-		l.algos[i].name = spec.Name
 		l.algos[i].sessions = sessionsVec.With(spec.Name)
 		l.algos[i].qoeMean = qoeVec.With(spec.Name)
 		l.algos[i].energyJ = energyVec.With(spec.Name)

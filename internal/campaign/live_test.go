@@ -26,7 +26,8 @@ func TestRunLiveIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := NewLive(telemetry.NewRegistry())
+	reg := telemetry.NewRegistry()
+	live := NewLive(reg)
 	cfg.Live = live
 	observed, err := Run(cfg)
 	if err != nil {
@@ -43,21 +44,22 @@ func TestRunLiveIsInert(t *testing.T) {
 		t.Errorf("live target = %d, want 24", got)
 	}
 
-	// The per-algorithm running means must converge to the exact
-	// aggregate means (same additions, different summation order).
-	for ai, summary := range observed.Algorithms {
-		a := &live.algos[ai]
-		if a.name != summary.Name {
-			t.Fatalf("algo %d name mismatch: %s vs %s", ai, a.name, summary.Name)
+	// The per-algorithm running means, read by the registry's
+	// algorithm label, must converge to the exact aggregate means (same
+	// additions, different summation order).
+	sessions := reg.CounterVec("campaign_algorithm_sessions_total", "", "algorithm")
+	qoeMean := reg.GaugeVec("campaign_qoe_mean", "", "algorithm")
+	energyJ := reg.GaugeVec("campaign_energy_j_mean", "", "algorithm")
+	for _, summary := range observed.Algorithms {
+		name := summary.Name
+		if got := sessions.With(name).Value(); got != summary.Sessions {
+			t.Errorf("%s: live sessions = %d, aggregate %d", name, got, summary.Sessions)
 		}
-		if got := a.sessions.Value(); got != summary.Sessions {
-			t.Errorf("%s: live sessions = %d, aggregate %d", a.name, got, summary.Sessions)
+		if got := qoeMean.With(name).Value(); math.Abs(got-summary.QoE.Mean) > 1e-9*(1+math.Abs(got)) {
+			t.Errorf("%s: live QoE mean %v, aggregate %v", name, got, summary.QoE.Mean)
 		}
-		if got := a.qoeMean.Value(); math.Abs(got-summary.QoE.Mean) > 1e-9*(1+math.Abs(got)) {
-			t.Errorf("%s: live QoE mean %v, aggregate %v", a.name, got, summary.QoE.Mean)
-		}
-		if got := a.energyJ.Value(); math.Abs(got-summary.EnergyJ.Mean) > 1e-9*(1+math.Abs(got)) {
-			t.Errorf("%s: live energy mean %v, aggregate %v", a.name, got, summary.EnergyJ.Mean)
+		if got := energyJ.With(name).Value(); math.Abs(got-summary.EnergyJ.Mean) > 1e-9*(1+math.Abs(got)) {
+			t.Errorf("%s: live energy mean %v, aggregate %v", name, got, summary.EnergyJ.Mean)
 		}
 	}
 }

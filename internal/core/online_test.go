@@ -271,3 +271,57 @@ func TestOnlineDirectMatchesScoreRungs(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineAlphaEndpoints pins what Eq. 11 reduces to at its weight
+// endpoints: at alpha = 0 the reference rung is the one with the
+// highest estimated QoE, and at alpha = 1 the one with the lowest
+// estimated energy, ties going to the lower rung. The oracle is
+// Objective.Estimate, which evaluates the model curves directly, not
+// the compiled rung table Online scores with.
+func TestOnlineAlphaEndpoints(t *testing.T) {
+	objs := [2]Objective{testObjective(t, 0), testObjective(t, 1)}
+	rng := rand.New(rand.NewSource(5))
+	ladder := dash.EvalLadder()
+	for trial := 0; trial < 4000; trial++ {
+		bw := rng.Float64()*40 + 0.5
+		ctx := onlineCtx(func(c *abr.Context) {
+			c.PrevRung = rng.Intn(len(ladder))
+			c.BufferSec = rng.Float64() * 30
+			c.SignalDBm = -90 - rng.Float64()*25
+			c.VibrationLevel = rng.Float64() * 7
+		})
+		for ai, obj := range objs {
+			o := NewOnline(obj, WithDirectReference())
+			o.ObserveDownload(bw)
+			got, err := o.ChooseRung(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, _ := o.est.Estimate()
+			want := 0
+			var best float64
+			for j, rep := range ladder {
+				e := obj.Estimate(Candidate{
+					BitrateMbps:     rep.BitrateMbps,
+					SizeMB:          ctx.SegmentSizesMB[j],
+					DurationSec:     ctx.SegmentDurationSec,
+					SignalDBm:       ctx.SignalDBm,
+					BandwidthMbps:   est,
+					BufferSec:       ctx.BufferSec,
+					Vibration:       ctx.VibrationLevel,
+					PrevBitrateMbps: ladder[ctx.PrevRung].BitrateMbps,
+				})
+				score := e.QoE // alpha = 0 maximises QoE
+				if ai == 1 {
+					score = -e.EnergyJ // alpha = 1 minimises energy
+				}
+				if j == 0 || score > best {
+					want, best = j, score
+				}
+			}
+			if got != want {
+				t.Fatalf("trial %d, alpha %v: rung %d, want %d", trial, obj.Alpha, got, want)
+			}
+		}
+	}
+}

@@ -61,11 +61,10 @@ type inflightComparison struct {
 
 // traceArtifacts caches what the evaluation derives per trace.
 type traceArtifacts struct {
-	man      *dash.Manifest
-	baseJ    float64
-	tasks    []core.TaskObservation
-	plans    map[float64]core.Plan // keyed by objective alpha
-	compiled *trace.Compiled       // shared immutable compiled form
+	man   *dash.Manifest
+	baseJ float64
+	tasks []core.TaskObservation
+	plans map[float64]core.Plan // keyed by objective alpha
 }
 
 // NewEnv returns the paper's evaluation environment.
@@ -198,7 +197,7 @@ func (e *Env) computeComparison() (*Comparison, error) {
 	builders := []func(ti int) (abr.Algorithm, error){
 		func(int) (abr.Algorithm, error) { return abr.NewYoutube(), nil },
 		func(int) (abr.Algorithm, error) { return abr.NewFESTIVE(), nil },
-		func(int) (abr.Algorithm, error) { return abr.NewBBA() },
+		func(int) (abr.Algorithm, error) { return abr.NewBBA(), nil },
 		func(int) (abr.Algorithm, error) { return core.NewOnline(obj), nil },
 		func(ti int) (abr.Algorithm, error) {
 			plan, err := e.optimalPlanLocked(traces[ti], arts[ti], obj)
@@ -252,8 +251,7 @@ func (e *Env) artifactsFor(tr *trace.Trace) (*traceArtifacts, error) {
 	// Compile first: it validates the trace once and every downstream
 	// artifact (base-energy replay, task observation, ablation/sweep
 	// sessions) shares the one compiled form via the trace's memo.
-	comp, err := tr.Compiled()
-	if err != nil {
+	if _, err := tr.Compiled(); err != nil {
 		return nil, fmt.Errorf("eval: trace %d compile: %w", tr.ID, err)
 	}
 	man, err := sim.ManifestForTrace(tr, e.Ladder)
@@ -268,7 +266,7 @@ func (e *Env) artifactsFor(tr *trace.Trace) (*traceArtifacts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: trace %d tasks: %w", tr.ID, err)
 	}
-	a := &traceArtifacts{man: man, baseJ: baseJ, tasks: tasks, plans: make(map[float64]core.Plan), compiled: comp}
+	a := &traceArtifacts{man: man, baseJ: baseJ, tasks: tasks, plans: make(map[float64]core.Plan)}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -55,24 +55,20 @@ func (e *Env) ExtendedBaselines() (*Table, error) {
 	// baseline × trace, accumulated in the sequential order afterwards.
 	builders := []struct {
 		name string
-		make func() (abr.Algorithm, error)
+		make func() abr.Algorithm
 	}{
-		{name: "BOLA", make: func() (abr.Algorithm, error) { return abr.NewBOLA() }},
-		{name: "RobustMPC", make: func() (abr.Algorithm, error) { return abr.NewMPC() }},
+		{name: "BOLA", make: func() abr.Algorithm { return abr.NewBOLA() }},
+		{name: "RobustMPC", make: func() abr.Algorithm { return abr.NewMPC() }},
 	}
 	nt := len(comp.Results)
 	metrics := make([]*sim.Metrics, len(builders)*nt)
 	if err := pool.Run(len(metrics), 0, func(unit int) error {
 		b, r := builders[unit/nt], comp.Results[unit%nt]
-		alg, err := b.make()
-		if err != nil {
-			return err
-		}
 		man, err := e.Manifest(r.Trace)
 		if err != nil {
 			return err
 		}
-		m, err := sim.RunOnTrace(r.Trace, man, alg, e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+		m, err := sim.RunOnTrace(r.Trace, man, b.make(), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
 		if err != nil {
 			return fmt.Errorf("eval: %s on trace %d: %w", b.name, r.Trace.ID, err)
 		}

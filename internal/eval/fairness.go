@@ -23,12 +23,12 @@ func (e *Env) ExtendedFairness() (*Table, error) {
 	}
 	policies := []struct {
 		name string
-		make func() (abr.Algorithm, error)
+		make func() abr.Algorithm
 	}{
-		{name: "FESTIVE", make: func() (abr.Algorithm, error) { return abr.NewFESTIVE(), nil }},
-		{name: "RateBased", make: func() (abr.Algorithm, error) { return abr.NewRateBased(), nil }},
-		{name: "BBA", make: func() (abr.Algorithm, error) { return abr.NewBBA() }},
-		{name: "BOLA", make: func() (abr.Algorithm, error) { return abr.NewBOLA() }},
+		{name: "FESTIVE", make: func() abr.Algorithm { return abr.NewFESTIVE() }},
+		{name: "RateBased", make: func() abr.Algorithm { return abr.NewRateBased() }},
+		{name: "BBA", make: func() abr.Algorithm { return abr.NewBBA() }},
+		{name: "BOLA", make: func() abr.Algorithm { return abr.NewBOLA() }},
 	}
 	for _, p := range policies {
 		clients := make([]multisim.Client, 3)
@@ -43,14 +43,10 @@ func (e *Env) ExtendedFairness() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			alg, err := p.make()
-			if err != nil {
-				return nil, err
-			}
 			clients[i] = multisim.Client{
 				Name:           fmt.Sprintf("%s-%d", p.name, i),
 				Manifest:       man,
-				Algorithm:      alg,
+				Algorithm:      p.make(),
 				StartOffsetSec: float64(i) * 5,
 			}
 		}

@@ -1,9 +1,10 @@
 // Package faults is the deterministic failure-injection substrate for
 // the real-HTTP streaming path: a seeded Plan hands out per-request
 // verdicts (server error, connection reset, response stall, truncated
-// body, added latency) that can be applied either server-side (an
-// httpdash.Server option) or client-side (a RoundTripper wrapper)
-// without the handler or client code knowing which faults exist.
+// body, added latency) that httpdash.Server's WithFaults option applies
+// at the origin, without the handler or client code knowing which
+// faults exist. The httpdash chaos tests also apply a plan on the
+// client side, through a test-only http.RoundTripper.
 //
 // Determinism is the point: a verdict depends only on the plan seed,
 // the request key (normally the URL path), and how many times that key

@@ -1,11 +1,6 @@
 package faults
 
 import (
-	"context"
-	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -156,126 +151,6 @@ func TestPlanConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if s := p.Stats(); s.Requests != 800 {
 		t.Errorf("requests = %d, want 800", s.Requests)
-	}
-}
-
-func newBackend(t *testing.T, body string) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Length", itoa(len(body)))
-		_, _ = io.WriteString(w, body)
-	}))
-	t.Cleanup(ts.Close)
-	return ts
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-func TestRoundTripper5xxAndReset(t *testing.T) {
-	ts := newBackend(t, "payload")
-	client := &http.Client{Transport: &RoundTripper{
-		Plan: NewScript([]Verdict{{Kind: Error5xx, Status: 503}, {Kind: Reset}}),
-	}}
-	resp, err := client.Get(ts.URL + "/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Errorf("status = %d, want 503", resp.StatusCode)
-	}
-	if _, err := client.Get(ts.URL + "/x"); !errors.Is(err, ErrInjectedReset) {
-		t.Errorf("reset verdict error = %v, want ErrInjectedReset", err)
-	}
-	// Script exhausted: clean pass-through.
-	resp, err = client.Get(ts.URL + "/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if string(b) != "payload" {
-		t.Errorf("clean body = %q", b)
-	}
-}
-
-func TestRoundTripperTruncatePreservesContentLength(t *testing.T) {
-	ts := newBackend(t, "0123456789")
-	client := &http.Client{Transport: &RoundTripper{
-		Plan: NewScript([]Verdict{{Kind: Truncate, TruncateFrac: 0.5}}),
-	}}
-	resp, err := client.Get(ts.URL + "/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.ContentLength != 10 {
-		t.Errorf("ContentLength = %d, want 10 (advertised full size)", resp.ContentLength)
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("truncated read should end in clean EOF, got %v", err)
-	}
-	if len(b) != 5 {
-		t.Errorf("delivered %d bytes, want 5", len(b))
-	}
-}
-
-func TestRoundTripperStallHonoursContext(t *testing.T) {
-	ts := newBackend(t, "payload")
-	client := &http.Client{Transport: &RoundTripper{
-		Plan: NewScript([]Verdict{{Kind: Stall, Stall: 10 * time.Second}}),
-	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/x", nil)
-	start := time.Now()
-	_, err := client.Do(req)
-	if err == nil {
-		t.Fatal("stalled request succeeded")
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Error("stall ignored the request deadline")
-	}
-}
-
-func TestRoundTripperFilterSkipsWithoutConsuming(t *testing.T) {
-	ts := newBackend(t, "payload")
-	plan := NewScript([]Verdict{{Kind: Error5xx, Status: 500}})
-	client := &http.Client{Transport: &RoundTripper{
-		Plan:   plan,
-		Filter: func(r *http.Request) bool { return r.URL.Path != "/manifest.mpd" },
-	}}
-	resp, err := client.Get(ts.URL + "/manifest.mpd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("filtered request got %d", resp.StatusCode)
-	}
-	if plan.Stats().Requests != 0 {
-		t.Error("filtered request consumed a verdict")
-	}
-	resp, err = client.Get(ts.URL + "/seg/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 500 {
-		t.Errorf("unfiltered request got %d, want injected 500", resp.StatusCode)
 	}
 }
 

@@ -33,16 +33,22 @@ func (d *discardResponseWriter) WriteHeader(int) {}
 
 func newBenchServer(tb testing.TB, opts ...ServerOption) *Server {
 	tb.Helper()
+	srv, err := NewServer(benchManifest(tb), opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
+// benchManifest is the presentation every bench server serves.
+func benchManifest(tb testing.TB) *dash.Manifest {
+	tb.Helper()
 	video := dash.Video{Title: "bench", SpatialInfo: 45, TemporalInfo: 15, DurationSec: 20}
 	m, err := dash.NewManifest(video, dash.TableIILadder(), dash.ManifestConfig{SegmentSec: 2, VBRJitter: 0, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewServer(m, opts...)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return srv
+	return m
 }
 
 // benchConns is how many connections the server-throughput benchmarks
@@ -95,7 +101,7 @@ func newTracedBenchServer(b *testing.B, sm tracing.Sampler) *Server {
 
 // benchServerThroughput serves rung 0's first segment to benchConns
 // goroutines at once, each with its own discarding writer, b.N
-// requests in all.
+// requests in all. srv serves benchManifest.
 func benchServerThroughput(b *testing.B, srv *Server) {
 	url, err := srv.segmentURL("", 0, 0)
 	if err != nil {
@@ -103,7 +109,7 @@ func benchServerThroughput(b *testing.B, srv *Server) {
 	}
 	req := httptest.NewRequest(http.MethodGet, url, nil)
 	var n int64
-	sizeMB, err := srv.manifest.SegmentSizeMB(0, 0)
+	sizeMB, err := benchManifest(b).SegmentSizeMB(0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

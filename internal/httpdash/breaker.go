@@ -55,10 +55,6 @@ type BreakerConfig struct {
 	// CloseAfter is how many consecutive probe successes close the
 	// breaker again (default 2). Any probe failure re-opens it.
 	CloseAfter int
-	// Clock overrides time.Now for deterministic tests (nil = wall
-	// clock). The breaker never sleeps — it only compares timestamps —
-	// so a scripted clock steps the whole state machine synchronously.
-	Clock func() time.Time
 }
 
 // DefaultBreakerConfig is the client's standard breaker tuning: trip
@@ -111,6 +107,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // Construct with NewBreaker; the zero value is unusable.
 type Breaker struct {
 	cfg BreakerConfig
+	// now is the wall clock. The breaker never sleeps — it only
+	// compares timestamps — so a test's scripted clock steps the whole
+	// state machine synchronously.
 	now func() time.Time
 
 	mu             sync.Mutex
@@ -131,13 +130,9 @@ type Breaker struct {
 // NewBreaker builds a breaker; zero config fields take their defaults.
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
-	now := cfg.Clock
-	if now == nil {
-		now = time.Now
-	}
 	return &Breaker{
 		cfg:    cfg,
-		now:    now,
+		now:    time.Now,
 		window: make([]bool, cfg.Window),
 	}
 }

@@ -33,21 +33,28 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// scriptedBreaker builds a breaker that reads clk in place of the wall
+// clock.
+func scriptedBreaker(cfg BreakerConfig, clk *fakeClock) *Breaker {
+	b := NewBreaker(cfg)
+	b.now = clk.Now
+	return b
+}
+
 // TestBreakerScriptedRecovery walks the full state machine on a
 // scripted clock: closed trips at the windowed failure rate, open
 // fails fast for exactly the cool-down, half-open admits one probe at
 // a time, and consecutive probe successes close the circuit again.
 func TestBreakerScriptedRecovery(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	b := NewBreaker(BreakerConfig{
+	b := scriptedBreaker(BreakerConfig{
 		Window:           4,
 		MinSamples:       4,
 		FailureThreshold: 0.5,
 		OpenFor:          2 * time.Second,
 		HalfOpenProbes:   1,
 		CloseAfter:       2,
-		Clock:            clk.Now,
-	})
+	}, clk)
 
 	// Below MinSamples nothing trips, even at a 100% failure rate.
 	for i := 0; i < 3; i++ {
@@ -121,11 +128,10 @@ func TestBreakerScriptedRecovery(t *testing.T) {
 // failing probe re-opens the circuit for a fresh cool-down.
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	b := NewBreaker(BreakerConfig{
+	b := scriptedBreaker(BreakerConfig{
 		Window: 2, MinSamples: 2, FailureThreshold: 0.5,
 		OpenFor: time.Second, HalfOpenProbes: 1, CloseAfter: 1,
-		Clock: clk.Now,
-	})
+	}, clk)
 	for i := 0; i < 2; i++ {
 		b.Allow()
 		b.Record(false)
@@ -150,11 +156,10 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 // the half-open probe slot without deciding recovery either way.
 func TestBreakerDropReleasesProbe(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	b := NewBreaker(BreakerConfig{
+	b := scriptedBreaker(BreakerConfig{
 		Window: 2, MinSamples: 2, FailureThreshold: 0.5,
 		OpenFor: time.Second, HalfOpenProbes: 1, CloseAfter: 1,
-		Clock: clk.Now,
-	})
+	}, clk)
 	b.Allow()
 	b.Record(false)
 	b.Allow()
@@ -348,10 +353,10 @@ func TestClientBreakerTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	client, err := NewClient(ts.URL, &abr.Fixed{Rung: 0},
 		WithClientTelemetry(reg), // before the breaker option on purpose
-		WithCircuitBreaker(BreakerConfig{
+		WithSharedBreaker(NewBreaker(BreakerConfig{
 			Window: 4, MinSamples: 2, FailureThreshold: 0.5,
 			OpenFor: time.Minute,
-		}),
+		})),
 		// Two attempts so the last one is the fast-fail: no backoff ever
 		// consumes the minute-long cool-down hint.
 		WithRetryPolicy(RetryPolicy{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond}))

@@ -19,18 +19,6 @@ import (
 // online policy.
 func chaosAlgorithms(t *testing.T) map[string]abr.Algorithm {
 	t.Helper()
-	bola, err := abr.NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpc, err := abr.NewMPC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bba, err := abr.NewBBA()
-	if err != nil {
-		t.Fatal(err)
-	}
 	obj, err := core.NewObjective(core.DefaultAlpha, power.EvalModel(), qoe.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +26,9 @@ func chaosAlgorithms(t *testing.T) map[string]abr.Algorithm {
 	return map[string]abr.Algorithm{
 		"Youtube": abr.NewYoutube(),
 		"FESTIVE": abr.NewFESTIVE(),
-		"BBA":     bba,
-		"BOLA":    bola,
-		"MPC":     mpc,
+		"BBA":     abr.NewBBA(),
+		"BOLA":    abr.NewBOLA(),
+		"MPC":     abr.NewMPC(),
 		"Ours":    core.NewOnline(obj),
 	}
 }
@@ -212,7 +200,7 @@ func TestChaosUnrecoverableStormAbandons(t *testing.T) {
 }
 
 // The same resilience holds when faults are injected client-side via
-// the RoundTripper — the server is healthy, the transport misbehaves.
+// faultRoundTripper — the server is healthy, the transport misbehaves.
 func TestChaosClientSideInjection(t *testing.T) {
 	storm := faults.Config{
 		Error5xxProb:    0.25,
@@ -227,9 +215,9 @@ func TestChaosClientSideInjection(t *testing.T) {
 	_, ts := newTestServer(t, 20)
 	hc := &http.Client{
 		Timeout: 30 * time.Second,
-		Transport: &faults.RoundTripper{
-			Plan:   plan,
-			Filter: func(r *http.Request) bool { return r.URL.Path != "/manifest.mpd" },
+		Transport: &faultRoundTripper{
+			plan:   plan,
+			filter: func(r *http.Request) bool { return r.URL.Path != "/manifest.mpd" },
 		},
 	}
 	client, err := NewClient(ts.URL, abr.NewFESTIVE(),
@@ -263,7 +251,7 @@ func TestChaosManifestRetries(t *testing.T) {
 		{Kind: faults.Error5xx, Status: 503},
 	})
 	_, ts := newTestServer(t, 20)
-	hc := &http.Client{Timeout: 30 * time.Second, Transport: &faults.RoundTripper{Plan: script}}
+	hc := &http.Client{Timeout: 30 * time.Second, Transport: &faultRoundTripper{plan: script}}
 	client, err := NewClient(ts.URL, abr.NewYoutube(),
 		WithHTTPClient(hc), WithRetryPolicy(chaosRetryPolicy()))
 	if err != nil {

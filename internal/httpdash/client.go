@@ -166,23 +166,15 @@ func WithRetryPolicy(p RetryPolicy) ClientOption {
 	}
 }
 
-// WithCircuitBreaker puts a circuit breaker in front of the client's
+// WithSharedBreaker puts a circuit breaker in front of the client's
 // host: once the windowed failure rate trips it, attempts fail fast
 // (no network traffic) until the cool-down elapses and probe requests
 // prove the host healthy again. Fast-failed attempts still burn retry
 // budget and still downgrade the rung under RetryPolicy — a braking
 // server pushes sessions down the ladder instead of into abandonment.
-// Zero config fields take DefaultBreakerConfig values.
-func WithCircuitBreaker(cfg BreakerConfig) ClientOption {
-	return func(c *Client) {
-		c.breaker = NewBreaker(cfg)
-	}
-}
-
-// WithSharedBreaker installs an existing breaker, so a fleet of
-// clients streaming from the same host shares one view of its health:
-// the first sessions to see the host fall over open the circuit for
-// everyone. Nil is ignored.
+// A breaker shared by a fleet of clients streaming from the same host
+// gives them one view of its health: the first sessions to see the
+// host fall over open the circuit for everyone. Nil is ignored.
 func WithSharedBreaker(b *Breaker) ClientOption {
 	return func(c *Client) {
 		if b != nil {
@@ -201,7 +193,7 @@ func WithSharedBreaker(b *Breaker) ClientOption {
 //	httpdash_client_timeouts_total    per-attempt deadline hits
 //	httpdash_client_truncated_total   short bodies rejected
 //	httpdash_client_abandoned_total   segments given up after retries
-//	httpdash_client_stall_seconds     cumulative virtual-playback stall
+//	httpdash_client_stall_seconds     cumulative virtual-playback stall, startup wait included
 //
 // With a circuit breaker configured (in either option order) the
 // breaker series are added:
@@ -213,7 +205,7 @@ func WithSharedBreaker(b *Breaker) ClientOption {
 // A nil registry is a no-op. Multiple clients sharing one registry
 // share the series — the counters describe the fleet. The option only
 // records the registry; series are wired after all options applied, so
-// it composes with WithCircuitBreaker in any order.
+// it composes with WithSharedBreaker in any order.
 func WithClientTelemetry(reg *telemetry.Registry) ClientOption {
 	return func(c *Client) {
 		c.telReg = reg

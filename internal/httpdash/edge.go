@@ -53,10 +53,9 @@ type Edge struct {
 	hc     *http.Client
 	cache  *edgecache.Cache
 
-	cacheCfg   edgecache.Config
-	freshFor   time.Duration
-	staleFor   time.Duration
-	retryAfter time.Duration
+	cacheCfg edgecache.Config
+	freshFor time.Duration
+	staleFor time.Duration
 
 	// flights collapses concurrent misses: one origin fill per key in
 	// flight at a time, followers wait for the leader's result.
@@ -120,16 +119,6 @@ func WithEdgeFreshness(fresh, stale time.Duration) EdgeOption {
 	}
 }
 
-// WithEdgeRetryAfter sets the Retry-After hint on edge-originated 503
-// responses when the origin did not provide one (default 1s).
-func WithEdgeRetryAfter(d time.Duration) EdgeOption {
-	return func(e *Edge) {
-		if d > 0 {
-			e.retryAfter = d
-		}
-	}
-}
-
 // WithEdgeHTTPClient overrides the origin-facing http.Client (default:
 // 30 s timeout over NewTransport's pooled keep-alive transport).
 func WithEdgeHTTPClient(hc *http.Client) EdgeOption {
@@ -181,13 +170,12 @@ func NewEdge(origin string, opts ...EdgeOption) (*Edge, error) {
 		return nil, errors.New("httpdash: empty origin URL")
 	}
 	e := &Edge{
-		origin:     strings.TrimSuffix(origin, "/"),
-		hc:         &http.Client{Timeout: defaultEdgeFillTimeout, Transport: NewTransport()},
-		cacheCfg:   edgecache.Config{CapacityBytes: DefaultEdgeCapacityBytes},
-		freshFor:   DefaultEdgeFreshFor,
-		staleFor:   DefaultEdgeStaleFor,
-		retryAfter: DefaultEdgeRetryAfter,
-		flights:    make(map[string]*flight),
+		origin:   strings.TrimSuffix(origin, "/"),
+		hc:       &http.Client{Timeout: defaultEdgeFillTimeout, Transport: NewTransport()},
+		cacheCfg: edgecache.Config{CapacityBytes: DefaultEdgeCapacityBytes},
+		freshFor: DefaultEdgeFreshFor,
+		staleFor: DefaultEdgeStaleFor,
+		flights:  make(map[string]*flight),
 	}
 	applyOptions(e, opts)
 	cache, err := edgecache.New(e.cacheCfg)
@@ -298,7 +286,7 @@ func (e *Edge) proxyThrough(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := e.hc.Do(req)
 	if err != nil {
-		shedResponse(w, e.retryAfter)
+		shedResponse(w, DefaultEdgeRetryAfter)
 		return
 	}
 	defer resp.Body.Close()
@@ -458,7 +446,7 @@ func (e *Edge) answerFillFailure(w http.ResponseWriter, span *tracing.Span, key 
 	}
 	hint := f.retryAfter
 	if hint <= 0 {
-		hint = e.retryAfter
+		hint = DefaultEdgeRetryAfter
 	}
 	shedResponse(w, hint)
 }

@@ -236,13 +236,13 @@ func TestEdgeShedPropagatesRetryAfter(t *testing.T) {
 	}
 	// Origin unreachable entirely: the edge supplies its own hint.
 	origin.Close()
-	edge2, err := NewEdge(origin.URL, WithEdgeRetryAfter(3*time.Second))
+	edge2, err := NewEdge(origin.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w = edgeGet(t, edge2, "/seg/v0-144p/0.m4s")
-	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "3" {
-		t.Errorf("dead origin: status %d Retry-After %q, want 503/3", w.Code, w.Header().Get("Retry-After"))
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "1" {
+		t.Errorf("dead origin: status %d Retry-After %q, want 503 and DefaultEdgeRetryAfter's 1", w.Code, w.Header().Get("Retry-After"))
 	}
 }
 
@@ -306,7 +306,7 @@ func TestEdgeClientClassifiesEdgeShedAsShed(t *testing.T) {
 		resp.Body.Close()
 		t.Skip("sentinel port unexpectedly reachable")
 	}
-	edge, errEdge := NewEdge("http://127.0.0.1:0", WithEdgeRetryAfter(time.Second))
+	edge, errEdge := NewEdge("http://127.0.0.1:0")
 	if errEdge != nil {
 		t.Fatal(errEdge)
 	}
@@ -321,8 +321,8 @@ func TestEdgeClientClassifiesEdgeShedAsShed(t *testing.T) {
 	if r.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", r.StatusCode)
 	}
-	if got := parseRetryAfter(r.Header.Get("Retry-After")); got != time.Second {
-		t.Errorf("parseRetryAfter = %v, want 1s — clients must see the backoff hint", got)
+	if got := parseRetryAfter(r.Header.Get("Retry-After")); got != DefaultEdgeRetryAfter {
+		t.Errorf("parseRetryAfter = %v, want %v — clients must see the backoff hint", got, DefaultEdgeRetryAfter)
 	}
 }
 

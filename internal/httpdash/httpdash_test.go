@@ -341,15 +341,7 @@ func TestServerRuntimeRateChange(t *testing.T) {
 // RobustMPC stream the same presentation FESTIVE does.
 func TestClientInterfaceParity(t *testing.T) {
 	_, ts := newTestServer(t, 12)
-	bola, err := abr.NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpc, err := abr.NewMPC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []abr.Algorithm{bola, mpc} {
+	for _, alg := range []abr.Algorithm{abr.NewBOLA(), abr.NewMPC()} {
 		client, err := NewClient(ts.URL, alg, WithBufferThreshold(8))
 		if err != nil {
 			t.Fatal(err)

@@ -90,7 +90,7 @@ func TestServerOptionOrderIndependence(t *testing.T) {
 
 // TestClientOptionOrderIndependence does the same for the client: the
 // breaker's state gauge and open counter — a cross-option product of
-// WithClientTelemetry and WithCircuitBreaker — must exist under every
+// WithClientTelemetry and WithSharedBreaker — must exist under every
 // ordering.
 func TestClientOptionOrderIndependence(t *testing.T) {
 	for _, order := range permutations(5) {
@@ -100,7 +100,7 @@ func TestClientOptionOrderIndependence(t *testing.T) {
 			tr := tracing.New(tracing.Config{Service: "c", Sampler: tracing.Sampler{Ratio: 1}, Seed: 1}, tracing.NewStore(8))
 			opts := []ClientOption{
 				WithClientTelemetry(reg),
-				WithCircuitBreaker(BreakerConfig{Window: 8, FailureThreshold: 0.5, MinSamples: 4, OpenFor: time.Second}),
+				WithSharedBreaker(NewBreaker(BreakerConfig{Window: 8, FailureThreshold: 0.5, MinSamples: 4, OpenFor: time.Second})),
 				WithRetryPolicy(RetryPolicy{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: time.Second, JitterSeed: 7}),
 				WithTracing(tr),
 				WithFetchAhead(3),
@@ -193,7 +193,7 @@ func TestNilOptionsSkipped(t *testing.T) {
 	if _, err := NewClient("http://localhost:0", &abr.Fixed{}, nil, WithFetchAhead(1)); err != nil {
 		t.Errorf("nil client option rejected: %v", err)
 	}
-	if _, err := NewEdge("http://localhost:0", nil, WithEdgeRetryAfter(time.Second)); err != nil {
+	if _, err := NewEdge("http://localhost:0", nil, WithEdgeFreshness(time.Minute, time.Second)); err != nil {
 		t.Errorf("nil edge option rejected: %v", err)
 	}
 }

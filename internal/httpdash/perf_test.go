@@ -153,8 +153,8 @@ func TestFetchAheadMatchesSerialOnCleanServer(t *testing.T) {
 // slot: the retries and downgrades surface in Stats exactly once, the
 // recovery is invisible to other segments, and the server never sees a
 // duplicate fetch of a segment that already succeeded. Faults are
-// injected client-side through a filtered RoundTripper so exactly one
-// segment's attempts are hit no matter how the concurrent requests
+// injected client-side through a filtered faultRoundTripper so exactly
+// one segment's attempts are hit no matter how the concurrent requests
 // interleave.
 func TestFetchAheadRetryStormCountsOnce(t *testing.T) {
 	script := faults.NewScript([]faults.Verdict{
@@ -164,9 +164,9 @@ func TestFetchAheadRetryStormCountsOnce(t *testing.T) {
 	srv, ts := newTestServer(t, 20)
 	hc := &http.Client{
 		Timeout: 30 * time.Second,
-		Transport: &faults.RoundTripper{
-			Plan:   script,
-			Filter: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/3.m4s") },
+		Transport: &faultRoundTripper{
+			plan:   script,
+			filter: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/3.m4s") },
 		},
 	}
 	client, err := NewClient(ts.URL, &abr.Fixed{Rung: 2},
@@ -225,9 +225,9 @@ func TestFetchAheadAbandonmentPropagates(t *testing.T) {
 	_, ts := newTestServer(t, 20)
 	hc := &http.Client{
 		Timeout: 30 * time.Second,
-		Transport: &faults.RoundTripper{
-			Plan:   script,
-			Filter: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/5.m4s") },
+		Transport: &faultRoundTripper{
+			plan:   script,
+			filter: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/5.m4s") },
 		},
 	}
 	client, err := NewClient(ts.URL, &abr.Fixed{Rung: 2},
@@ -340,9 +340,9 @@ func (s *spyAlgorithm) Reset()                  { s.prev = s.prev[:0] }
 func singleFaultClient(seg int) *http.Client {
 	return &http.Client{
 		Timeout: 30 * time.Second,
-		Transport: &faults.RoundTripper{
-			Plan:   faults.NewScript([]faults.Verdict{{Kind: faults.Error5xx, Status: 503}}),
-			Filter: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, fmt.Sprintf("/%d.m4s", seg)) },
+		Transport: &faultRoundTripper{
+			plan:   faults.NewScript([]faults.Verdict{{Kind: faults.Error5xx, Status: 503}}),
+			filter: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, fmt.Sprintf("/%d.m4s", seg)) },
 		},
 	}
 }

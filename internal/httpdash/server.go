@@ -53,7 +53,6 @@ var bodyPayload = sync.OnceValue(func() []byte {
 //
 // Construct with NewServer; the zero value is unusable.
 type Server struct {
-	manifest *dash.Manifest
 	mpdXML   []byte
 	repIDs   []string       // index-aligned with the ladder
 	rungByID map[string]int // repID -> ladder index
@@ -309,7 +308,6 @@ func NewServer(m *dash.Manifest, opts ...ServerOption) (*Server, error) {
 		}
 	}
 	s := &Server{
-		manifest:  m,
 		mpdXML:    []byte(sb.String()),
 		repIDs:    ids,
 		rungByID:  byID,

@@ -41,9 +41,8 @@ func waitIdle(t *testing.T, srv *Server) {
 	}
 }
 
-// TestServerSnapshotPerRung is the satellite contract: Snapshot
-// breaks requests/bytes down by rung and BytesSent stays the
-// compatible cross-rung total.
+// TestServerSnapshotPerRung pins that Snapshot breaks requests and
+// bytes down by rung, and that its totals are the cross-rung sums.
 func TestServerSnapshotPerRung(t *testing.T) {
 	srv, ts := newTestServer(t, 20)
 	fetch := func(rung, seg int) int64 {

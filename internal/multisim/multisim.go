@@ -5,10 +5,10 @@
 // interesting metrics are fairness (Jain's index across players) and
 // stability (switch counts) rather than a single session's energy.
 //
-// The engine advances a global clock in fixed steps; at each step the
-// bottleneck capacity is split evenly among the clients that are
-// actively downloading (processor sharing, the standard TCP-fairness
-// idealisation).
+// The engine advances a global clock in fixed 0.1 s steps; at each
+// step the bottleneck capacity is split evenly among the clients that
+// are actively downloading (processor sharing, the standard
+// TCP-fairness idealisation).
 package multisim
 
 import (
@@ -18,6 +18,7 @@ import (
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
 	"ecavs/internal/netsim"
+	"ecavs/internal/player"
 	"ecavs/internal/sim"
 )
 
@@ -40,14 +41,10 @@ type Config struct {
 	// CapacityMbps is the bottleneck capacity, split evenly among
 	// active downloaders.
 	CapacityMbps float64
-	// BufferThresholdSec paces each client's downloads (default 30 s).
-	BufferThresholdSec float64
-	// StepSec is the engine step (default 0.1 s).
-	StepSec float64
-	// MaxSimSec bounds the simulation (default: generous multiple of
-	// the longest video).
-	MaxSimSec float64
 }
+
+// stepSec is the engine step.
+const stepSec = 0.1
 
 // ClientResult summarises one client's session.
 type ClientResult struct {
@@ -96,8 +93,11 @@ type clientState struct {
 	rungs       []int
 }
 
-// Run executes the scenario. Each client is a sim.NewEvalSession,
-// metered at the context its decisions see: a still phone at 0 dBm.
+// Run executes the scenario. Each client is a sim.NewEvalSession at the
+// player's default buffer threshold, metered at the context its
+// decisions see: a still phone at 0 dBm. The run stops once every
+// session has played out, or at four times the longest video (join
+// offset included) plus 120 s, whichever comes first.
 func Run(cfg Config) (*Result, error) {
 	if len(cfg.Clients) == 0 {
 		return nil, ErrNoClients
@@ -105,14 +105,10 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.CapacityMbps <= 0 {
 		return nil, ErrBadCapacity
 	}
-	step := cfg.StepSec
-	if step <= 0 {
-		step = 0.1
-	}
 	var longest float64
 	states := make([]*clientState, 0, len(cfg.Clients))
 	for i, c := range cfg.Clients {
-		sess, err := sim.NewEvalSession(c.Manifest, c.Algorithm, cfg.BufferThresholdSec)
+		sess, err := sim.NewEvalSession(c.Manifest, c.Algorithm, player.DefaultBufferThresholdSec)
 		if err != nil {
 			return nil, fmt.Errorf("multisim: client %d: %w", i, err)
 		}
@@ -121,10 +117,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		states = append(states, &clientState{cfg: c, sess: sess})
 	}
-	maxSim := cfg.MaxSimSec
-	if maxSim <= 0 {
-		maxSim = longest*4 + 120
-	}
+	maxSim := longest*4 + 120
 
 	now := 0.0
 	for now < maxSim {
@@ -153,9 +146,9 @@ func Run(cfg Config) (*Result, error) {
 			// segment downloads.
 			var stall float64
 			if st.downloading {
-				stall = st.sess.Transfer(step, 0)
+				stall = st.sess.Transfer(stepSec, 0)
 			} else {
-				stall = st.sess.Play(step)
+				stall = st.sess.Play(stepSec)
 			}
 			allDone = false
 			if st.done {
@@ -164,12 +157,12 @@ func Run(cfg Config) (*Result, error) {
 			st.rebufferSec += stall
 
 			if st.downloading {
-				st.remainMB -= shareMBps * step
+				st.remainMB -= shareMBps * stepSec
 				if st.remainMB <= 0 {
 					st.downloading = false
-					elapsed := now + step - st.startedAt
+					elapsed := now + stepSec - st.startedAt
 					if elapsed <= 0 {
-						elapsed = step
+						elapsed = stepSec
 					}
 					sizeMB := st.dec.SegmentSizesMB[st.dec.Rung]
 					st.sess.Deliver(st.dec, st.dec.Rung, sizeMB,
@@ -197,7 +190,7 @@ func Run(cfg Config) (*Result, error) {
 		if allDone {
 			break
 		}
-		now += step
+		now += stepSec
 	}
 
 	res := &Result{}

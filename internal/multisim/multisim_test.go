@@ -112,18 +112,20 @@ func TestStaggeredJoin(t *testing.T) {
 }
 
 // Capacity conservation: total payload downloaded cannot exceed
-// capacity x duration. MaxSimSec stops the run mid-session, so the
-// span is known: at most MaxSimSec plus the last 0.1 s step.
+// capacity x duration. The three clients need 600 s of this link for
+// their 90 bottom-rung segments, so the run's bound (four times the
+// 60 s video plus 120 s) stops it mid-session and the span is known:
+// at most 360 s plus the last 0.1 s step.
 func TestCapacityConservation(t *testing.T) {
 	clients := festiveClients(t, 3, 60)
-	res, err := Run(Config{Clients: clients, CapacityMbps: 8, MaxSimSec: 30})
+	res, err := Run(Config{Clients: clients, CapacityMbps: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}
 	totalMB := deliveredMB(t, clients, res)
-	budget := 8.0 / 8 * (30 + 0.1)
+	budget := 0.03 / 8 * (60*4 + 120 + 0.1)
 	if totalMB <= 0 || totalMB > budget*1.01 {
-		t.Errorf("downloaded %.1f MB over a %.1f MB capacity budget", totalMB, budget)
+		t.Errorf("downloaded %.3f MB over a %.3f MB capacity budget", totalMB, budget)
 	}
 }
 
@@ -298,17 +300,18 @@ func TestStaggeredDeterministic(t *testing.T) {
 	}
 }
 
-// The engine terminates even when capacity is absurdly scarce (the
-// MaxSimSec bound kicks in rather than hanging).
+// The engine terminates even when capacity is absurdly scarce (its
+// bound, four times the longest video plus 120 s, kicks in rather than
+// hanging).
 func TestRunTerminatesUnderStarvation(t *testing.T) {
 	clients := festiveClients(t, 3, 30)
-	res, err := Run(Config{Clients: clients, CapacityMbps: 0.05, MaxSimSec: 100})
+	res, err := Run(Config{Clients: clients, CapacityMbps: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The clients need 180 s of this link for their 45 segments; a run
-	// past the bound delivers more than 100 s of capacity.
-	if got, budget := deliveredMB(t, clients, res), 0.05/8*(100+0.1); got > budget {
+	// The clients need 900 s of this link for their 45 segments; a run
+	// past the 240 s bound delivers more than 240 s of capacity.
+	if got, budget := deliveredMB(t, clients, res), 0.01/8*(30*4+120+0.1); got > budget {
 		t.Errorf("engine delivered %v MB, past the %v MB the link carries by its bound", got, budget)
 	}
 }

@@ -40,7 +40,6 @@ type Monitor struct {
 	stepSin, stepCos   float64
 
 	energyJ float64
-	elapsed float64
 }
 
 // normRNG adds normal deviates to an internal/rng stream: a 128-layer
@@ -215,7 +214,6 @@ func (mo *Monitor) Observe(powerW, durationSec float64) error {
 		return ErrNegativeInterval
 	}
 	if durationSec == 0 || powerW <= 0 {
-		mo.elapsed += durationSec
 		mo.advanceDrift(durationSec, false)
 		return nil
 	}
@@ -231,18 +229,16 @@ func (mo *Monitor) Observe(powerW, durationSec float64) error {
 		drift := 1 + mo.driftAmp*mo.driftSin
 		noise := 1 + mo.rng.NormFloat64()*mo.noiseStd
 		mo.energyJ += powerW * (1 + mo.bias) * drift * noise * step
-		mo.elapsed += step
 		mo.advanceDrift(step, fullStep)
 		remaining -= step
 	}
 	return nil
 }
 
-// Reset clears the accumulated energy and time, rewinding the drift to
-// its initial phase (the noise stream continues).
+// Reset clears the accumulated energy, rewinding the drift to its
+// initial phase (the noise stream continues).
 func (mo *Monitor) Reset() {
 	mo.energyJ = 0
-	mo.elapsed = 0
 	mo.driftSin, mo.driftCos = math.Sincos(mo.driftPhase)
 }
 

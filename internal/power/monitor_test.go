@@ -17,9 +17,6 @@ func TestMonitorIntegratesConstantPower(t *testing.T) {
 	if relErr(mo.energyJ, 20) > 0.05 {
 		t.Errorf("energyJ = %v, want ≈ 20", mo.energyJ)
 	}
-	if !almostEqual(mo.elapsed, 10, 1e-9) {
-		t.Errorf("elapsed = %v, want 10", mo.elapsed)
-	}
 }
 
 func TestMonitorZeroAndNegative(t *testing.T) {
@@ -33,12 +30,12 @@ func TestMonitorZeroAndNegative(t *testing.T) {
 	if err := mo.Observe(2.0, -1); !errors.Is(err, ErrNegativeInterval) {
 		t.Errorf("err = %v, want ErrNegativeInterval", err)
 	}
-	// Zero power advances time without energy.
+	// Zero power adds no energy.
 	if err := mo.Observe(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if mo.energyJ != 0 || mo.elapsed != 5 {
-		t.Errorf("after zero-power observe: E=%v t=%v, want 0, 5", mo.energyJ, mo.elapsed)
+	if mo.energyJ != 0 {
+		t.Errorf("after zero-power observe: E=%v, want 0", mo.energyJ)
 	}
 }
 
@@ -48,8 +45,8 @@ func TestMonitorReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	mo.Reset()
-	if mo.energyJ != 0 || mo.elapsed != 0 {
-		t.Error("Reset did not clear accumulators")
+	if mo.energyJ != 0 {
+		t.Error("Reset did not clear the energy")
 	}
 }
 
@@ -128,9 +125,6 @@ func TestMeasureSessionPartialTrailingSegment(t *testing.T) {
 	want := m.SessionEnergyJ(3.0, 9, -90)
 	if relErr(got, want) > 0.01 {
 		t.Errorf("9 s session: measured %.2f vs analytic %.2f", got, want)
-	}
-	if !almostEqual(mo.elapsed, 9, 1e-6) {
-		t.Errorf("elapsed = %v, want 9", mo.elapsed)
 	}
 }
 

@@ -14,18 +14,6 @@ import (
 // chaosAlgorithms builds a fresh instance of every ABR policy.
 func chaosAlgorithms(t *testing.T) map[string]abr.Algorithm {
 	t.Helper()
-	bola, err := abr.NewBOLA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpc, err := abr.NewMPC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bba, err := abr.NewBBA()
-	if err != nil {
-		t.Fatal(err)
-	}
 	obj, err := core.NewObjective(core.DefaultAlpha, power.EvalModel(), qoe.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -33,9 +21,9 @@ func chaosAlgorithms(t *testing.T) map[string]abr.Algorithm {
 	return map[string]abr.Algorithm{
 		"Youtube": abr.NewYoutube(),
 		"FESTIVE": abr.NewFESTIVE(),
-		"BBA":     bba,
-		"BOLA":    bola,
-		"MPC":     mpc,
+		"BBA":     abr.NewBBA(),
+		"BOLA":    abr.NewBOLA(),
+		"MPC":     abr.NewMPC(),
 		"Ours":    core.NewOnline(obj),
 	}
 }

@@ -67,10 +67,6 @@ func TestPaperOrderingsOnTableVTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bba, err := abr.NewBBA()
-		if err != nil {
-			t.Fatal(err)
-		}
 		tasks, err := core.ObserveTasks(tr, man, player.DefaultBufferThresholdSec, 6)
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +78,7 @@ func TestPaperOrderingsOnTableVTraces(t *testing.T) {
 		algs := []abr.Algorithm{
 			abr.NewYoutube(),
 			abr.NewFESTIVE(),
-			bba,
+			abr.NewBBA(),
 			core.NewOnline(obj),
 			core.NewPlannedAlgorithm("Optimal", plan),
 		}

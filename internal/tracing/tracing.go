@@ -70,10 +70,6 @@ type Config struct {
 	// Seed seeds the internal/rng ID stream. Zero derives a seed from the
 	// wall clock; tests pass a fixed seed for reproducible IDs.
 	Seed uint64
-	// Now overrides the clock (nil = time.Now). Span durations use the
-	// monotonic reading time.Time carries, so wall-clock jumps never
-	// produce negative spans.
-	Now func() time.Time
 }
 
 // Tracer creates spans and, when their root ends, offers the completed
@@ -86,8 +82,11 @@ type Tracer struct {
 	service string
 	sampler Sampler
 	store   *Store
-	now     func() time.Time
-	ids     rng.Atomic // ID stream
+	// now is the wall clock. Span durations use the monotonic reading
+	// time.Time carries, so wall-clock jumps never produce negative
+	// spans.
+	now func() time.Time
+	ids rng.Atomic // ID stream
 }
 
 // New builds a tracer emitting into store. A nil store returns a nil
@@ -100,13 +99,10 @@ func New(cfg Config, store *Store) *Tracer {
 		service: cfg.Service,
 		sampler: cfg.Sampler,
 		store:   store,
-		now:     cfg.Now,
+		now:     time.Now,
 	}
 	if t.service == "" {
 		t.service = "unknown"
-	}
-	if t.now == nil {
-		t.now = time.Now
 	}
 	seed := cfg.Seed
 	if seed == 0 {

@@ -12,12 +12,17 @@ import (
 // testTracer builds a deterministic tracer: fixed seed, stepped clock,
 // keep-everything sampler.
 func testTracer(service string, store *Store) *Tracer {
-	return New(Config{
+	return withClock(New(Config{
 		Service: service,
 		Sampler: Sampler{KeepErrors: true, Ratio: 1},
 		Seed:    42,
-		Now:     steppedClock(),
-	}, store)
+	}, store), steppedClock())
+}
+
+// withClock replaces tr's wall clock with now and returns tr.
+func withClock(tr *Tracer, now func() time.Time) *Tracer {
+	tr.now = now
+	return tr
 }
 
 // traceID reports the trace span s belongs to.
@@ -229,7 +234,7 @@ func TestFragmentLifecycle(t *testing.T) {
 func TestRemoteJoin(t *testing.T) {
 	store := NewStore(8)
 	client := testTracer("client", store)
-	server := New(Config{Service: "server", Sampler: Sampler{Ratio: 1}, Seed: 99, Now: steppedClock()}, store)
+	server := withClock(New(Config{Service: "server", Sampler: Sampler{Ratio: 1}, Seed: 99}, store), steppedClock())
 
 	croot := client.StartRoot("fetch")
 	hdr := croot.TraceParent()
@@ -349,8 +354,8 @@ func TestStoreRingWrap(t *testing.T) {
 func TestViewsOmitTracesCutByEviction(t *testing.T) {
 	store := NewStore(2)
 	clock := steppedClock()
-	client := New(Config{Service: "client", Sampler: Sampler{Ratio: 1}, Seed: 1, Now: clock}, store)
-	server := New(Config{Service: "server", Sampler: Sampler{Ratio: 1}, Seed: 2, Now: clock}, store)
+	client := withClock(New(Config{Service: "client", Sampler: Sampler{Ratio: 1}, Seed: 1}, store), clock)
+	server := withClock(New(Config{Service: "server", Sampler: Sampler{Ratio: 1}, Seed: 2}, store), clock)
 
 	// Trace A: two fragments, the server's published first.
 	a := client.StartRoot("request")
