@@ -270,6 +270,67 @@ func TestSessionAllocsTelemetryDisabled(t *testing.T) {
 	}
 }
 
+// TestDecisionAllocs pins every policy's steady-state decision at zero
+// allocations: once primed with five download observations and one
+// decision (which sizes any scratch and, for Online, compiles the
+// ladder's rung table), choosing a rung and observing the download
+// allocate nothing, on the 14-rung evaluation ladder with and — for
+// BOLA, which then derives nominal sizes — without per-rung sizes.
+func TestDecisionAllocs(t *testing.T) {
+	obj, err := core.NewObjective(core.DefaultAlpha, power.EvalModel(), qoe.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder := dash.EvalLadder()
+	sizes := make([]float64, len(ladder))
+	for i, r := range ladder {
+		sizes[i] = r.BitrateMbps / 8 * 2
+	}
+	ctx := abr.Context{
+		SegmentIndex:       10,
+		Ladder:             ladder,
+		SegmentSizesMB:     sizes,
+		SegmentDurationSec: 2,
+		PrevRung:           7,
+		BufferSec:          12,
+		BufferThresholdSec: 30,
+		SignalDBm:          -105,
+		VibrationLevel:     6,
+	}
+	noSizes := ctx
+	noSizes.SegmentSizesMB = nil
+	for _, tc := range []struct {
+		name string
+		alg  abr.Algorithm
+		ctx  abr.Context
+	}{
+		{"Youtube", abr.NewYoutube(), ctx},
+		{"FESTIVE", abr.NewFESTIVE(), ctx},
+		{"BBA", abr.NewBBA(), ctx},
+		{"BOLA", abr.NewBOLA(), ctx},
+		{"BOLA without sizes", abr.NewBOLA(), noSizes},
+		{"RobustMPC", abr.NewMPC(), ctx},
+		{"Ours", core.NewOnline(obj), ctx},
+		{"Ours direct", core.NewOnline(obj, core.WithDirectReference()), ctx},
+	} {
+		for _, th := range []float64{6, 9, 4, 12, 7} {
+			tc.alg.ObserveDownload(th)
+		}
+		if _, err := tc.alg.ChooseRung(tc.ctx); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := tc.alg.ChooseRung(tc.ctx); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			tc.alg.ObserveDownload(8)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a steady-state decision allocates %.1f objects, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // benchTrace2 is benchTrace for tests (testing.TB would also do, but
 // the benchmark helpers predate the telemetry pin and take *testing.B).
 func benchTrace2(t *testing.T) *trace.Trace {

@@ -16,8 +16,11 @@ import (
 // Lyapunov control parameters. V is derived from the buffer target so
 // the top rung is reached just below the threshold.
 //
-// BOLA is stateless; construct it with NewBOLA.
-type BOLA struct{}
+// BOLA keeps no state between decisions, only a scratch slice for the
+// nominal sizes it falls back to; construct it with NewBOLA.
+type BOLA struct {
+	sizes []float64 // fallback sizes, sized on first use and reused
+}
 
 var _ Algorithm = (*BOLA)(nil)
 
@@ -39,7 +42,10 @@ func (b *BOLA) ChooseRung(ctx Context) (int, error) {
 	sizes := ctx.SegmentSizesMB
 	if len(sizes) != len(ctx.Ladder) {
 		// Fall back to nominal sizes when the manifest is not supplied.
-		sizes = make([]float64, len(ctx.Ladder))
+		if cap(b.sizes) < len(ctx.Ladder) {
+			b.sizes = make([]float64, len(ctx.Ladder))
+		}
+		sizes = b.sizes[:len(ctx.Ladder)]
 		dur := ctx.SegmentDurationSec
 		if dur <= 0 {
 			dur = 2

@@ -3,6 +3,7 @@ package abr
 import (
 	"math"
 
+	"ecavs/internal/dash"
 	"ecavs/internal/netsim"
 )
 
@@ -25,6 +26,19 @@ type MPC struct {
 
 	est     *netsim.HarmonicMeanEstimator
 	lastErr *netsim.EWMAEstimator // tracks relative prediction error
+
+	// Per-decision scratch, sized on first use and reused, so a decision
+	// allocates nothing: dl is each rung's download time at the
+	// predicted rate, and memo the horizon search's best value from each
+	// (step, rung, buffer bin) state, valid where seen holds this
+	// decision's gen — a new decision bumps gen instead of clearing the
+	// table. ladder and dur are the decision's, for visit.
+	dl     []float64
+	memo   []float64
+	seen   []uint32
+	gen    uint32
+	ladder dash.Ladder
+	dur    float64
 }
 
 var _ Algorithm = (*MPC)(nil)
@@ -45,14 +59,20 @@ func NewMPC() *MPC {
 // Name implements Algorithm.
 func (m *MPC) Name() string { return "RobustMPC" }
 
-// bufferBins discretises the buffer for the DP (0.25 s resolution).
+// bufferBins discretises the buffer for the DP (0.25 s resolution):
+// mpcBins bins cover [0, mpcBufMax].
 const (
 	mpcBufStep = 0.25
 	mpcBufMax  = 60.0
+	mpcBins    = int(mpcBufMax/mpcBufStep) + 1
 )
 
+// bufToBin returns buf's bin in [0, mpcBins), the memo table's range.
+// A NaN buffer lands in bin 0: the float is checked before it is
+// converted, since Go leaves an out-of-range float-to-int conversion
+// to the implementation.
 func bufToBin(buf float64) int {
-	if buf < 0 {
+	if !(buf > 0) {
 		buf = 0
 	}
 	if buf > mpcBufMax {
@@ -86,78 +106,39 @@ func (m *MPC) ChooseRung(ctx Context) (int, error) {
 		dur = 2
 	}
 	// Per-rung download time of one segment at the predicted rate.
-	dl := make([]float64, k)
+	if cap(m.dl) < k {
+		m.dl = make([]float64, k)
+	}
+	m.dl = m.dl[:k]
 	for j, rep := range ctx.Ladder {
 		size := rep.BitrateMbps / 8 * dur
 		if len(ctx.SegmentSizesMB) == k {
 			size = ctx.SegmentSizesMB[j]
 		}
-		dl[j] = size / (bw / 8)
+		m.dl[j] = size / (bw / 8)
 	}
+	// A fresh generation invalidates every memo entry at once; the
+	// table is cleared only when the 32-bit counter wraps.
+	if n := (mpcHorizon - 1) * k * mpcBins; len(m.memo) < n {
+		m.memo, m.seen, m.gen = make([]float64, n), make([]uint32, n), 0
+	}
+	if m.gen++; m.gen == 0 {
+		clear(m.seen)
+		m.gen = 1
+	}
+	m.ladder, m.dur = ctx.Ladder, dur
 
-	// DP over (step, rung, bufferBin) maximising the MPC QoE:
-	//   sum bitrate - lambda*rebuffer - mu*|bitrate switch|
-	type state struct {
-		rung int
-		bin  int
-	}
 	prevBitrate := 0.0
 	if ctx.PrevRung >= 0 && ctx.PrevRung < k {
 		prevBitrate = ctx.Ladder[ctx.PrevRung].BitrateMbps
 	}
-
-	// value[state] = best objective achievable from this state onward;
-	// computed backwards. To bound the state space we memoise per step.
-	memo := make([]map[state]float64, mpcHorizon+1)
-	for i := range memo {
-		memo[i] = make(map[state]float64)
-	}
-	var visit func(step int, st state) float64
-	visit = func(step int, st state) float64 {
-		if step == mpcHorizon {
-			return 0
-		}
-		if v, done := memo[step][st]; done {
-			return v
-		}
-		best := math.Inf(-1)
-		buf := binToBuf(st.bin)
-		for j := 0; j < k; j++ {
-			rebuf := dl[j] - buf
-			nextBuf := buf - dl[j]
-			if rebuf < 0 {
-				rebuf = 0
-			}
-			if nextBuf < 0 {
-				nextBuf = 0
-			}
-			nextBuf += dur
-			prevBR := prevBitrate
-			if st.rung >= 0 {
-				prevBR = ctx.Ladder[st.rung].BitrateMbps
-			}
-			br := ctx.Ladder[j].BitrateMbps
-			gain := br - m.lambdaRebuf*rebuf - m.muSwitch*math.Abs(br-prevBR)
-			total := gain + visit(step+1, state{rung: j, bin: bufToBin(nextBuf)})
-			if total > best {
-				best = total
-			}
-		}
-		memo[step][st] = best
-		return best
-	}
-
 	// Choose the first step maximising gain + future value.
-	start := state{rung: ctx.PrevRung, bin: bufToBin(ctx.BufferSec)}
-	if start.rung >= k {
-		start.rung = k - 1
-	}
 	bestRung := 0
 	bestTotal := math.Inf(-1)
 	buf := ctx.BufferSec
 	for j := 0; j < k; j++ {
-		rebuf := dl[j] - buf
-		nextBuf := buf - dl[j]
+		rebuf := m.dl[j] - buf
+		nextBuf := buf - m.dl[j]
 		if rebuf < 0 {
 			rebuf = 0
 		}
@@ -167,13 +148,52 @@ func (m *MPC) ChooseRung(ctx Context) (int, error) {
 		nextBuf += dur
 		br := ctx.Ladder[j].BitrateMbps
 		gain := br - m.lambdaRebuf*rebuf - m.muSwitch*math.Abs(br-prevBitrate)
-		total := gain + visit(1, state{rung: j, bin: bufToBin(nextBuf)})
+		total := gain + m.visit(1, j, bufToBin(nextBuf))
 		if total > bestTotal {
 			bestTotal = total
 			bestRung = j
 		}
 	}
 	return bestRung, nil
+}
+
+// visit returns the best value of the MPC QoE
+//
+//	sum bitrate - lambda*rebuffer - mu*|bitrate switch|
+//
+// achievable from step onward, rung having been chosen with the buffer
+// in bin: dynamic programming over (step, rung, bufferBin), computed
+// backwards and memoised per decision.
+func (m *MPC) visit(step, rung, bin int) float64 {
+	if step == mpcHorizon {
+		return 0
+	}
+	slot := ((step-1)*len(m.dl)+rung)*mpcBins + bin
+	if m.seen[slot] == m.gen {
+		return m.memo[slot]
+	}
+	best := math.Inf(-1)
+	buf := binToBuf(bin)
+	prevBR := m.ladder[rung].BitrateMbps
+	for j, dl := range m.dl {
+		rebuf := dl - buf
+		nextBuf := buf - dl
+		if rebuf < 0 {
+			rebuf = 0
+		}
+		if nextBuf < 0 {
+			nextBuf = 0
+		}
+		nextBuf += m.dur
+		br := m.ladder[j].BitrateMbps
+		gain := br - m.lambdaRebuf*rebuf - m.muSwitch*math.Abs(br-prevBR)
+		total := gain + m.visit(step+1, j, bufToBin(nextBuf))
+		if total > best {
+			best = total
+		}
+	}
+	m.memo[slot], m.seen[slot] = best, m.gen
+	return best
 }
 
 // ObserveDownload implements Algorithm.
@@ -188,5 +208,5 @@ func (m *MPC) ObserveDownload(thMbps float64) {
 // Reset implements Algorithm.
 func (m *MPC) Reset() {
 	m.est.Reset()
-	m.lastErr = netsim.NewEWMAEstimator(0.3)
+	m.lastErr.Reset()
 }

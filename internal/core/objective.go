@@ -99,8 +99,10 @@ func (o Objective) Estimate(c Candidate) Estimate {
 
 // Cost scores a candidate against the reference (top-rung) estimate
 // per Eq. 11. Smaller is better. ref.EnergyJ and ref.QoE must be
-// positive; degenerate references score the candidate neutrally.
-func (o Objective) Cost(est, ref Estimate) float64 {
+// positive; degenerate references score the candidate neutrally. It
+// takes the objective by pointer: scoring calls it once per rung, and
+// even inlined a value receiver would copy the whole Objective.
+func (o *Objective) Cost(est, ref Estimate) float64 {
 	if ref.EnergyJ <= 0 || ref.QoE <= 0 {
 		return 0
 	}
@@ -119,7 +121,7 @@ func (o Objective) Cost(est, ref Estimate) float64 {
 // evaluates the curves directly (pinned by
 // TestScoreRungsCompiledBitIdentical), while evaluating zero math.Pow
 // calls per decision.
-func (o Objective) ScoreRungsCompiled(base Candidate, rt *qoe.RungTable, prevRung int, sizesMB, costs []float64, ests []Estimate) error {
+func (o *Objective) ScoreRungsCompiled(base Candidate, rt *qoe.RungTable, prevRung int, sizesMB, costs []float64, ests []Estimate) error {
 	k := rt.Len()
 	if k == 0 || len(sizesMB) != k {
 		return errors.New("core: sizes must be non-empty and parallel the rung table")
@@ -133,20 +135,30 @@ func (o Objective) ScoreRungsCompiled(base Candidate, rt *qoe.RungTable, prevRun
 	if prevRung >= k {
 		return fmt.Errorf("core: previous rung %d outside table of %d rungs", prevRung, k)
 	}
-	thMBps := base.BandwidthMbps / 8
+	// The decision's terms are set up once: the task, of which each rung
+	// changes only the bitrate and size, and the previous rung's
+	// bitrate and quality for the switch penalty. Energies come first,
+	// each rung's stall parked in its QoE slot; the Eq. 1 pass reads
+	// the stalls back with rt.SegmentQoE's arithmetic (qm equals
+	// rt.Model(), checked above), inlined.
+	task := power.SegmentTask{
+		DurationSec:    base.DurationSec,
+		SignalDBm:      base.SignalDBm,
+		ThroughputMBps: base.BandwidthMbps / 8,
+		BufferSec:      base.BufferSec,
+	}
 	for j := 0; j < k; j++ {
-		b := o.Power.SegmentEnergy(power.SegmentTask{
-			BitrateMbps:    rt.Bitrate(j),
-			DurationSec:    base.DurationSec,
-			SizeMB:         sizesMB[j],
-			SignalDBm:      base.SignalDBm,
-			ThroughputMBps: thMBps,
-			BufferSec:      base.BufferSec,
-		})
-		ests[j] = Estimate{
-			EnergyJ: b.TotalJ(),
-			QoE:     rt.SegmentQoE(j, prevRung, base.Vibration, b.RebufferSec),
-		}
+		task.BitrateMbps, task.SizeMB = rt.Bitrate(j), sizesMB[j]
+		b := o.Power.SegmentEnergy(task)
+		ests[j] = Estimate{EnergyJ: b.TotalJ(), QoE: b.RebufferSec}
+	}
+	prevBitrate, q0Prev := 0.0, 0.0
+	if prevRung >= 0 {
+		prevBitrate, q0Prev = rt.Bitrate(prevRung), rt.OriginalQuality(prevRung)
+	}
+	qm := o.QoE
+	for j := range ests {
+		ests[j].QoE = qm.SegmentQoEParts(rt.Perceived(j, base.Vibration), rt.OriginalQuality(j), prevBitrate, q0Prev, ests[j].QoE)
 	}
 	ref := ests[k-1]
 	for j := range ests {

@@ -87,16 +87,15 @@ func newTaskScorer(obj Objective, bitrates []float64) *taskScorer {
 
 // beginTask computes the previous-rung-independent per-rung terms.
 func (s *taskScorer) beginTask(t TaskObservation) {
-	thMBps := t.BandwidthMbps / 8
+	task := power.SegmentTask{
+		DurationSec:    t.DurationSec,
+		SignalDBm:      t.SignalDBm,
+		ThroughputMBps: t.BandwidthMbps / 8,
+		BufferSec:      t.BufferSec,
+	}
 	for j, r := range s.bitrates {
-		b := s.obj.Power.SegmentEnergy(power.SegmentTask{
-			BitrateMbps:    r,
-			DurationSec:    t.DurationSec,
-			SizeMB:         t.SizesMB[j],
-			SignalDBm:      t.SignalDBm,
-			ThroughputMBps: thMBps,
-			BufferSec:      t.BufferSec,
-		})
+		task.BitrateMbps, task.SizeMB = r, t.SizesMB[j]
+		b := s.obj.Power.SegmentEnergy(task)
 		s.energyJ[j] = b.TotalJ()
 		s.rebufSec[j] = b.RebufferSec
 		s.perceived[j] = s.rungs.Perceived(j, t.Vibration)

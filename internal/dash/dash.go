@@ -95,14 +95,16 @@ func (l Ladder) Highest() Representation { return l[len(l)-1] }
 
 // HighestBelow returns the highest rung whose bitrate does not exceed
 // mbps, falling back to the bottom rung when every rung exceeds it.
+// It finds the rung's index and copies only that one representation:
+// FESTIVE and BBA call it on every decision.
 func (l Ladder) HighestBelow(mbps float64) Representation {
-	best := l[0]
-	for _, r := range l {
-		if r.BitrateMbps <= mbps {
-			best = r
+	best := 0
+	for i := range l {
+		if l[i].BitrateMbps <= mbps {
+			best = i
 		}
 	}
-	return best
+	return l[best]
 }
 
 // Bitrates returns the ladder's bitrates as a fresh slice.

@@ -467,19 +467,17 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 			if projected >= c.threshold {
 				projected = resume
 			}
-			d, err := sess.Decide(issued, sess.ElapsedSec(), projected, 0, 0)
-			if err != nil {
+			s := &slots[issued%depth]
+			if err := sess.Decide(&s.dec, issued, sess.ElapsedSec(), projected, 0, 0); err != nil {
 				drain()
 				return stats, fmt.Errorf("httpdash: %w", err)
 			}
-			s := &slots[issued%depth]
-			s.dec = d
 			s.span = c.tracer.StartRoot("fetch_segment")
 			s.span.SetAttrInt("segment", int64(issued))
-			s.span.SetAttrInt("chosen_rung", int64(d.Rung))
+			s.span.SetAttrInt("chosen_rung", int64(s.dec.Rung))
 			issued++
 			if s.done == nil {
-				s.res = c.fetchWithRetry(fctx, info, d.SegmentIndex, d.Rung, s.span)
+				s.res = c.fetchWithRetry(fctx, info, s.dec.SegmentIndex, s.dec.Rung, s.span)
 				continue
 			}
 			s.span.SetAttr("mode", "prefetch")
@@ -528,7 +526,7 @@ func (c *Client) stream(ctx context.Context, info dash.MPDInfo) (*Stats, error) 
 		c.tel.stallSec.Add(max(0, drained-sess.BufferSec()))
 		sess.Transfer(drained, 0)
 		sizeMB, wall := float64(res.bytes)/1e6, res.wall.Seconds()
-		sess.Deliver(s.dec, res.rung, sizeMB, netsim.Result{DurationSec: wall, MeanThroughputMBps: sizeMB / wall})
+		sess.Deliver(&s.dec, res.rung, sizeMB, netsim.Result{DurationSec: wall, MeanThroughputMBps: sizeMB / wall})
 
 		stats.Fetches = append(stats.Fetches, Fetch{
 			Segment:        seg,

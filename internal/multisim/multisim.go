@@ -14,6 +14,7 @@ package multisim
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
@@ -75,6 +76,12 @@ var (
 	ErrBadCapacity = errors.New("multisim: capacity must be positive")
 )
 
+// ErrIncomplete reports a run its time bound stopped before every
+// client had fetched all of its segments. Run wraps it, naming each
+// such client's delivered and total segment counts, and still returns
+// the partial Result: its figures then describe only what was fetched.
+var ErrIncomplete = errors.New("multisim: time bound reached before every client fetched its segments")
+
 // clientState is the engine's per-client bookkeeping around the
 // client's sim.Session.
 type clientState struct {
@@ -97,7 +104,10 @@ type clientState struct {
 // player's default buffer threshold, metered at the context its
 // decisions see: a still phone at 0 dBm. The run stops once every
 // session has played out, or at four times the longest video (join
-// offset included) plus 120 s, whichever comes first.
+// offset included) plus 120 s, whichever comes first. When that bound
+// stops it before every client has fetched all of its segments, Run
+// returns the partial Result together with an error wrapping
+// ErrIncomplete.
 func Run(cfg Config) (*Result, error) {
 	if len(cfg.Clients) == 0 {
 		return nil, ErrNoClients
@@ -165,7 +175,7 @@ func Run(cfg Config) (*Result, error) {
 						elapsed = stepSec
 					}
 					sizeMB := st.dec.SegmentSizesMB[st.dec.Rung]
-					st.sess.Deliver(st.dec, st.dec.Rung, sizeMB,
+					st.sess.Deliver(&st.dec, st.dec.Rung, sizeMB,
 						netsim.Result{DurationSec: elapsed, MeanThroughputMBps: sizeMB / elapsed})
 					st.rungs = append(st.rungs, st.dec.Rung)
 					st.seg++
@@ -180,12 +190,11 @@ func Run(cfg Config) (*Result, error) {
 			if !st.sess.ShouldDownload() {
 				continue
 			}
-			d, err := st.sess.Decide(st.seg, now-st.cfg.StartOffsetSec, st.sess.BufferSec(), 0, 0)
-			if err != nil {
+			if err := st.sess.Decide(&st.dec, st.seg, now-st.cfg.StartOffsetSec, st.sess.BufferSec(), 0, 0); err != nil {
 				return nil, fmt.Errorf("multisim: client %s: %w", st.cfg.Name, err)
 			}
-			st.downloading, st.dec = true, d
-			st.remainMB, st.startedAt = d.SegmentSizesMB[d.Rung], now
+			st.downloading = true
+			st.remainMB, st.startedAt = st.dec.SegmentSizesMB[st.dec.Rung], now
 		}
 		if allDone {
 			break
@@ -195,7 +204,12 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	bitrates := make([]float64, 0, len(states))
+	var incomplete []string
 	for _, st := range states {
+		if !st.done {
+			incomplete = append(incomplete, fmt.Sprintf("client %s fetched %d of %d segments",
+				st.cfg.Name, st.seg, st.cfg.Manifest.SegmentCount()))
+		}
 		m := st.sess.Finish(nil)
 		res.Clients = append(res.Clients, ClientResult{
 			Name:            st.cfg.Name,
@@ -207,6 +221,9 @@ func Run(cfg Config) (*Result, error) {
 		bitrates = append(bitrates, m.MeanBitrateMbps)
 	}
 	res.JainFairness = jain(bitrates)
+	if incomplete != nil {
+		return res, fmt.Errorf("%w (bound %.1f s): %s", ErrIncomplete, maxSim, strings.Join(incomplete, "; "))
+	}
 	return res, nil
 }
 

@@ -2,8 +2,10 @@ package multisim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ecavs/internal/abr"
@@ -119,8 +121,8 @@ func TestStaggeredJoin(t *testing.T) {
 func TestCapacityConservation(t *testing.T) {
 	clients := festiveClients(t, 3, 60)
 	res, err := Run(Config{Clients: clients, CapacityMbps: 0.03})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("err = %v, want ErrIncomplete: the bound stops this run", err)
 	}
 	totalMB := deliveredMB(t, clients, res)
 	budget := 0.03 / 8 * (60*4 + 120 + 0.1)
@@ -306,12 +308,36 @@ func TestStaggeredDeterministic(t *testing.T) {
 func TestRunTerminatesUnderStarvation(t *testing.T) {
 	clients := festiveClients(t, 3, 30)
 	res, err := Run(Config{Clients: clients, CapacityMbps: 0.01})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("err = %v, want ErrIncomplete: the bound stops this run", err)
 	}
 	// The clients need 900 s of this link for their 45 segments; a run
 	// past the 240 s bound delivers more than 240 s of capacity.
 	if got, budget := deliveredMB(t, clients, res), 0.01/8*(30*4+120+0.1); got > budget {
 		t.Errorf("engine delivered %v MB, past the %v MB the link carries by its bound", got, budget)
+	}
+}
+
+// A run the bound stops names every client it cut short with its
+// delivered and total segment counts, and a run that completes returns
+// no error.
+func TestRunIncompleteError(t *testing.T) {
+	res, err := Run(Config{Clients: festiveClients(t, 3, 60), CapacityMbps: 0.03})
+	if !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("err = %v, want ErrIncomplete", err)
+	}
+	for _, c := range res.Clients {
+		if want := fmt.Sprintf("client %s fetched %d of 30 segments", c.Name, len(c.Rungs)); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	res, err = Run(Config{Clients: festiveClients(t, 3, 60), CapacityMbps: 12})
+	if err != nil {
+		t.Fatalf("a run every client completes returned %v", err)
+	}
+	for _, c := range res.Clients {
+		if len(c.Rungs) != 30 {
+			t.Errorf("client %s fetched %d segments, want 30", c.Name, len(c.Rungs))
+		}
 	}
 }

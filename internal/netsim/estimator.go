@@ -67,7 +67,7 @@ func (e *HarmonicMeanEstimator) String() string {
 // EWMAEstimator predicts bandwidth as an exponentially weighted moving
 // average of past samples.
 type EWMAEstimator struct {
-	ewma  *stats.EWMA
+	ewma  stats.EWMA // by value, so Reset restarts it in place
 	alpha float64
 }
 
@@ -75,7 +75,7 @@ var _ BandwidthEstimator = (*EWMAEstimator)(nil)
 
 // NewEWMAEstimator returns an EWMA estimator with smoothing alpha.
 func NewEWMAEstimator(alpha float64) *EWMAEstimator {
-	return &EWMAEstimator{ewma: stats.NewEWMA(alpha), alpha: alpha}
+	return &EWMAEstimator{ewma: *stats.NewEWMA(alpha), alpha: alpha}
 }
 
 // Push implements BandwidthEstimator.
@@ -95,7 +95,7 @@ func (e *EWMAEstimator) Estimate() (float64, bool) {
 }
 
 // Reset implements BandwidthEstimator.
-func (e *EWMAEstimator) Reset() { e.ewma = stats.NewEWMA(e.alpha) }
+func (e *EWMAEstimator) Reset() { e.ewma = *stats.NewEWMA(e.alpha) }
 
 // String identifies the estimator in reports.
 func (e *EWMAEstimator) String() string { return fmt.Sprintf("ewma(%.2f)", e.alpha) }

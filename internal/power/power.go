@@ -194,8 +194,11 @@ type SegmentTask struct {
 // SegmentEnergy evaluates the task-energy model (Eqs. 6-10) for one
 // segment: playback energy over the segment's duration, radio energy
 // for its download, and — when the download outlasts the buffer — the
-// stall energy of the rebuffering branch.
-func (m Model) SegmentEnergy(t SegmentTask) Breakdown {
+// stall energy of the rebuffering branch. It is the one implementation
+// of those equations; the online algorithm and the planner call it for
+// every rung of every decision, so it takes the 72-byte model by
+// pointer instead of copying it per call.
+func (m *Model) SegmentEnergy(t SegmentTask) Breakdown {
 	if t.DurationSec <= 0 || t.BitrateMbps <= 0 {
 		return Breakdown{}
 	}

@@ -246,6 +246,7 @@ func Run(cfg Config) (*Metrics, error) {
 		}
 	}
 	paused := false
+	var d Decision
 	for i := 0; i < cfg.Manifest.SegmentCount() && !s.Abandoned(); i++ {
 		// Pace downloads: idle (radio silent, playback continues)
 		// while the buffer is above the threshold; with hysteresis,
@@ -273,8 +274,7 @@ func Run(cfg Config) (*Metrics, error) {
 		}
 
 		at := link.Now() - startTime
-		d, err := s.Decide(i, at, s.BufferSec(), link.SignalDBm(), vibAt(at))
-		if err != nil {
+		if err := s.Decide(&d, i, at, s.BufferSec(), link.SignalDBm(), vibAt(at)); err != nil {
 			return nil, err
 		}
 		if rrc != nil {
@@ -292,7 +292,7 @@ func Run(cfg Config) (*Metrics, error) {
 		if rrc != nil {
 			rrc.EndTransfer()
 		}
-		s.Deliver(d, d.Rung, sizeMB, res)
+		s.Deliver(&d, d.Rung, sizeMB, res)
 	}
 
 	m := s.Finish(idle)

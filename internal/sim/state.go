@@ -141,34 +141,33 @@ func (s *Session) Abandoned() bool {
 // Decide asks the algorithm for segment seg's rung, given what the
 // driver's clock and sensors read: the session time, the buffer the
 // decision sees (the player's, or a projection), signal and vibration.
-func (s *Session) Decide(seg int, atSec, bufferSec, signalDBm, vibration float64) (Decision, error) {
+// It fills d in place, so the driver keeps the decision where it is
+// and hands the same pointer to Deliver; on error d's contents are
+// unspecified.
+func (s *Session) Decide(d *Decision, seg int, atSec, bufferSec, signalDBm, vibration float64) error {
 	dur, err := s.cfg.Manifest.SegmentDuration(seg)
 	if err != nil {
-		return Decision{}, err
+		return err
 	}
 	sizes, _ := s.cfg.Manifest.SegmentSizes(seg) // same bounds as SegmentDuration
 	ladder := s.cfg.Manifest.Ladder()
-	d := Decision{AtSec: atSec, Context: abr.Context{
-		SegmentIndex:       seg,
-		Ladder:             ladder,
-		SegmentSizesMB:     sizes,
-		SegmentDurationSec: dur,
-		PrevRung:           s.issuedRung,
-		BufferSec:          bufferSec,
-		BufferThresholdSec: s.cfg.BufferThresholdSec,
-		SignalDBm:          signalDBm,
-		VibrationLevel:     vibration,
-	}}
+	// Field by field: assigning a composite literal through d would
+	// build it in a temporary and copy that.
+	c := &d.Context
+	c.SegmentIndex, c.Ladder, c.SegmentSizesMB, c.SegmentDurationSec = seg, ladder, sizes, dur
+	c.PrevRung, c.BufferSec, c.BufferThresholdSec = s.issuedRung, bufferSec, s.cfg.BufferThresholdSec
+	c.SignalDBm, c.VibrationLevel = signalDBm, vibration
+	d.AtSec = atSec
 	rung, err := s.cfg.Algorithm.ChooseRung(d.Context)
 	if err != nil {
-		return Decision{}, fmt.Errorf("sim: segment %d: %w", seg, err)
+		return fmt.Errorf("sim: segment %d: %w", seg, err)
 	}
 	if rung < 0 || rung >= len(ladder) {
-		return Decision{}, fmt.Errorf("%w: %d of %d at segment %d", ErrBadRung, rung, len(ladder), seg)
+		return fmt.Errorf("%w: %d of %d at segment %d", ErrBadRung, rung, len(ladder), seg)
 	}
 	d.Rung = rung
 	s.issuedSeg, s.issuedRung, s.segStall = seg, rung, 0
-	return d, nil
+	return nil
 }
 
 // Play advances playback by dt seconds with the radio idle, metering
@@ -195,7 +194,8 @@ func (s *Session) Transfer(dt, signalDBm float64) (stallSec float64) {
 // Deliver queues decision d's segment, fetched at rung with sizeMB of
 // payload as dl reports, for playback; the algorithm observes the
 // throughput, and the segment's QoE, log and decision event are kept.
-func (s *Session) Deliver(d Decision, rung int, sizeMB float64, dl netsim.Result) {
+// It reads d and keeps no reference to it.
+func (s *Session) Deliver(d *Decision, rung int, sizeMB float64, dl netsim.Result) {
 	br := d.Ladder[rung].BitrateMbps
 	thMbps := dl.MeanThroughputMBps * 8
 	s.pl.OnSegment(d.SegmentDurationSec, br)

@@ -7,9 +7,13 @@ package stats
 //
 // The zero value is not usable; construct with NewSlidingWindow.
 type SlidingWindow struct {
-	buf   []float64
-	head  int // index of the oldest sample
+	buf   []float64 // the samples, a ring
+	inv   []float64 // inv[i] = 1/buf[i], kept at Push; shares buf's backing array
+	head  int       // index of the oldest sample
 	count int
+	// nonPositive counts the held samples <= 0, so HarmonicMean reports
+	// ErrNonPositive without looking at them.
+	nonPositive int
 }
 
 // NewSlidingWindow returns a window holding at most capacity samples.
@@ -18,18 +22,30 @@ func NewSlidingWindow(capacity int) *SlidingWindow {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &SlidingWindow{buf: make([]float64, capacity)}
+	backing := make([]float64, 2*capacity)
+	return &SlidingWindow{buf: backing[:capacity:capacity], inv: backing[capacity:]}
 }
 
 // Push appends a sample, evicting the oldest one if the window is full.
 func (w *SlidingWindow) Push(x float64) {
-	if w.count < len(w.buf) {
-		w.buf[(w.head+w.count)%len(w.buf)] = x
-		w.count++
-		return
+	i := w.head + w.count
+	if i >= len(w.buf) {
+		i -= len(w.buf)
 	}
-	w.buf[w.head] = x
-	w.head = (w.head + 1) % len(w.buf)
+	if w.count < len(w.buf) {
+		w.count++
+	} else { // full: i is the oldest sample's slot
+		if w.buf[i] <= 0 {
+			w.nonPositive--
+		}
+		if w.head++; w.head == len(w.buf) {
+			w.head = 0
+		}
+	}
+	if x <= 0 {
+		w.nonPositive++
+	}
+	w.buf[i], w.inv[i] = x, 1/x
 }
 
 // Len reports the number of samples currently held.
@@ -40,31 +56,35 @@ func (w *SlidingWindow) Cap() int { return len(w.buf) }
 
 // Reset discards all samples.
 func (w *SlidingWindow) Reset() {
-	w.head = 0
-	w.count = 0
+	w.head, w.count, w.nonPositive = 0, 0, 0
 }
-
-// HarmonicMean walks the ring in insertion order directly instead of
-// copying the samples out: the bandwidth estimators call it once per
-// simulated segment, and the per-call copy was one of the session hot
-// path's few remaining allocations.
 
 // HarmonicMean returns the harmonic mean of the held samples: ErrEmpty
 // for an empty window, ErrNonPositive if any sample is <= 0. It is
 // dominated by the smallest samples, which makes it a conservative
 // bandwidth estimator in the presence of throughput spikes (the reason
 // FESTIVE and the paper's online algorithm use it).
+//
+// The bandwidth estimators call it once per simulated segment, so it
+// sums the reciprocals Push kept, in place, oldest first, as the ring's
+// two contiguous runs — inv[head:] and then the wrapped part at the
+// front: the same terms in the same order as a walk dividing each
+// sample from the oldest, with no division or index arithmetic per
+// sample.
 func (w *SlidingWindow) HarmonicMean() (float64, error) {
 	if w.count == 0 {
 		return 0, ErrEmpty
 	}
+	if w.nonPositive > 0 {
+		return 0, ErrNonPositive
+	}
+	end := w.head + w.count
 	var sumInv float64
-	for i := 0; i < w.count; i++ {
-		x := w.buf[(w.head+i)%len(w.buf)]
-		if x <= 0 {
-			return 0, ErrNonPositive
-		}
-		sumInv += 1 / x
+	for _, r := range w.inv[w.head:min(end, len(w.inv))] {
+		sumInv += r
+	}
+	for _, r := range w.inv[:max(0, end-len(w.inv))] {
+		sumInv += r
 	}
 	return float64(w.count) / sumInv, nil
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,4 +216,60 @@ func (w *SlidingWindow) rms() float64 {
 		sum += x * x
 	}
 	return math.Sqrt(sum / float64(w.count))
+}
+
+// harmonicMeanWalk is HarmonicMean as a walk from the oldest sample
+// that finds each slot with a modulo and divides each sample: the
+// oracle the in-place reciprocal sum must match bit for bit.
+func (w *SlidingWindow) harmonicMeanWalk() (float64, error) {
+	if w.count == 0 {
+		return 0, ErrEmpty
+	}
+	var sumInv float64
+	for i := 0; i < w.count; i++ {
+		x := w.buf[(w.head+i)%len(w.buf)]
+		if x <= 0 {
+			return 0, ErrNonPositive
+		}
+		sumInv += 1 / x
+	}
+	return float64(w.count) / sumInv, nil
+}
+
+// On rings that have wrapped many times, HarmonicMean equals the
+// modulo walk bit for bit after every push, errors included: a
+// non-positive sample reports ErrNonPositive until it is evicted, and
+// Reset forgets it.
+func TestHarmonicMeanMatchesModuloWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, capacity := range []int{1, 2, 5, 20, 33} {
+		w := NewSlidingWindow(capacity)
+		wrapped := false
+		for push := 0; push < 20*capacity+7; push++ {
+			x := math.Exp(rng.NormFloat64() * 3) // spans orders of magnitude
+			switch rng.Intn(40) {
+			case 0:
+				x = 0
+			case 1:
+				x = -x
+			}
+			w.Push(x)
+			wrapped = wrapped || w.head != 0
+			got, gotErr := w.HarmonicMean()
+			want, wantErr := w.harmonicMeanWalk()
+			if math.Float64bits(got) != math.Float64bits(want) || !errors.Is(gotErr, wantErr) {
+				t.Fatalf("cap %d push %d (head %d): HarmonicMean = %v, %v; modulo walk %v, %v",
+					capacity, push, w.head, got, gotErr, want, wantErr)
+			}
+			if push == 10*capacity {
+				w.Reset()
+				if _, err := w.HarmonicMean(); !errors.Is(err, ErrEmpty) {
+					t.Fatalf("cap %d: after Reset HarmonicMean err = %v, want ErrEmpty", capacity, err)
+				}
+			}
+		}
+		if !wrapped && capacity > 1 {
+			t.Errorf("cap %d: the ring never wrapped", capacity)
+		}
+	}
 }

@@ -38,13 +38,15 @@ type Compiled struct {
 	tr *Trace
 
 	// Accelerometer series: accelT[i] is sample i's timestamp;
-	// dev[i] / dev2[i] are the Kahan-compensated prefix sums of the
-	// first i magnitude deviations (mag − refMag) and their squares, so
-	// both have len(accelT)+1 entries.
+	// prefix[i] holds the Kahan-compensated prefix sums of the first i
+	// magnitude deviations (mag − refMag) and of their squares, side by
+	// side so a window reads two cache lines, not four; it has
+	// len(accelT)+1 entries. rate is meanRate(accelT), from which the
+	// cursor guesses where a time falls before it searches.
 	accelT []float64
-	dev    []float64
-	dev2   []float64
+	prefix []prefixSum
 	refMag float64
+	rate   float64
 
 	// Network step function (zero-order hold), column-split from the
 	// trace's points for cache-friendly binary search.
@@ -52,6 +54,10 @@ type Compiled struct {
 	sigDBm  []float64
 	thrMBps []float64
 }
+
+// prefixSum is one entry of the deviation prefix sums: d sums the
+// magnitude deviations, d2 their squares.
+type prefixSum struct{ d, d2 float64 }
 
 // Compile validates t and builds its compiled form. Prefer
 // (*Trace).Compiled, which memoizes the result on the trace.
@@ -63,8 +69,7 @@ func Compile(t *Trace) (*Compiled, error) {
 	c := &Compiled{
 		tr:     t,
 		accelT: make([]float64, n),
-		dev:    make([]float64, n+1),
-		dev2:   make([]float64, n+1),
+		prefix: make([]prefixSum, n+1),
 	}
 
 	// Pass 1: the global mean magnitude, the reference the deviations
@@ -85,9 +90,9 @@ func Compile(t *Trace) (*Compiled, error) {
 		c.accelT[i] = s.TimeSec
 		sumD.Add(d)
 		sumD2.Add(d * d)
-		c.dev[i+1] = sumD.Sum()
-		c.dev2[i+1] = sumD2.Sum()
+		c.prefix[i+1] = prefixSum{d: sumD.Sum(), d2: sumD2.Sum()}
 	}
+	c.rate = meanRate(c.accelT)
 
 	c.netT = make([]float64, len(t.Network))
 	c.sigDBm = make([]float64, len(t.Network))
@@ -98,6 +103,21 @@ func Compile(t *Trace) (*Compiled, error) {
 		c.thrMBps[i] = p.ThroughputMBps
 	}
 	return c, nil
+}
+
+// meanRate returns the mean sample rate (n−1)/(ts[n−1]−ts[0]) of a
+// sorted series, or 0 where that is not a positive finite number: one
+// sample, all timestamps equal, or an infinite span.
+func meanRate(ts []float64) float64 {
+	n := len(ts)
+	if n < 2 {
+		return 0
+	}
+	r := float64(n-1) / (ts[n-1] - ts[0])
+	if !(r > 0) || math.IsInf(r, 1) {
+		return 0
+	}
+	return r
 }
 
 // searchGE returns the first index i with xs[i] >= v (len(xs) if none).
@@ -152,6 +172,71 @@ func gallopGT(xs []float64, from int, v float64) int {
 	return lo + searchGT(xs[lo:hi], v)
 }
 
+// probe returns the sample index in [from, len(accelT)) nearest below
+// where the mean sample rate puts time v, clamped to that range; from
+// must be below len(accelT). It reads only accelT[0], which stays in
+// cache, so the guess costs no memory access of its own. The float is
+// range-checked before it is converted, since Go leaves an
+// out-of-range float-to-int conversion to the implementation: NaN,
+// −Inf and a zero rate probe at from, +Inf and huge times at the last
+// sample.
+func (c *Compiled) probe(from int, v float64) int {
+	f := (v - c.accelT[0]) * c.rate
+	switch {
+	case !(f > float64(from)):
+		return from
+	case f >= float64(len(c.accelT)-1):
+		return len(c.accelT) - 1
+	}
+	return int(f)
+}
+
+// seekGE returns the first index i >= from with accelT[i] >= v
+// (len(accelT) if none): where a linear walk up from `from` stops. It
+// probes first at the index the mean sample rate predicts for v, so on
+// a steadily sampled trace one or two comparisons land on the answer
+// however far the window edge moved; from the probe it gallops up
+// (gallopGE) or down towards `from`, then binary searches the last
+// stride. Equal timestamps resolve to the first of them either way.
+func (c *Compiled) seekGE(from int, v float64) int {
+	xs := c.accelT
+	if from >= len(xs) {
+		return from
+	}
+	p := c.probe(from, v)
+	if xs[p] < v {
+		return gallopGE(xs, p+1, v)
+	}
+	// xs[p] >= v, so the answer lies in [from, p]: gallop down while
+	// the probe is still at or past v.
+	hi, stride := p, 1
+	for hi-stride >= from && xs[hi-stride] >= v {
+		hi -= stride
+		stride *= 2
+	}
+	lo := max(from, hi-stride+1)
+	return lo + searchGE(xs[lo:hi], v)
+}
+
+// seekGT is seekGE for the first index i >= from with accelT[i] > v.
+func (c *Compiled) seekGT(from int, v float64) int {
+	xs := c.accelT
+	if from >= len(xs) {
+		return from
+	}
+	p := c.probe(from, v)
+	if xs[p] <= v {
+		return gallopGT(xs, p+1, v)
+	}
+	hi, stride := p, 1
+	for hi-stride >= from && xs[hi-stride] > v {
+		hi -= stride
+		stride *= 2
+	}
+	lo := max(from, hi-stride+1)
+	return lo + searchGT(xs[lo:hi], v)
+}
+
 // levelFromPrefix evaluates Eq. 5 over the half-open sample index
 // range [i, j) from the prefix sums: with d the deviations,
 // Σ(m−mean_m)² = Σd² − n·mean_d², so the RMS deviation is
@@ -163,8 +248,9 @@ func (c *Compiled) levelFromPrefix(i, j int) float64 {
 		return 0
 	}
 	inv := 1 / float64(n)
-	meanD := (c.dev[j] - c.dev[i]) * inv
-	variance := (c.dev2[j]-c.dev2[i])*inv - meanD*meanD
+	pi, pj := c.prefix[i], c.prefix[j]
+	meanD := (pj.d - pi.d) * inv
+	variance := (pj.d2-pi.d2)*inv - meanD*meanD
 	if variance <= 0 {
 		// Rounding can push a near-constant window fractionally
 		// negative; the true variance is non-negative by construction.
@@ -200,10 +286,12 @@ func (c *Compiled) Link() *netsim.TraceLink {
 // Cursor returns a per-session query cursor over the compilation. A
 // Cursor memoizes the last window/step indices so the monotone
 // per-segment access pattern of a session replay advances from them —
-// the vibration window by galloping (O(log k) for a move of k
-// samples), the network step by a short forward scan — instead of a
-// fresh binary search over the whole trace; non-monotone queries fall
-// back to binary search transparently.
+// each vibration window edge by a seek that probes where the mean
+// sample rate puts it and gallops from there (two comparisons on a
+// steadily sampled trace, however far the edge moved), the network
+// step by a short forward scan — instead of a fresh binary search over
+// the whole trace; a query that moved backwards seeks from the first
+// sample, or binary searches the network steps, transparently.
 // Cursors are cheap, hold all mutable state (the shared Compiled has
 // none), and must not be shared between goroutines.
 func (c *Compiled) Cursor() Cursor { return Cursor{c: c} }
@@ -244,16 +332,13 @@ func (cu *Cursor) VibrationAt(tSec, windowSec float64) float64 {
 
 	i := cu.lo
 	if i > len(ts) || (i > 0 && ts[i-1] >= loT) {
-		i = searchGE(ts, loT) // window start moved backwards
-	} else {
-		i = gallopGE(ts, i, loT)
+		i = 0 // window start moved backwards: seek from the first sample
 	}
 	j := cu.hi
 	if j > len(ts) || (j > 0 && ts[j-1] > tSec) {
-		j = searchGT(ts, tSec) // query time moved backwards
-	} else {
-		j = gallopGT(ts, j, tSec)
+		j = 0 // query time moved backwards
 	}
+	i, j = cu.c.seekGE(i, loT), cu.c.seekGT(j, tSec)
 	cu.lo, cu.hi = i, j
 	return cu.c.levelFromPrefix(i, j)
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -440,3 +441,90 @@ func BenchmarkVibrationAtCursorSegmentPaced(b *testing.B) {
 }
 
 var benchSink float64
+
+// The seek finds the index the linear walk stops at, from every start
+// index (including starts past the answer, where the walk stays put)
+// and for every query value — each sample time, midpoints, values
+// below and past the series, ±Inf and NaN — over uniform, jittered,
+// gapped and equal-time series, with the rate Compile stores and with
+// rates that put the first probe too far in either direction.
+func TestSeekMatchesLinearWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	series := map[string][]float64{
+		"single":    {3},
+		"all equal": {2, 2, 2, 2, 2},
+		"infinite":  {math.Inf(-1), 0, 1, math.Inf(1)},
+	}
+	for _, n := range []int{2, 7, 150} {
+		uniform := make([]float64, n)
+		jittered := make([]float64, n)
+		gapped := make([]float64, n)
+		equal := make([]float64, n)
+		u, g, e := 0.0, 0.0, 0.0
+		for i := 0; i < n; i++ {
+			uniform[i] = float64(i) / 50
+			jittered[i] = u
+			u += 0.02 * (0.1 + 1.8*rng.Float64())
+			gapped[i] = g
+			if rng.Intn(15) == 0 {
+				g += 1 + 8*rng.Float64()
+			} else {
+				g += 0.02
+			}
+			equal[i] = e
+			if rng.Intn(3) == 0 { // runs of equal timestamps
+				e += 0.02
+			}
+		}
+		series[fmt.Sprintf("uniform %d", n)] = uniform
+		series[fmt.Sprintf("jittered %d", n)] = jittered
+		series[fmt.Sprintf("gapped %d", n)] = gapped
+		series[fmt.Sprintf("equal-time %d", n)] = equal
+	}
+	for name, xs := range series {
+		queries := []float64{math.Inf(-1), math.Inf(1), math.NaN(), -1e300, 1e300}
+		for i, x := range xs {
+			queries = append(queries, x, x-1e-9, x+1e-9, x-1, x+1)
+			if i > 0 {
+				queries = append(queries, (xs[i-1]+x)/2)
+			}
+		}
+		rate := meanRate(xs)
+		for _, r := range []float64{rate, rate * 3, rate / 3, 0} {
+			c := &Compiled{accelT: xs, rate: r}
+			for _, v := range queries {
+				for from := 0; from <= len(xs); from++ {
+					if got, want := c.seekGE(from, v), linearGE(xs, from, v); got != want {
+						t.Fatalf("%s, rate %v: seekGE(from %d, %v) = %d, linear walk %d", name, r, from, v, got, want)
+					}
+					if got, want := c.seekGT(from, v), linearGT(xs, from, v); got != want {
+						t.Fatalf("%s, rate %v: seekGT(from %d, %v) = %d, linear walk %d", name, r, from, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// meanRate is the seek's first guess, and only a positive finite rate
+// may reach it: anything else would send a NaN or an infinity into the
+// probe's float-to-int conversion.
+func TestMeanRateGuards(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ts   []float64
+		want float64
+	}{
+		{"empty", nil, 0},
+		{"one sample", []float64{5}, 0},
+		{"zero span", []float64{1, 1, 1}, 0},
+		{"infinite span", []float64{math.Inf(-1), 0, 1}, 0},
+		{"infinite end", []float64{0, 1, math.Inf(1)}, 0},
+		{"overflowing span", []float64{-math.MaxFloat64, math.MaxFloat64}, 0},
+		{"50 Hz", []float64{0, 0.02, 0.04, 0.06}, 3 / 0.06},
+	} {
+		if got := meanRate(tc.ts); got != tc.want {
+			t.Errorf("%s: meanRate = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
