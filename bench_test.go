@@ -424,7 +424,7 @@ func BenchmarkOnlineDecision(b *testing.B) {
 
 func BenchmarkChannelAdvance(b *testing.B) {
 	pm := power.EvalModel()
-	ch, err := netsim.NewChannel(netsim.VehicleSignal, netsim.FadingConfig{}, pm.NominalThroughputMBps, 1)
+	ch, err := netsim.NewChannel(netsim.VehicleSignal, pm.NominalThroughputMBps, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func BenchmarkHarmonicMeanEstimator(b *testing.B) {
 }
 
 func BenchmarkPowerMonitor(b *testing.B) {
-	mo := power.NewMonitor(power.MonitorConfig{Seed: 4})
+	mo := power.NewMonitor(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := mo.Observe(2.5, 1); err != nil {

@@ -92,7 +92,7 @@ func run() error {
 		},
 		ReversionRate: 0.3,
 		VolatilityDB:  2.5,
-	}, netsim.FadingConfig{}, capacity, 2024)
+	}, capacity, 2024)
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ func run() error {
 			qs = append(qs, q)
 		}
 	}
-	curve, err := fit.GaussNewton(fit.RateQualityModel{}, rs, qs, []float64{1, 1}, fit.GaussNewtonOptions{})
+	curve, err := fit.GaussNewton(fit.RateQualityModel{}, rs, qs, []float64{1, 1})
 	if err != nil {
 		return fmt.Errorf("curve fit: %w", err)
 	}

@@ -21,11 +21,12 @@ import (
 
 // testOnlyExports lists the exported identifiers under internal/ that
 // no production file references, the exported struct fields that none
-// reads, and those that production reads but only tests set, each with
-// the reason it stays exported. Keys are "pkg.Name" for package-level
-// names and "pkg.Type.Method" or "pkg.Type.Field" for methods and
-// fields.
+// reads, and those that production reads but only tests and the
+// field's own default set, each with the reason it stays exported.
+// Keys are "pkg.Name" for package-level names and "pkg.Type.Method" or
+// "pkg.Type.Field" for methods and fields.
 var testOnlyExports = map[string]string{
+	"campaign.Config.ThresholdSec":          "TestRunAbandonmentCertain sets 5 s because at the default 30 s play-out swallows a quit point that falls after the last delivery (ROADMAP item 1(d)); the field goes with that fix",
 	"core.Plan.TotalCost":                   "objective of the plan ecavs.PlanOptimalForTrace returns; the planner's oracle tests compare it",
 	"faults.NewScript":                      "fixture shared by the faults and httpdash tests: a scripted verdict sequence",
 	"faults.Plan.Stats":                     "fixture shared by the faults and httpdash chaos tests: a plan's injection counters",
@@ -87,6 +88,17 @@ var testOnlyExports = map[string]string{
 // assignment, increment or decrement, or the operand of & (as in
 // flag.IntVar(&cfg.F, ...)). Otherwise production always sees its zero
 // value, and the field is a knob that only tests turn.
+//
+// A field's default is neither a read nor a set: a plain assignment
+// directly in the body of an if whose condition reads the same
+// selector, as in `if c.Hz <= 0 { c.Hz = 100 }` or
+// `if len(c.Ladder) == 0 { c.Ladder = dash.EvalLadder() }`, whose value
+// names no local variable (only constants, package-level names and
+// calls on them). A field that only its defaults and tests set always
+// reads its default in production, so it fails like one that only
+// tests set. The value condition keeps computed fields out:
+// `if v.Root == "" { v.Root = sp.Name }` reads the local sp, so it is
+// a set.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	declared := map[string]bool{}
@@ -97,6 +109,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	fields := map[string]bool{}
 	read := map[string]bool{}
 	set := map[string]bool{}
+	defaultAt := map[string][]string{} // positions of each field's defaults
 	encoded := map[string]bool{}
 	tagged := map[string]bool{}
 	ifaceMethods := map[string]bool{"Error": true} // the predeclared error
@@ -165,6 +178,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			written := map[*ast.SelectorExpr]bool{}
 			addressed := map[*ast.SelectorExpr]bool{}
+			defaults := map[*ast.SelectorExpr]bool{}
 			for _, f := range files {
 				for _, d := range f.Decls {
 					if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
@@ -193,6 +207,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 								written[sel] = true
 							}
 						}
+					case *ast.IfStmt:
+						markDefaults(info, x, defaults)
 					case *ast.IncDecStmt:
 						if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok {
 							written[sel] = true
@@ -217,7 +233,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 			}
 			for sel, s := range info.Selections {
-				markSelection(s, written[sel], addressed[sel], read, set)
+				key := markSelection(s, written[sel], read)
+				switch {
+				case key == "":
+				case defaults[sel]:
+					defaultAt[key] = append(defaultAt[key], relPosition(fset.Position(sel.Pos())))
+				case written[sel] || addressed[sel]:
+					set[key] = true
+				}
 			}
 
 			if !strings.HasPrefix(p.ImportPath, "ecavs/internal/") {
@@ -285,6 +308,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 			continue
 		}
 		switch {
+		case read[key] && len(defaultAt[key]) > 0:
+			sort.Strings(defaultAt[key])
+			t.Errorf("field %s is set only from tests and by its default at %s, so the program always reads that default: make it a constant, or list it in testOnlyExports with the reason it stays", key, strings.Join(defaultAt[key], ", "))
 		case read[key]:
 			t.Errorf("field %s is set only from tests, so the program always reads its zero value: make it a constant, or list it in testOnlyExports with the reason it stays", key)
 		case fields[key]:
@@ -405,11 +431,11 @@ func markEncoded(typ types.Type, tag string, encoded map[string]bool, seen map[t
 	}
 }
 
-// markSelection records what selection s does to the fields under
-// internal/. It reads every embedded field on its path. It reads the
-// selected field unless it is only written, and sets it when it is
-// written or its address is taken.
-func markSelection(s *types.Selection, written, addressed bool, read, set map[string]bool) {
+// markSelection records in read the fields under internal/ that
+// selection s reads: every embedded field on its path, and the selected
+// field unless it is only written. It returns the selected field's key,
+// or "" when s selects a method or a field declared outside internal/.
+func markSelection(s *types.Selection, written bool, read map[string]bool) (selected string) {
 	path := s.Index()
 	last := len(path) - 1
 	if s.Kind() != types.FieldVal {
@@ -422,19 +448,71 @@ func markSelection(s *types.Selection, written, addressed bool, read, set map[st
 		}
 		st, ok := typ.Underlying().(*types.Struct)
 		if !ok {
-			return
+			return ""
 		}
 		if key, ok := typeKey(typ); ok {
 			key += "." + st.Field(idx).Name()
 			if i < last || !written {
 				read[key] = true
 			}
-			if i == last && (written || addressed) {
-				set[key] = true
+			if i == last {
+				selected = key
 			}
 		}
 		typ = st.Field(idx).Type()
 	}
+	return selected
+}
+
+// markDefaults records in defaults each selector that if statement s
+// assigns a default: the target of a plain assignment directly in its
+// body that its condition also reads, assigned a value that names no
+// local variable.
+func markDefaults(info *types.Info, s *ast.IfStmt, defaults map[*ast.SelectorExpr]bool) {
+	cond := map[string]bool{}
+	ast.Inspect(s.Cond, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			cond[types.ExprString(sel)] = true
+		}
+		return true
+	})
+	for _, stmt := range s.Body.List {
+		as, ok := stmt.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+			continue
+		}
+		for i, lhs := range as.Lhs {
+			if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && cond[types.ExprString(sel)] && !namesLocal(info, as.Rhs[i]) {
+				defaults[sel] = true
+			}
+		}
+	}
+}
+
+// namesLocal reports whether expression e refers to a local variable:
+// a variable that is neither declared at package level nor a field.
+func namesLocal(info *types.Info, e ast.Expr) bool {
+	local := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if v, ok := info.Uses[id].(*types.Var); ok && !v.IsField() && v.Pkg().Scope().Lookup(v.Name()) != v {
+				local = true
+			}
+		}
+		return !local
+	})
+	return local
+}
+
+// relPosition renders pos with its file name relative to the working
+// directory, the module root when go test runs this file.
+func relPosition(pos token.Position) string {
+	if wd, err := os.Getwd(); err == nil {
+		if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
+			pos.Filename = rel
+		}
+	}
+	return pos.String()
 }
 
 // markLiteral records in set the fields under internal/ that composite

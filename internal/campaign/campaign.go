@@ -51,13 +51,13 @@ func DefaultAlgorithms(pm power.Model, qm qoe.Model, alpha float64) ([]Algorithm
 	}, nil
 }
 
-// Config describes a campaign.
+// Config describes a campaign. Every session streams the evaluation
+// ladder (dash.EvalLadder) and is metered with the evaluation models
+// (power.EvalModel, qoe.Default).
 type Config struct {
 	// Traces are the session contexts sessions draw from (uniformly,
 	// per-session seeded). Required.
 	Traces []*trace.Trace
-	// Ladder is the encoding ladder (default dash.EvalLadder).
-	Ladder dash.Ladder
 	// Algorithms are the compared policies; sessions cycle through them
 	// round-robin so every policy sees the same number of sessions
 	// (default DefaultAlgorithms at core.DefaultAlpha).
@@ -94,10 +94,6 @@ type Config struct {
 	// its Seed field is ignored (each session draws its own from the
 	// campaign stream). The zero value means netsim.DefaultOutage().
 	Outage netsim.OutageConfig
-	// Power and QoE are the models (defaults power.EvalModel,
-	// qoe.Default).
-	Power power.Model
-	QoE   qoe.Model
 	// ThresholdSec is the buffer threshold beta (default
 	// player.DefaultBufferThresholdSec).
 	ThresholdSec float64
@@ -208,10 +204,13 @@ func (a *algoAgg) observe(m *sim.Metrics) {
 }
 
 // fleet is what every session of one campaign shares: the validated
-// Config with its defaults filled in, and the per-trace manifests and
-// compiled traces, derived once and read-only from then on.
+// Config with its defaults filled in, the evaluation models, and the
+// per-trace manifests and compiled traces, derived once and read-only
+// from then on.
 type fleet struct {
 	cfg       Config
+	pm        power.Model
+	qm        qoe.Model
 	manifests []*dash.Manifest
 	compiled  []*trace.Compiled
 	rungQoE   *qoe.RungTable
@@ -243,18 +242,10 @@ func newFleet(cfg Config) (*fleet, error) {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
 	}
-	if cfg.Power == (power.Model{}) {
-		cfg.Power = power.EvalModel()
-	}
-	if cfg.QoE == (qoe.Model{}) {
-		cfg.QoE = qoe.Default()
-	}
-	if len(cfg.Ladder) == 0 {
-		cfg.Ladder = dash.EvalLadder()
-	}
+	pm, qm := power.EvalModel(), qoe.Default()
 	if len(cfg.Algorithms) == 0 {
 		var err error
-		if cfg.Algorithms, err = DefaultAlgorithms(cfg.Power, cfg.QoE, core.DefaultAlpha); err != nil {
+		if cfg.Algorithms, err = DefaultAlgorithms(pm, qm, core.DefaultAlpha); err != nil {
 			return nil, err
 		}
 	}
@@ -275,14 +266,17 @@ func newFleet(cfg Config) (*fleet, error) {
 	// campaign. One QoE rung table covers every session — all manifests
 	// share the ladder. trace.CompileStats exposes the amortization to
 	// the telemetry gauges.
+	ladder := dash.EvalLadder()
 	f := &fleet{
 		cfg:       cfg,
+		pm:        pm,
+		qm:        qm,
 		manifests: make([]*dash.Manifest, len(cfg.Traces)),
 		compiled:  make([]*trace.Compiled, len(cfg.Traces)),
-		rungQoE:   cfg.QoE.CompileRungs(cfg.Ladder.Bitrates()),
+		rungQoE:   qm.CompileRungs(ladder.Bitrates()),
 	}
 	for i, tr := range cfg.Traces {
-		man, err := sim.ManifestForTrace(tr, cfg.Ladder)
+		man, err := sim.ManifestForTrace(tr, ladder)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: trace %d manifest: %w", tr.ID, err)
 		}
@@ -335,8 +329,8 @@ func (f *fleet) session(u int) (*sim.Metrics, error) {
 		Link:               comp.Link(),
 		VibrationAt:        comp.Vibration(0),
 		Algorithm:          alg,
-		Power:              cfg.Power,
-		QoE:                cfg.QoE,
+		Power:              f.pm,
+		QoE:                f.qm,
 		BufferThresholdSec: cfg.ThresholdSec,
 	}
 	if abandonGate < cfg.AbandonProb {

@@ -8,6 +8,8 @@ import (
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
 	"ecavs/internal/power"
+	"ecavs/internal/qoe"
+	"ecavs/internal/sim"
 	"ecavs/internal/trace"
 )
 
@@ -205,6 +207,71 @@ func TestObserveTasks(t *testing.T) {
 	}
 	if avg := vibSum / float64(len(tasks)-3); avg < 4 {
 		t.Errorf("avg task vibration = %.2f, want bus-like (>= 4)", avg)
+	}
+}
+
+// TestOptimalNoWorseThanOnline scores Online's realised rungs on each
+// Table V trace with the planner's own task model (ObserveTasks at the
+// 30 s threshold and the 6 s vibration window) and requires the sum to
+// be no lower than Plan.TotalCost: Optimal is a shortest path through
+// every rung sequence, Online's among them. The sum adds the same
+// per-task costs in the same task order as the DP, so no tolerance is
+// needed: an equal sequence gives equal bits.
+func TestOptimalNoWorseThanOnline(t *testing.T) {
+	pm, qm := power.EvalModel(), qoe.Default()
+	ladder := dash.EvalLadder()
+	traces, err := trace.GenerateTableV(pm.NominalThroughputMBps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alpha := range []float64{0.1, 0.5, 0.9} {
+		obj, err := NewObjective(alpha, pm, qm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range traces {
+			m, err := sim.ManifestForTrace(tr, ladder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks, err := ObserveTasks(tr, m, 30, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := PlanOptimal(obj, ladder, tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			online, err := sim.RunOnTrace(tr, m, NewOnline(obj), pm, qm, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(online.Segments) != len(tasks) {
+				t.Fatalf("alpha %v trace %d: Online fetched %d segments of %d", alpha, tr.ID, len(online.Segments), len(tasks))
+			}
+			sc := newTaskScorer(obj, ladder.Bitrates())
+			costs := make([]float64, len(ladder))
+			score := func(rungs []int) float64 {
+				total, prev := 0.0, len(ladder)
+				for i, r := range rungs {
+					sc.beginTask(tasks[i])
+					sc.scoreInto(tasks[i], prev, costs)
+					total += costs[r]
+					prev = r
+				}
+				return total
+			}
+			if got := score(plan.Rungs); got != plan.TotalCost {
+				t.Fatalf("alpha %v trace %d: the plan's own rungs score %v, not its TotalCost %v", alpha, tr.ID, got, plan.TotalCost)
+			}
+			rungs := make([]int, len(online.Segments))
+			for i, seg := range online.Segments {
+				rungs[i] = seg.Rung
+			}
+			if got := score(rungs); got < plan.TotalCost {
+				t.Errorf("alpha %v trace %d: Online's rungs cost %v, below the optimal plan's %v", alpha, tr.ID, got, plan.TotalCost)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,14 @@
 package eval
 
-import "testing"
+import (
+	"testing"
+
+	"ecavs/internal/abr"
+	"ecavs/internal/core"
+	"ecavs/internal/player"
+	"ecavs/internal/sim"
+	"ecavs/internal/trace"
+)
 
 func TestExtendedBaselines(t *testing.T) {
 	if testing.Short() {
@@ -166,6 +174,46 @@ func TestExtendedRobustness(t *testing.T) {
 		}
 		if fest > save/2 {
 			t.Errorf("campaign %s: FESTIVE %v%% rivals Ours %v%%", row[0], fest, save)
+		}
+	}
+}
+
+// TestOursSavesOnEveryReseededTrace replays YouTube and Ours (alpha
+// 0.5) on twenty re-seeded sets of the five Table V traces, set c adding
+// 1000c to every trace's seed (sets 0-2 are ext-robustness's
+// campaigns), and requires Ours to save whole-phone energy on every
+// trace, not only on average.
+func TestOursSavesOnEveryReseededTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twenty trace sets replay 200 sessions")
+	}
+	e := NewEnv()
+	obj, err := core.NewObjective(0.5, e.EvalPower, e.QoE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 20; c++ {
+		for _, spec := range trace.TableVSpecs() {
+			spec.Seed += int64(1000 * c)
+			tr, err := trace.Generate(spec, e.EvalPower.NominalThroughputMBps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			man, err := sim.ManifestForTrace(tr, e.Ladder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			yt, err := sim.RunOnTrace(tr, man, abr.NewYoutube(), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ours, err := sim.RunOnTrace(tr, man, core.NewOnline(obj), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if save := 1 - ours.TotalJ()/yt.TotalJ(); !(save > 0) {
+				t.Errorf("set %d trace %d: Ours saves %.2f%% against YouTube, want more than 0", c, spec.ID, 100*save)
+			}
 		}
 	}
 }

@@ -112,7 +112,7 @@ func (e *Env) raterStudy(vibrations []float64) (rs, vs, q5s []float64) {
 // to quiet-room ratings with Gauss-Newton least squares.
 func (e *Env) Fig2b() (*Table, error) {
 	rs, _, q5s := e.raterStudy([]float64{0})
-	params, err := fit.GaussNewton(fit.RateQualityModel{}, rs, q5s, []float64{1, 1}, fit.GaussNewtonOptions{})
+	params, err := fit.GaussNewton(fit.RateQualityModel{}, rs, q5s, []float64{1, 1})
 	if err != nil {
 		return nil, err
 	}

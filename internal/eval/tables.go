@@ -30,7 +30,7 @@ func (e *Env) Table2() (*Table, error) {
 func (e *Env) Table3() (*Table, error) {
 	// Rate-quality curve from quiet-room ratings.
 	rs, _, q5s := e.raterStudy([]float64{0})
-	curve, err := fit.GaussNewton(fit.RateQualityModel{}, rs, q5s, []float64{1, 1}, fit.GaussNewtonOptions{})
+	curve, err := fit.GaussNewton(fit.RateQualityModel{}, rs, q5s, []float64{1, 1})
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +125,7 @@ func (e *Env) Table6() (*Table, error) {
 	rates := []float64{5.8, 3.0, 1.5, 0.75, 0.375, 0.1}
 	var sumErr float64
 	for i, r := range rates {
-		mo := power.NewMonitor(power.MonitorConfig{Seed: int64(100 + i)})
+		mo := power.NewMonitor(int64(100 + i))
 		measured, err := mo.MeasureSession(e.Power, r, sessionSec, -90, dash.DefaultSegmentSec)
 		if err != nil {
 			return nil, err

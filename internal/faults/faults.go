@@ -82,7 +82,9 @@ type Verdict struct {
 
 // Config parameterises a probabilistic plan. The five probabilities
 // are evaluated as a cumulative ladder per request; their sum must not
-// exceed 1 (the remainder is the healthy-request probability).
+// exceed 1 (the remainder is the healthy-request probability). A
+// plan's Error5xx verdicts answer planStatus, and its Truncate verdicts
+// deliver planTruncateFrac of the body.
 type Config struct {
 	// Error5xxProb, ResetProb, StallProb, TruncateProb, LatencyProb are
 	// the per-request fault probabilities.
@@ -92,14 +94,10 @@ type Config struct {
 	TruncateProb float64
 	LatencyProb  float64
 
-	// Status is the Error5xx response code (default 503).
-	Status int
 	// StallFor is the Stall hang length (default 2 s).
 	StallFor time.Duration
 	// LatencyFor is the Latency delay (default 200 ms).
 	LatencyFor time.Duration
-	// TruncateFrac is the delivered fraction on Truncate (default 0.5).
-	TruncateFrac float64
 
 	// MaxFaultsPerKey, when positive, forces None once a key has been
 	// requested that many times: a client retrying the same resource is
@@ -108,6 +106,13 @@ type Config struct {
 	// means faults never relent.
 	MaxFaultsPerKey int
 }
+
+// What a probabilistic plan's Error5xx and Truncate verdicts carry:
+// 503 Service Unavailable, and half the body.
+const (
+	planStatus               = 503
+	planTruncateFrac float64 = 0.5
+)
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
@@ -122,14 +127,8 @@ func (c Config) Validate() error {
 	if sum > 1+1e-12 {
 		return errors.New("faults: fault probabilities sum past 1")
 	}
-	if c.Status != 0 && (c.Status < 500 || c.Status > 599) {
-		return errors.New("faults: Status must be a 5xx code")
-	}
 	if c.StallFor < 0 || c.LatencyFor < 0 {
 		return errors.New("faults: negative durations")
-	}
-	if c.TruncateFrac < 0 || c.TruncateFrac >= 1 {
-		return errors.New("faults: TruncateFrac outside [0, 1)")
 	}
 	if c.MaxFaultsPerKey < 0 {
 		return errors.New("faults: negative MaxFaultsPerKey")
@@ -173,17 +172,11 @@ func NewPlan(cfg Config, seed int64) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Status == 0 {
-		cfg.Status = 503
-	}
 	if cfg.StallFor == 0 {
 		cfg.StallFor = 2 * time.Second
 	}
 	if cfg.LatencyFor == 0 {
 		cfg.LatencyFor = 200 * time.Millisecond
-	}
-	if cfg.TruncateFrac == 0 {
-		cfg.TruncateFrac = 0.5
 	}
 	return &Plan{cfg: cfg, seed: uint64(seed), attempts: make(map[string]int)}, nil
 }
@@ -269,10 +262,10 @@ func (p *Plan) draw(key string, attempt int) Verdict {
 		if u < cum {
 			return Verdict{
 				Kind:         step.kind,
-				Status:       p.cfg.Status,
+				Status:       planStatus,
 				Stall:        p.cfg.StallFor,
 				Latency:      p.cfg.LatencyFor,
-				TruncateFrac: p.cfg.TruncateFrac,
+				TruncateFrac: planTruncateFrac,
 			}
 		}
 	}

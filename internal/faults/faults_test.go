@@ -11,8 +11,6 @@ func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Error5xxProb: -0.1},
 		{Error5xxProb: 0.6, ResetProb: 0.6}, // sum > 1
-		{Status: 200, Error5xxProb: 0.1},
-		{TruncateFrac: 1.0},
 		{StallFor: -time.Second},
 		{MaxFaultsPerKey: -1},
 	}

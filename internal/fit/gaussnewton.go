@@ -26,39 +26,20 @@ type GradientModel interface {
 // budget without meeting the tolerance.
 var ErrNoConverge = errors.New("fit: Gauss-Newton did not converge")
 
-// GaussNewtonOptions tunes the nonlinear solver.
-type GaussNewtonOptions struct {
-	// MaxIter bounds the number of iterations (default 100).
-	MaxIter int
-	// Tol is the convergence threshold on the parameter-step infinity
-	// norm (default 1e-9).
-	Tol float64
-	// Damping is the Levenberg-Marquardt style diagonal damping added to
-	// the normal equations; 0 means pure Gauss-Newton (default 1e-9,
-	// just enough to avoid exact singularity).
-	Damping float64
-}
-
-func (o GaussNewtonOptions) withDefaults() GaussNewtonOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	if o.Damping < 0 {
-		o.Damping = 0
-	}
-	if o.Damping == 0 {
-		o.Damping = 1e-9
-	}
-	return o
-}
+// The solver's fixed settings: it stops after gnMaxIter iterations, or
+// once no parameter moves by gnTol or more in an iteration. gnDamping
+// is the Levenberg-Marquardt style diagonal damping added to the
+// normal equations, just enough to avoid exact singularity.
+const (
+	gnMaxIter         = 100
+	gnTol     float64 = 1e-9
+	gnDamping float64 = 1e-9
+)
 
 // GaussNewton fits the model to the observations (xs[i] -> ys[i])
 // starting from init, returning the fitted parameters. The residual
 // being minimised is sum_i (f(xs[i]; p) - ys[i])².
-func GaussNewton(m Model, xs, ys, init []float64, opts GaussNewtonOptions) ([]float64, error) {
+func GaussNewton(m Model, xs, ys, init []float64) ([]float64, error) {
 	if len(xs) != len(ys) || len(xs) == 0 {
 		return nil, ErrDimension
 	}
@@ -66,13 +47,12 @@ func GaussNewton(m Model, xs, ys, init []float64, opts GaussNewtonOptions) ([]fl
 	if len(init) != p || len(xs) < p {
 		return nil, ErrDimension
 	}
-	opts = opts.withDefaults()
 
 	params := make([]float64, p)
 	copy(params, init)
 	grad := make([]float64, p)
 
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < gnMaxIter; iter++ {
 		// Normal equations JᵀJ·delta = Jᵀr with r = y - f.
 		jtj := make([][]float64, p)
 		for i := range jtj {
@@ -95,7 +75,7 @@ func GaussNewton(m Model, xs, ys, init []float64, opts GaussNewtonOptions) ([]fl
 			}
 		}
 		for i := 0; i < p; i++ {
-			jtj[i][i] += opts.Damping
+			jtj[i][i] += gnDamping
 		}
 		delta, err := SolveLinear(jtj, jtr)
 		if err != nil {
@@ -108,7 +88,7 @@ func GaussNewton(m Model, xs, ys, init []float64, opts GaussNewtonOptions) ([]fl
 				maxStep = s
 			}
 		}
-		if maxStep < opts.Tol {
+		if maxStep < gnTol {
 			return params, nil
 		}
 	}

@@ -29,7 +29,7 @@ func (lineModel) Gradient(x float64, p, grad []float64) {
 func TestGaussNewtonLinearAnalytic(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4}
 	ys := []float64{1, 3, 5, 7, 9} // y = 1 + 2x
-	got, err := GaussNewton(lineModel{}, xs, ys, []float64{0, 0}, GaussNewtonOptions{})
+	got, err := GaussNewton(lineModel{}, xs, ys, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestGaussNewtonExponentialNumeric(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, expModel{}.Eval(x, want))
 	}
-	got, err := GaussNewton(expModel{}, xs, ys, []float64{1, -0.1}, GaussNewtonOptions{})
+	got, err := GaussNewton(expModel{}, xs, ys, []float64{1, -0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGaussNewtonRateQualityRecovery(t *testing.T) {
 			ys = append(ys, RateQualityModel{}.Eval(r, want)+rng.NormFloat64()*0.05)
 		}
 	}
-	got, err := GaussNewton(RateQualityModel{}, xs, ys, []float64{1, 1}, GaussNewtonOptions{})
+	got, err := GaussNewton(RateQualityModel{}, xs, ys, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,28 +76,41 @@ func TestGaussNewtonRateQualityRecovery(t *testing.T) {
 }
 
 func TestGaussNewtonErrors(t *testing.T) {
-	if _, err := GaussNewton(lineModel{}, nil, nil, []float64{0, 0}, GaussNewtonOptions{}); !errors.Is(err, ErrDimension) {
+	if _, err := GaussNewton(lineModel{}, nil, nil, []float64{0, 0}); !errors.Is(err, ErrDimension) {
 		t.Errorf("empty: err = %v, want ErrDimension", err)
 	}
-	if _, err := GaussNewton(lineModel{}, []float64{1}, []float64{1, 2}, []float64{0, 0}, GaussNewtonOptions{}); !errors.Is(err, ErrDimension) {
+	if _, err := GaussNewton(lineModel{}, []float64{1}, []float64{1, 2}, []float64{0, 0}); !errors.Is(err, ErrDimension) {
 		t.Errorf("mismatched: err = %v, want ErrDimension", err)
 	}
-	if _, err := GaussNewton(lineModel{}, []float64{1}, []float64{1}, []float64{0}, GaussNewtonOptions{}); !errors.Is(err, ErrDimension) {
+	if _, err := GaussNewton(lineModel{}, []float64{1}, []float64{1}, []float64{0}); !errors.Is(err, ErrDimension) {
 		t.Errorf("bad init: err = %v, want ErrDimension", err)
 	}
 	// Fewer observations than parameters.
-	if _, err := GaussNewton(lineModel{}, []float64{1}, []float64{1}, []float64{0, 0}, GaussNewtonOptions{}); !errors.Is(err, ErrDimension) {
+	if _, err := GaussNewton(lineModel{}, []float64{1}, []float64{1}, []float64{0, 0}); !errors.Is(err, ErrDimension) {
 		t.Errorf("under-determined: err = %v, want ErrDimension", err)
 	}
 }
 
+// backwardLineModel is lineModel with its analytic gradient negated:
+// every Gauss-Newton step goes exactly the wrong way, doubling the
+// parameter error, so no iteration budget converges.
+type backwardLineModel struct{ lineModel }
+
+func (backwardLineModel) Gradient(x float64, p, grad []float64) {
+	grad[0] = -1
+	grad[1] = -x
+}
+
 func TestGaussNewtonNoConverge(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7}
-	// One iteration cannot converge from a bad start with tight tol.
-	_, err := GaussNewton(expModel{}, xs, ys, []float64{10, 3}, GaussNewtonOptions{MaxIter: 1, Tol: 1e-15})
+	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
+	got, err := GaussNewton(backwardLineModel{}, xs, ys, []float64{0, 0})
 	if !errors.Is(err, ErrNoConverge) {
 		t.Errorf("err = %v, want ErrNoConverge", err)
+	}
+	// The last iterate is returned beside the error, far from the fit.
+	if len(got) != 2 || math.Abs(got[0]-1) < 1 {
+		t.Errorf("params = %v, want the diverged last iterate", got)
 	}
 }
 

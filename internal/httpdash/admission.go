@@ -21,16 +21,12 @@ type AdmissionConfig struct {
 	// (>= 1); everything else defaults.
 	MaxInFlight int
 	// MaxQueue bounds the FIFO wait queue in front of the in-flight
-	// slots. Zero queues nothing: a request that cannot start
-	// immediately is shed.
+	// slots. Zero queues nothing: a request beyond MaxInFlight is shed.
 	MaxQueue int
 	// QueueWait is the longest a queued request waits for a slot before
 	// being shed (default 100ms). Short by design — a client retry with
 	// backoff is cheaper than a convoy of stale waiters.
 	QueueWait time.Duration
-	// RetryAfter is the hint attached to every shed response (default
-	// 1s); clients honour it in their backoff computation.
-	RetryAfter time.Duration
 	// PriorityByRung makes top-half ladder rungs shed first under
 	// pressure: they may use only half the wait queue, so when the
 	// queue fills past the midpoint the server keeps admitting cheap
@@ -40,12 +36,14 @@ type AdmissionConfig struct {
 	PriorityByRung bool
 }
 
+// shedRetryAfter is the Retry-After hint on every response the server
+// sheds, by admission or by drain; clients honour it in their backoff
+// computation.
+const shedRetryAfter = time.Second
+
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.QueueWait <= 0 {
 		c.QueueWait = 100 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.MaxQueue < 0 {
 		c.MaxQueue = 0
@@ -73,12 +71,14 @@ func WithAdmissionControl(cfg AdmissionConfig) ServerOption {
 // admission is the server's bounded admission controller. The slot
 // semaphore is a buffered channel: blocked senders park in the
 // runtime's FIFO wait queue, which is exactly the "short FIFO wait
-// queue" the config describes, and the queued counter bounds how many
-// may park at once.
+// queue" the config describes. The pending counter bounds the queue:
+// it counts the requests that hold or wait for a slot, so the waiters
+// are the ones beyond MaxInFlight. A waiter a release has handed its
+// slot holds that slot, whether or not the scheduler has run it yet.
 type admission struct {
-	cfg    AdmissionConfig
-	slots  chan struct{} // capacity MaxInFlight; send = acquire
-	queued atomic.Int64  // current waiters (bounds the FIFO queue)
+	cfg     AdmissionConfig
+	slots   chan struct{} // capacity MaxInFlight; send = acquire
+	pending atomic.Int64  // requests holding or waiting for a slot
 
 	// queuedTotal counts requests that waited for a slot (always on;
 	// telQueued is the optional registry mirror, nil = no-op).
@@ -96,53 +96,46 @@ const (
 )
 
 // admit tries to acquire an in-flight slot for a rung's request,
-// waiting in the bounded FIFO queue if necessary.
+// waiting in the bounded FIFO queue if necessary. A request that would
+// take the pending count past the slots plus the rung's share of the
+// queue is shed. Top-half rungs see half the queue under
+// PriorityByRung, so they start shedding while low rungs still
+// buffer — quality degrades before availability does.
 func (a *admission) admit(r *http.Request, rung, rungs int) admitResult {
+	queue := a.cfg.MaxQueue
+	if a.cfg.PriorityByRung && rung >= (rungs+1)/2 {
+		queue /= 2
+	}
+	if a.pending.Add(1) > int64(cap(a.slots)+queue) {
+		a.pending.Add(-1)
+		return shed
+	}
 	select {
 	case a.slots <- struct{}{}:
 		return admitted
 	default:
 	}
-	// No free slot: queue if the rung's share of the queue has room.
-	// Top-half rungs see half the queue under PriorityByRung, so they
-	// start shedding while low rungs still buffer — quality degrades
-	// before availability does.
-	limit := int64(a.cfg.MaxQueue)
-	if a.cfg.PriorityByRung && rung >= (rungs+1)/2 {
-		limit /= 2
-	}
-	if limit <= 0 {
-		return shed
-	}
-	if q := a.queued.Add(1); q > limit {
-		a.queued.Add(-1)
-		return shed
-	}
 	a.queuedTotal.Add(1)
 	a.telQueued.Inc()
 	timer := time.NewTimer(a.cfg.QueueWait)
-	defer func() {
-		timer.Stop()
-		a.queued.Add(-1)
-	}()
+	defer timer.Stop()
 	select {
 	case a.slots <- struct{}{}:
 		return admitted
 	case <-timer.C:
+		a.pending.Add(-1)
 		return shed
 	case <-r.Context().Done():
+		a.pending.Add(-1)
 		return gone
 	}
 }
 
-// release frees an in-flight slot.
+// release frees an in-flight slot. The pending count drops first, so a
+// waiter the slot goes to is never counted against the queue.
 func (a *admission) release() {
+	a.pending.Add(-1)
 	<-a.slots
-}
-
-// inFlight reports the currently admitted transfer count.
-func (a *admission) inFlight() int {
-	return len(a.slots)
 }
 
 // retryAfterSeconds renders a Retry-After header value: whole seconds,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,14 +46,14 @@ func getStatus(t *testing.T, url string) (int, string) {
 
 // TestAdmissionShedsWith503RetryAfter pins the shedding contract: with
 // the only in-flight slot held and no queue, an excess request bounces
-// immediately with 503 + Retry-After and is accounted as shed on its
+// immediately with 503 + Retry-After: 1 and is accounted as shed on its
 // rung — it never waits, never 500s, never hangs.
 func TestAdmissionShedsWith503RetryAfter(t *testing.T) {
 	// The first request stalls server-side while holding the slot.
 	plan := faults.NewScript([]faults.Verdict{{Kind: faults.Stall, Stall: time.Second}})
 	srv, ts := newTestServer(t, 20,
 		WithFaults(plan),
-		WithAdmissionControl(AdmissionConfig{MaxInFlight: 1, RetryAfter: 3 * time.Second}))
+		WithAdmissionControl(AdmissionConfig{MaxInFlight: 1}))
 
 	urlA, err := srv.segmentURL(ts.URL, 0, 0)
 	if err != nil {
@@ -79,8 +80,8 @@ func TestAdmissionShedsWith503RetryAfter(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("excess request got %d, want 503", code)
 	}
-	if retryAfter != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", retryAfter)
+	if retryAfter != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", retryAfter)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("admitted transfer failed: %v", err)
@@ -315,6 +316,46 @@ func TestAdmissionAccountingUnderBurst(t *testing.T) {
 	}
 	if snap.InFlight != 0 {
 		t.Errorf("InFlight = %d after the burst drained, want 0", snap.InFlight)
+	}
+}
+
+// TestAdmissionAtCapacityShedsNothing drives a server exactly at its
+// capacity: 8 callers against 4 slots and a queue of 4, each issuing
+// its next request as soon as the last one returns. At most 8 requests
+// ever hold or wait for a slot, so none may be shed. A waiter handed a
+// slot by a release holds that slot and no longer counts against the
+// queue, even before the scheduler runs it.
+func TestAdmissionAtCapacityShedsNothing(t *testing.T) {
+	srv, err := NewServer(testManifest(t, 20),
+		WithAdmissionControl(AdmissionConfig{MaxInFlight: 4, MaxQueue: 4, QueueWait: 10 * time.Second}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, err := srv.segmentURL("", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, url, nil)
+	const callers, perCaller = 8, 2000
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := &discardResponseWriter{h: make(http.Header, 4)}
+			r := req.Clone(req.Context())
+			for i := 0; i < perCaller; i++ {
+				srv.ServeHTTP(w, r)
+			}
+		}()
+	}
+	wg.Wait()
+	snap := srv.Snapshot()
+	if snap.Shed != 0 {
+		t.Errorf("admission shed %d of %d requests at capacity, want 0", snap.Shed, callers*perCaller)
+	}
+	if snap.Requests != callers*perCaller {
+		t.Errorf("Requests = %d, want %d", snap.Requests, callers*perCaller)
 	}
 }
 

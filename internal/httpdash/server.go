@@ -421,7 +421,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// returns only after the last gated request exits.
 	if !s.gate.enter() {
 		s.shedDrain.Add(1)
-		shedResponse(w, s.shedRetryAfter())
+		shedResponse(w, shedRetryAfter)
 		return
 	}
 	defer s.gate.exit()
@@ -438,14 +438,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.NotFound(w, r)
 	}
-}
-
-// shedRetryAfter is the Retry-After hint attached to refused requests.
-func (s *Server) shedRetryAfter() time.Duration {
-	if s.admission != nil {
-		return s.admission.cfg.RetryAfter
-	}
-	return time.Second
 }
 
 // Shutdown drains the server gracefully: it stops accepting requests
@@ -529,7 +521,7 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request) {
 			span.SetStatus("shed", "admission control")
 			s.rungStats[rung].shed.Add(1)
 			s.telShed[rung].Inc()
-			shedResponse(w, a.cfg.RetryAfter)
+			shedResponse(w, shedRetryAfter)
 			return
 		case gone:
 			asp.SetStatus("cancelled", "client left the queue")

@@ -216,7 +216,7 @@ func TestTracingShedStatus(t *testing.T) {
 	}, store)
 	srv, ts := newTestServer(t, 8,
 		WithServerTracing(serverTracer),
-		WithAdmissionControl(AdmissionConfig{MaxInFlight: 1, MaxQueue: 0, RetryAfter: time.Second}),
+		WithAdmissionControl(AdmissionConfig{MaxInFlight: 1, MaxQueue: 0}),
 		// Slow egress keeps the first transfer holding the only
 		// admission slot while the second request arrives.
 		WithRateLimitMBps(0.05),
@@ -244,6 +244,9 @@ func TestTracingShedStatus(t *testing.T) {
 	shed.Body.Close()
 	if shed.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("second request status = %d, want 503 shed", shed.StatusCode)
+	}
+	if ra := shed.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("shed Retry-After = %q, want \"1\"", ra)
 	}
 
 	// The shed fragment completes the moment the 503 is written.

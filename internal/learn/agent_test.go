@@ -201,7 +201,7 @@ func TestAgentDropInForNetsimChannel(t *testing.T) {
 	agent := newTestAgent(t, 14)
 	agent.Freeze()
 	pm := power.EvalModel()
-	link, err := netsim.NewChannel(netsim.RoomSignal, netsim.FadingConfig{}, pm.NominalThroughputMBps, 4)
+	link, err := netsim.NewChannel(netsim.RoomSignal, pm.NominalThroughputMBps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,13 +67,13 @@ func Train(cfg TrainConfig) (*Agent, error) {
 		var link netsim.Link
 		switch ep % 3 {
 		case 0:
-			ch, err := netsim.NewChannel(netsim.RoomSignal, netsim.FadingConfig{}, pm.NominalThroughputMBps, cfg.Seed*1000+int64(ep))
+			ch, err := netsim.NewChannel(netsim.RoomSignal, pm.NominalThroughputMBps, cfg.Seed*1000+int64(ep))
 			if err != nil {
 				return nil, fmt.Errorf("learn: episode %d channel: %w", ep, err)
 			}
 			link = ch
 		case 1:
-			ch, err := netsim.NewChannel(netsim.VehicleSignal, netsim.FadingConfig{}, pm.NominalThroughputMBps, cfg.Seed*1000+int64(ep))
+			ch, err := netsim.NewChannel(netsim.VehicleSignal, pm.NominalThroughputMBps, cfg.Seed*1000+int64(ep))
 			if err != nil {
 				return nil, fmt.Errorf("learn: episode %d channel: %w", ep, err)
 			}

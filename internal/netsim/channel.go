@@ -19,9 +19,14 @@ type SignalConfig struct {
 	ReversionRate float64
 	// VolatilityDB is the diffusion magnitude (dB/sqrt(s)).
 	VolatilityDB float64
-	// FloorDBm / CeilDBm clamp the process to the physical range.
-	FloorDBm, CeilDBm float64
 }
+
+// The signal process is clamped to the physical range
+// [signalFloorDBm, signalCeilDBm].
+const (
+	signalFloorDBm float64 = -120
+	signalCeilDBm  float64 = -80
+)
 
 func (c SignalConfig) withDefaults() SignalConfig {
 	if c.ReversionRate <= 0 {
@@ -29,12 +34,6 @@ func (c SignalConfig) withDefaults() SignalConfig {
 	}
 	if c.VolatilityDB < 0 {
 		c.VolatilityDB = 0
-	}
-	if c.FloorDBm == 0 {
-		c.FloorDBm = -120
-	}
-	if c.CeilDBm == 0 {
-		c.CeilDBm = -80
 	}
 	return c
 }
@@ -62,57 +61,41 @@ type Channel struct {
 	now    float64
 	signal float64
 
-	fadeLog   float64 // log of the fading factor
-	fadeRho   float64
-	fadeSigma float64
-	fadeNorm  float64 // normalisation so E[fade] = 1
+	fadeLog float64 // log of the fading factor
 }
+
+// The fading factor's log is an AR(1) chain with autocorrelation
+// fadeRho per 0.1 s and stationary standard deviation fadeSigma;
+// fadeNorm scales the factor so that E[fade] = 1.
+const (
+	fadeRho   float64 = 0.9
+	fadeSigma float64 = 0.35
+)
+
+var fadeNorm = math.Exp(fadeSigma * fadeSigma / 2)
 
 var _ Link = (*Channel)(nil)
 
 // ErrNilRateMap is returned when no rate map is provided.
 var ErrNilRateMap = errors.New("netsim: rate map must not be nil")
 
-// FadingConfig tunes the multiplicative throughput fading.
-type FadingConfig struct {
-	// Rho is the per-step autocorrelation in [0, 1) (default 0.9).
-	Rho float64
-	// SigmaLog is the stationary std-dev of the log fading factor
-	// (default 0.35).
-	SigmaLog float64
-}
-
-func (f FadingConfig) withDefaults() FadingConfig {
-	if f.Rho <= 0 || f.Rho >= 1 {
-		f.Rho = 0.9
-	}
-	if f.SigmaLog <= 0 {
-		f.SigmaLog = 0.35
-	}
-	return f
-}
-
 // NewChannel returns a synthetic channel. rateMap converts a signal
 // strength to the nominal link rate in MB/s (typically
 // power.Model.NominalThroughputMBps, which keeps the Fig. 1a
 // energy-per-MB relationship exact in expectation).
-func NewChannel(cfg SignalConfig, fading FadingConfig, rateMap func(dBm float64) float64, seed int64) (*Channel, error) {
+func NewChannel(cfg SignalConfig, rateMap func(dBm float64) float64, seed int64) (*Channel, error) {
 	if rateMap == nil {
 		return nil, ErrNilRateMap
 	}
 	cfg = cfg.withDefaults()
-	fading = fading.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
 	ch := &Channel{
-		cfg:       cfg,
-		rateMap:   rateMap,
-		rng:       rng,
-		signal:    cfg.MeanDBm,
-		fadeRho:   fading.Rho,
-		fadeSigma: fading.SigmaLog,
-		fadeNorm:  math.Exp(fading.SigmaLog * fading.SigmaLog / 2),
+		cfg:     cfg,
+		rateMap: rateMap,
+		rng:     rng,
+		signal:  cfg.MeanDBm,
 	}
-	ch.fadeLog = rng.NormFloat64() * fading.SigmaLog
+	ch.fadeLog = rng.NormFloat64() * fadeSigma
 	return ch, nil
 }
 
@@ -124,7 +107,7 @@ func (c *Channel) SignalDBm() float64 { return c.signal }
 
 // ThroughputMBps implements Link.
 func (c *Channel) ThroughputMBps() float64 {
-	fade := math.Exp(c.fadeLog) / c.fadeNorm
+	fade := math.Exp(c.fadeLog) / fadeNorm
 	th := c.rateMap(c.signal) * fade
 	if th < 0 {
 		return 0
@@ -151,15 +134,15 @@ func (c *Channel) Advance(dt float64) {
 		}
 		c.signal += c.cfg.ReversionRate*(mean-c.signal)*h +
 			c.cfg.VolatilityDB*math.Sqrt(h)*c.rng.NormFloat64()
-		if c.signal < c.cfg.FloorDBm {
-			c.signal = c.cfg.FloorDBm
+		if c.signal < signalFloorDBm {
+			c.signal = signalFloorDBm
 		}
-		if c.signal > c.cfg.CeilDBm {
-			c.signal = c.cfg.CeilDBm
+		if c.signal > signalCeilDBm {
+			c.signal = signalCeilDBm
 		}
 		// AR(1) on log fading, scaled to the step length.
-		rho := math.Pow(c.fadeRho, h/0.1)
-		c.fadeLog = rho*c.fadeLog + c.fadeSigma*math.Sqrt(1-rho*rho)*c.rng.NormFloat64()
+		rho := math.Pow(fadeRho, h/0.1)
+		c.fadeLog = rho*c.fadeLog + fadeSigma*math.Sqrt(1-rho*rho)*c.rng.NormFloat64()
 
 		c.now += h
 		dt -= h

@@ -105,7 +105,7 @@ func TestDownloadRecoversFromOutage(t *testing.T) {
 }
 
 func TestNewChannelValidation(t *testing.T) {
-	if _, err := NewChannel(RoomSignal, FadingConfig{}, nil, 1); !errors.Is(err, ErrNilRateMap) {
+	if _, err := NewChannel(RoomSignal, nil, 1); !errors.Is(err, ErrNilRateMap) {
 		t.Errorf("err = %v, want ErrNilRateMap", err)
 	}
 }
@@ -115,7 +115,7 @@ func flatRate(mbps float64) func(float64) float64 {
 }
 
 func TestChannelSignalStaysNearMean(t *testing.T) {
-	ch, err := NewChannel(RoomSignal, FadingConfig{}, flatRate(5), 42)
+	ch, err := NewChannel(RoomSignal, flatRate(5), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestChannelSignalStaysNearMean(t *testing.T) {
 
 func TestChannelClampsToRange(t *testing.T) {
 	cfg := SignalConfig{MeanDBm: -118, ReversionRate: 0.05, VolatilityDB: 10}
-	ch, err := NewChannel(cfg, FadingConfig{}, flatRate(5), 7)
+	ch, err := NewChannel(cfg, flatRate(5), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestChannelMeanSchedule(t *testing.T) {
 		ReversionRate: 0.5,
 		VolatilityDB:  0.5,
 	}
-	ch, err := NewChannel(cfg, FadingConfig{}, flatRate(5), 3)
+	ch, err := NewChannel(cfg, flatRate(5), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestChannelMeanSchedule(t *testing.T) {
 }
 
 func TestChannelFadingAroundNominal(t *testing.T) {
-	ch, err := NewChannel(SignalConfig{MeanDBm: -90, VolatilityDB: 0.01}, FadingConfig{}, flatRate(4), 11)
+	ch, err := NewChannel(SignalConfig{MeanDBm: -90, VolatilityDB: 0.01}, flatRate(4), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +187,8 @@ func TestChannelFadingAroundNominal(t *testing.T) {
 }
 
 func TestChannelDeterministicBySeed(t *testing.T) {
-	a, _ := NewChannel(VehicleSignal, FadingConfig{}, flatRate(3), 5)
-	b, _ := NewChannel(VehicleSignal, FadingConfig{}, flatRate(3), 5)
+	a, _ := NewChannel(VehicleSignal, flatRate(3), 5)
+	b, _ := NewChannel(VehicleSignal, flatRate(3), 5)
 	for i := 0; i < 100; i++ {
 		a.Advance(0.25)
 		b.Advance(0.25)
@@ -199,7 +199,7 @@ func TestChannelDeterministicBySeed(t *testing.T) {
 }
 
 func TestChannelAdvanceNonPositive(t *testing.T) {
-	ch, _ := NewChannel(RoomSignal, FadingConfig{}, flatRate(1), 1)
+	ch, _ := NewChannel(RoomSignal, flatRate(1), 1)
 	before := ch.Now()
 	ch.Advance(0)
 	ch.Advance(-5)

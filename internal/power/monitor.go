@@ -13,21 +13,12 @@ import (
 // battery-voltage effects a real handset exhibits. It is the "measured
 // energy" side of the Table VI power-model validation.
 //
-// Construct with NewMonitor; the zero value is unusable.
-//
-// The noise stream comes from an inlined internal/rng stream (see
-// normRNG) rather than math/rand: campaign-scale sweeps observe
-// millions of samples, and the rand.Rand source indirection dominated
-// the integration cost. The stream is still deterministic per seed,
-// but it is a DIFFERENT stream than the math/rand one earlier
-// revisions produced — seed-for-seed outputs (and the Table VI
-// "measured" column) changed once when the generator was swapped.
-// This comment is the single place that change is recorded.
+// Construct with NewMonitor; the zero value is unusable. The noise
+// stream comes from an internal/rng stream (see normRNG), so it is
+// deterministic per seed.
 type Monitor struct {
-	sampleHz   float64
 	noiseStd   float64 // relative, per sample
 	driftAmp   float64 // relative amplitude of the slow drift
-	driftHz    float64
 	driftPhase float64
 	bias       float64 // per-run calibration bias (multiplicative)
 	rng        normRNG
@@ -114,79 +105,46 @@ func (r *normRNG) NormFloat64() float64 {
 	}
 }
 
-// MonitorConfig tunes the virtual monitor.
-type MonitorConfig struct {
-	// SampleHz is the sampling rate (default 100 Hz; Monsoon samples at
-	// 5 kHz but 100 Hz is ample for second-scale integration).
-	SampleHz float64
-	// NoiseStd is the relative standard deviation of per-sample
-	// measurement noise (default 0.01).
-	NoiseStd float64
-	// DriftAmp is the relative amplitude of the slow systematic drift
-	// (default 0.015).
-	DriftAmp float64
-	// DriftPeriodSec is the drift period (default 97 s — deliberately
-	// incommensurate with segment durations).
-	DriftPeriodSec float64
-	// BiasStd is the standard deviation of the per-run multiplicative
-	// calibration bias (default 0.012, clamped to +-2.5%) — the
-	// component that does NOT integrate out over a long session and so
-	// dominates the Table VI model-vs-measurement error.
-	BiasStd float64
-	// Seed seeds the noise generator.
-	Seed int64
-}
+// The virtual monitor's settings. It samples at monitorSampleHz
+// (Monsoon samples at 5 kHz, but 100 Hz is ample for second-scale
+// integration). Each sample carries relative noise of standard
+// deviation monitorNoiseStd and a slow systematic drift of relative
+// amplitude monitorDriftAmp over monitorDriftPeriodSec, a period
+// deliberately incommensurate with segment durations. Each run draws a
+// multiplicative calibration bias of standard deviation monitorBiasStd,
+// clamped to ±monitorBiasMax: the component that does NOT integrate
+// out over a long session, and so dominates the Table VI
+// model-vs-measurement error.
+const (
+	monitorSampleHz       float64 = 100
+	monitorNoiseStd       float64 = 0.01
+	monitorDriftAmp       float64 = 0.015
+	monitorDriftPeriodSec float64 = 97
+	monitorDriftHz                = 1 / monitorDriftPeriodSec
+	monitorBiasStd        float64 = 0.012
+	monitorBiasMax        float64 = 0.025
+)
 
-func (c MonitorConfig) withDefaults() MonitorConfig {
-	if c.SampleHz <= 0 {
-		c.SampleHz = 100
+// NewMonitor returns a monitor whose noise, drift phase and bias are
+// drawn from seed.
+func NewMonitor(seed int64) *Monitor {
+	draws := normRNG{rng.New(uint64(seed))}
+	bias := draws.NormFloat64() * monitorBiasStd
+	if bias > monitorBiasMax {
+		bias = monitorBiasMax
 	}
-	if c.NoiseStd < 0 {
-		c.NoiseStd = 0
-	}
-	if c.NoiseStd == 0 {
-		c.NoiseStd = 0.01
-	}
-	if c.DriftAmp < 0 {
-		c.DriftAmp = 0
-	}
-	if c.DriftAmp == 0 {
-		c.DriftAmp = 0.015
-	}
-	if c.DriftPeriodSec <= 0 {
-		c.DriftPeriodSec = 97
-	}
-	if c.BiasStd < 0 {
-		c.BiasStd = 0
-	}
-	if c.BiasStd == 0 {
-		c.BiasStd = 0.012
-	}
-	return c
-}
-
-// NewMonitor returns a monitor with the given configuration.
-func NewMonitor(cfg MonitorConfig) *Monitor {
-	cfg = cfg.withDefaults()
-	draws := normRNG{rng.New(uint64(cfg.Seed))}
-	bias := draws.NormFloat64() * cfg.BiasStd
-	if bias > 0.025 {
-		bias = 0.025
-	}
-	if bias < -0.025 {
-		bias = -0.025
+	if bias < -monitorBiasMax {
+		bias = -monitorBiasMax
 	}
 	mo := &Monitor{
-		sampleHz:   cfg.SampleHz,
-		noiseStd:   cfg.NoiseStd,
-		driftAmp:   cfg.DriftAmp,
-		driftHz:    1 / cfg.DriftPeriodSec,
+		noiseStd:   monitorNoiseStd,
+		driftAmp:   monitorDriftAmp,
 		driftPhase: draws.Float64() * 2 * math.Pi,
 		bias:       bias,
 		rng:        draws,
 	}
 	mo.driftSin, mo.driftCos = math.Sincos(mo.driftPhase)
-	mo.stepSin, mo.stepCos = math.Sincos(2 * math.Pi * mo.driftHz / mo.sampleHz)
+	mo.stepSin, mo.stepCos = math.Sincos(2 * math.Pi * monitorDriftHz / monitorSampleHz)
 	return mo
 }
 
@@ -200,7 +158,7 @@ var ErrNegativeInterval = errors.New("power: negative observation interval")
 func (mo *Monitor) advanceDrift(dt float64, fullStep bool) {
 	sinD, cosD := mo.stepSin, mo.stepCos
 	if !fullStep {
-		sinD, cosD = math.Sincos(2 * math.Pi * mo.driftHz * dt)
+		sinD, cosD = math.Sincos(2 * math.Pi * monitorDriftHz * dt)
 	}
 	s := mo.driftSin*cosD + mo.driftCos*sinD
 	c := mo.driftCos*cosD - mo.driftSin*sinD
@@ -217,7 +175,7 @@ func (mo *Monitor) Observe(powerW, durationSec float64) error {
 		mo.advanceDrift(durationSec, false)
 		return nil
 	}
-	dt := 1 / mo.sampleHz
+	dt := 1 / monitorSampleHz
 	remaining := durationSec
 	for remaining > 0 {
 		step := dt

@@ -9,7 +9,7 @@ import (
 )
 
 func TestMonitorIntegratesConstantPower(t *testing.T) {
-	mo := NewMonitor(MonitorConfig{Seed: 1})
+	mo := NewMonitor(1)
 	if err := mo.Observe(2.0, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestMonitorIntegratesConstantPower(t *testing.T) {
 }
 
 func TestMonitorZeroAndNegative(t *testing.T) {
-	mo := NewMonitor(MonitorConfig{Seed: 2})
+	mo := NewMonitor(2)
 	if err := mo.Observe(2.0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestMonitorZeroAndNegative(t *testing.T) {
 }
 
 func TestMonitorReset(t *testing.T) {
-	mo := NewMonitor(MonitorConfig{Seed: 3})
+	mo := NewMonitor(3)
 	if err := mo.Observe(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestMonitorReset(t *testing.T) {
 }
 
 func TestMonitorDeterministicBySeed(t *testing.T) {
-	a := NewMonitor(MonitorConfig{Seed: 42})
-	b := NewMonitor(MonitorConfig{Seed: 42})
+	a := NewMonitor(42)
+	b := NewMonitor(42)
 	if err := a.Observe(2, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTable6ValidationErrorUnder3Percent(t *testing.T) {
 	var sumErr float64
 	rates := []float64{5.8, 3.0, 1.5, 0.75, 0.375, 0.1}
 	for i, r := range rates {
-		mo := NewMonitor(MonitorConfig{Seed: int64(100 + i)})
+		mo := NewMonitor(int64(100 + i))
 		measured, err := mo.MeasureSession(m, r, sessionSec, -90, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestTable6ValidationErrorUnder3Percent(t *testing.T) {
 }
 
 func TestMeasureSessionErrors(t *testing.T) {
-	mo := NewMonitor(MonitorConfig{Seed: 5})
+	mo := NewMonitor(5)
 	if _, err := mo.MeasureSession(Default(), 0, 300, -90, 2); err == nil {
 		t.Error("expected error for zero bitrate")
 	}
@@ -102,7 +102,7 @@ func TestMeasureSessionErrors(t *testing.T) {
 }
 
 func TestMeasureSessionDefaultSegment(t *testing.T) {
-	mo := NewMonitor(MonitorConfig{Seed: 6})
+	mo := NewMonitor(6)
 	// segmentSec <= 0 falls back to 2 s without error.
 	got, err := mo.MeasureSession(Default(), 1.5, 10, -90, 0)
 	if err != nil {
@@ -114,10 +114,12 @@ func TestMeasureSessionDefaultSegment(t *testing.T) {
 }
 
 // A partial trailing segment must not inflate energy: a 9 s session at
-// 2 s segments ends with a 1 s segment whose burst is scaled down.
+// 2 s segments ends with a 1 s segment whose burst is scaled down. The
+// monitor is quiet, with no noise, drift or bias.
 func TestMeasureSessionPartialTrailingSegment(t *testing.T) {
 	m := Default()
-	mo := NewMonitor(MonitorConfig{Seed: 7, NoiseStd: 1e-9, DriftAmp: 1e-9, BiasStd: 1e-12})
+	mo := NewMonitor(7)
+	mo.noiseStd, mo.driftAmp, mo.bias = 0, 0, 0
 	got, err := mo.MeasureSession(m, 3.0, 9, -90, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +174,7 @@ func TestNormRNGMoments(t *testing.T) {
 // phase drawn at construction and the per-sample ziggurat normals
 // behind the integrated energy.
 func TestMonitorNoiseGolden(t *testing.T) {
-	mo := NewMonitor(MonitorConfig{Seed: 42})
+	mo := NewMonitor(42)
 	got := []float64{mo.bias, mo.driftPhase}
 	for i := 0; i < 3; i++ {
 		if err := mo.Observe(2, 0.5); err != nil {

@@ -132,7 +132,7 @@ func TestVibrationSensorDropout(t *testing.T) {
 // Download over a randomly varying link conserves payload bytes.
 func TestDownloadConservationOnVolatileLink(t *testing.T) {
 	pm := power.EvalModel()
-	ch, err := netsim.NewChannel(netsim.VehicleSignal, netsim.FadingConfig{}, pm.NominalThroughputMBps, 99)
+	ch, err := netsim.NewChannel(netsim.VehicleSignal, pm.NominalThroughputMBps, 99)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func Generate(spec Spec, rateMap func(dBm float64) float64) (*Trace, error) {
 			return rateMap(dBm)
 		}
 	}
-	ch, err := netsim.NewChannel(cfg, netsim.FadingConfig{}, effRate, spec.Seed)
+	ch, err := netsim.NewChannel(cfg, effRate, spec.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("trace: channel: %w", err)
 	}
