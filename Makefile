@@ -135,7 +135,9 @@ bench:
 bench-diff:
 	go run ./cmd/benchdiff -old $(OLD) -new $(NEW)
 
-# benchsmoke runs the session and campaign benchmarks once each
+# benchsmoke runs the session and campaign benchmarks and the two hot
+# callers of the rung scorer (the Online decision and the optimal
+# planner) once each
 # (-benchtime=1x: a compile-and-execute smoke test, not a measurement)
 # and diffs the result against the newest committed snapshot.
 # Single-iteration numbers are noisy — timings wildly, and allocations
@@ -147,7 +149,7 @@ bench-diff:
 # excluded so the baseline is the most recent recording, not the seed.
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_2*.json)))
 benchsmoke:
-	go test -bench='Session|Campaign' -benchtime=1x -benchmem -run='^$$' . \
+	go test -bench='Session|Campaign|OnlineDecision|OptimalPlanner' -benchtime=1x -benchmem -run='^$$' . \
 		| go run ./cmd/benchdiff -parse -out /tmp/benchsmoke.json
 	-go run ./cmd/benchdiff -old $(BENCH_BASELINE) -new /tmp/benchsmoke.json
 

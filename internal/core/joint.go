@@ -61,7 +61,9 @@ var ErrNoBandwidth = errors.New("core: joint decision requires a bandwidth estim
 
 // Choose scores every (rung, brightness) pair for one segment and
 // returns the minimiser of the extended Eq. 11 objective. ambient01 is
-// the normalised ambient light, bwMbps the bandwidth estimate.
+// the normalised ambient light, bwMbps the bandwidth estimate. Each
+// call builds its own rung scorer, so Choose is safe for concurrent
+// use.
 func (j *JointOnline) Choose(ctx abr.Context, ambient01, bwMbps float64) (JointDecision, error) {
 	if len(ctx.Ladder) == 0 {
 		return JointDecision{}, abr.ErrEmptyContext
@@ -80,48 +82,48 @@ func (j *JointOnline) Choose(ctx abr.Context, ambient01, bwMbps float64) (JointD
 	if dur <= 0 {
 		dur = 2
 	}
-	prevBR := 0.0
-	if ctx.PrevRung >= 0 && ctx.PrevRung < len(ctx.Ladder) {
-		prevBR = ctx.Ladder[ctx.PrevRung].BitrateMbps
+	k := len(ctx.Ladder)
+	prev := k
+	if ctx.PrevRung >= 0 && ctx.PrevRung < k {
+		prev = ctx.PrevRung
 	}
+	var sc taskScorer
+	sc.init(j.obj, ctx.Ladder.Bitrates())
+	sc.beginTask(TaskObservation{
+		SizesMB:       sizes,
+		DurationSec:   dur,
+		SignalDBm:     ctx.SignalDBm,
+		BandwidthMbps: bwMbps,
+		Vibration:     ctx.VibrationLevel,
+		BufferSec:     ctx.BufferSec,
+	})
+	qoes := make([]float64, k)
+	sc.qoeInto(prev, qoes)
 
 	// Reference: top rung at full brightness.
-	base := Candidate{
-		DurationSec:     dur,
-		SignalDBm:       ctx.SignalDBm,
-		BandwidthMbps:   bwMbps,
-		BufferSec:       ctx.BufferSec,
-		Vibration:       ctx.VibrationLevel,
-		PrevBitrateMbps: prevBR,
+	ref := Estimate{
+		EnergyJ: sc.energyJ[k-1] + j.screen.PowerW(1)*dur,
+		QoE:     qoes[k-1] - j.brightness.Impairment(1, ambient01),
 	}
-	refCand := base
-	refCand.BitrateMbps = ctx.Ladder.Highest().BitrateMbps
-	refCand.SizeMB = sizes[len(sizes)-1]
-	refEst := j.obj.Estimate(refCand)
-	refE := refEst.EnergyJ + j.screen.PowerW(1)*dur
-	refQ := refEst.QoE - j.brightness.Impairment(1, ambient01)
-	if refQ < qoe.MinQuality {
-		refQ = qoe.MinQuality
+	if ref.QoE < qoe.MinQuality {
+		ref.QoE = qoe.MinQuality
 	}
-	if refE <= 0 || refQ <= 0 {
+	if ref.EnergyJ <= 0 || ref.QoE <= 0 {
 		return JointDecision{}, errors.New("core: degenerate joint reference")
 	}
 
 	best := JointDecision{Rung: 0, Brightness: j.levels[0]}
 	bestCost := 1e18
-	for rung := range ctx.Ladder {
-		cand := base
-		cand.BitrateMbps = ctx.Ladder[rung].BitrateMbps
-		cand.SizeMB = sizes[rung]
-		est := j.obj.Estimate(cand)
+	for rung, q := range qoes {
 		for _, level := range j.levels {
-			e := est.EnergyJ + j.screen.PowerW(level)*dur
-			q := est.QoE - j.brightness.Impairment(level, ambient01)
-			if q < qoe.MinQuality {
-				q = qoe.MinQuality
+			est := Estimate{
+				EnergyJ: sc.energyJ[rung] + j.screen.PowerW(level)*dur,
+				QoE:     q - j.brightness.Impairment(level, ambient01),
 			}
-			cost := j.obj.Alpha*e/refE - (1-j.obj.Alpha)*q/refQ
-			if cost < bestCost {
+			if est.QoE < qoe.MinQuality {
+				est.QoE = qoe.MinQuality
+			}
+			if cost := j.obj.Cost(est, ref); cost < bestCost {
 				bestCost = cost
 				best = JointDecision{Rung: rung, Brightness: level}
 			}

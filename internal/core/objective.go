@@ -49,52 +49,13 @@ func NewObjective(alpha float64, p power.Model, q qoe.Model) (Objective, error) 
 	return Objective{Alpha: alpha, Power: p, QoE: q}, nil
 }
 
-// Candidate describes one (task, bitrate) pair to score.
-type Candidate struct {
-	// BitrateMbps is the candidate encoded bitrate.
-	BitrateMbps float64
-	// SizeMB is the segment payload at this bitrate.
-	SizeMB float64
-	// DurationSec is the segment playback duration.
-	DurationSec float64
-	// SignalDBm is the expected signal strength during download.
-	SignalDBm float64
-	// BandwidthMbps is the predicted link rate.
-	BandwidthMbps float64
-	// BufferSec is the playable buffer when the download starts.
-	BufferSec float64
-	// Vibration is the expected Eq. 5 vibration level.
-	Vibration float64
-	// PrevBitrateMbps is the previous segment's bitrate (0 = none).
-	PrevBitrateMbps float64
-}
-
-// Estimate holds a candidate's predicted energy and QoE.
+// Estimate holds one rung's predicted task energy and QoE, the two
+// terms Eq. 11 weighs.
 type Estimate struct {
 	// EnergyJ is the predicted task energy (Eq. 10).
 	EnergyJ float64
 	// QoE is the predicted task QoE (Eq. 1).
 	QoE float64
-}
-
-// Estimate predicts a candidate's energy and QoE using the models.
-func (o Objective) Estimate(c Candidate) Estimate {
-	thMBps := c.BandwidthMbps / 8
-	b := o.Power.SegmentEnergy(power.SegmentTask{
-		BitrateMbps:    c.BitrateMbps,
-		DurationSec:    c.DurationSec,
-		SizeMB:         c.SizeMB,
-		SignalDBm:      c.SignalDBm,
-		ThroughputMBps: thMBps,
-		BufferSec:      c.BufferSec,
-	})
-	q := o.QoE.SegmentQoE(qoe.Segment{
-		BitrateMbps:     c.BitrateMbps,
-		PrevBitrateMbps: c.PrevBitrateMbps,
-		Vibration:       c.Vibration,
-		RebufferSec:     b.RebufferSec,
-	})
-	return Estimate{EnergyJ: b.TotalJ(), QoE: q}
 }
 
 // Cost scores a candidate against the reference (top-rung) estimate
@@ -109,62 +70,99 @@ func (o *Objective) Cost(est, ref Estimate) float64 {
 	return o.Alpha*est.EnergyJ/ref.EnergyJ - (1-o.Alpha)*est.QoE/ref.QoE
 }
 
-// ScoreRungsCompiled scores every ladder rung of one task (the reference
-// is the top rung) through a compiled per-rung QoE table instead of the
-// model's transcendental curve functions: the
-// candidate bitrates are the table's rungs and prevRung indexes the
-// previous segment's rung in the same table (negative = first segment,
-// no switch penalty). base.BitrateMbps, base.SizeMB and
-// base.PrevBitrateMbps are ignored. The table must have been compiled
-// from o.QoE with the same ladder bitrates; given that, the costs and
-// estimates are bit-identical to the test oracle ScoreRungsInto, which
-// evaluates the curves directly (pinned by
-// TestScoreRungsCompiledBitIdentical), while evaluating zero math.Pow
-// calls per decision.
-func (o *Objective) ScoreRungsCompiled(base Candidate, rt *qoe.RungTable, prevRung int, sizesMB, costs []float64, ests []Estimate) error {
-	k := rt.Len()
-	if k == 0 || len(sizesMB) != k {
-		return errors.New("core: sizes must be non-empty and parallel the rung table")
+// taskScorer is the one implementation of a ladder rung's Eq. 6
+// energy, Eq. 1 QoE and Eq. 11 cost: Online and the joint policy score
+// each decision through it, and the optimal planner scores every
+// (task, previous rung) row of its DP through it. A rung's energy does
+// not depend on the previous segment's bitrate, so beginTask computes
+// it once per task and every previous-rung row shares it. The buffers
+// are reused across tasks, so scoring allocates nothing after init; a
+// scorer belongs to one goroutine.
+type taskScorer struct {
+	obj      Objective
+	bitrates []float64
+	// rungs is the ladder's compiled Eq. 1 curve table: Q0(r_j), the
+	// regrouped impairment coefficients and the clamp. Its queries are
+	// bit-identical to the model's curve functions, so the scorer
+	// evaluates no transcendentals and its terms equal the test
+	// oracle's (Objective.ScoreRungsInto) bit for bit.
+	rungs *qoe.RungTable
+	// The current task's previous-rung-independent per-rung terms:
+	// energy and stall time from the power model and the perceived
+	// quality at the task's vibration level.
+	energyJ   []float64
+	rebufSec  []float64
+	perceived []float64
+}
+
+// init compiles the rung table for the ladder's bitrates, which the
+// scorer keeps without copying, and sizes the per-rung terms from one
+// backing array. energyJ heads that array and keeps its capacity, so a
+// scorer re-initialised for a ladder no longer than its last one (an
+// HTTP session's ladder is new each session) reuses it.
+func (s *taskScorer) init(obj Objective, bitrates []float64) {
+	k := len(bitrates)
+	terms := s.energyJ[:cap(s.energyJ)]
+	if len(terms) < 3*k {
+		terms = make([]float64, 3*k)
 	}
-	if len(costs) != k || len(ests) != k {
-		return errors.New("core: cost and estimate buffers must parallel the rung table")
+	*s = taskScorer{
+		obj:       obj,
+		bitrates:  bitrates,
+		rungs:     obj.QoE.CompileRungs(bitrates),
+		energyJ:   terms[0*k : 1*k],
+		rebufSec:  terms[1*k : 2*k : 2*k],
+		perceived: terms[2*k : 3*k : 3*k],
 	}
-	if rt.Model() != o.QoE {
-		return errors.New("core: rung table compiled from a different QoE model")
-	}
-	if prevRung >= k {
-		return fmt.Errorf("core: previous rung %d outside table of %d rungs", prevRung, k)
-	}
-	// The decision's terms are set up once: the task, of which each rung
-	// changes only the bitrate and size, and the previous rung's
-	// bitrate and quality for the switch penalty. Energies come first,
-	// each rung's stall parked in its QoE slot; the Eq. 1 pass reads
-	// the stalls back with rt.SegmentQoE's arithmetic (qm equals
-	// rt.Model(), checked above), inlined.
+}
+
+// beginTask computes the task's previous-rung-independent per-rung
+// terms. t.SizesMB must parallel the ladder.
+func (s *taskScorer) beginTask(t TaskObservation) {
 	task := power.SegmentTask{
-		DurationSec:    base.DurationSec,
-		SignalDBm:      base.SignalDBm,
-		ThroughputMBps: base.BandwidthMbps / 8,
-		BufferSec:      base.BufferSec,
+		DurationSec:    t.DurationSec,
+		SignalDBm:      t.SignalDBm,
+		ThroughputMBps: t.BandwidthMbps / 8,
+		BufferSec:      t.BufferSec,
 	}
-	for j := 0; j < k; j++ {
-		task.BitrateMbps, task.SizeMB = rt.Bitrate(j), sizesMB[j]
-		b := o.Power.SegmentEnergy(task)
-		ests[j] = Estimate{EnergyJ: b.TotalJ(), QoE: b.RebufferSec}
+	pm, rt, v := &s.obj.Power, s.rungs, t.Vibration
+	sizes, energyJ, rebufSec, perceived := t.SizesMB, s.energyJ, s.rebufSec, s.perceived
+	for j, r := range s.bitrates {
+		task.BitrateMbps, task.SizeMB = r, sizes[j]
+		b := pm.SegmentEnergy(task)
+		energyJ[j] = b.TotalJ()
+		rebufSec[j] = b.RebufferSec
+		perceived[j] = rt.Perceived(j, v)
 	}
-	prevBitrate, q0Prev := 0.0, 0.0
-	if prevRung >= 0 {
-		prevBitrate, q0Prev = rt.Bitrate(prevRung), rt.OriginalQuality(prevRung)
+}
+
+// qoeInto fills q[j] with rung j's Eq. 1 QoE for the current task
+// after previous rung p; p == len(bitrates) means there was no previous
+// segment, so no switch penalty applies. beginTask must have been
+// called for the task first.
+func (s *taskScorer) qoeInto(p int, q []float64) {
+	rt := s.rungs
+	prev, q0Prev := 0.0, 0.0
+	if p < len(s.bitrates) {
+		prev, q0Prev = s.bitrates[p], rt.OriginalQuality(p)
 	}
-	qm := o.QoE
-	for j := range ests {
-		ests[j].QoE = qm.SegmentQoEParts(rt.Perceived(j, base.Vibration), rt.OriginalQuality(j), prevBitrate, q0Prev, ests[j].QoE)
+	qm := s.obj.QoE
+	perceived, rebufSec := s.perceived, s.rebufSec
+	for j := range q {
+		q[j] = qm.SegmentQoEParts(perceived[j], rt.OriginalQuality(j), prev, q0Prev, rebufSec[j])
 	}
-	ref := ests[k-1]
-	for j := range ests {
-		costs[j] = o.Cost(ests[j], ref)
+}
+
+// scoreInto fills costs[j] with rung j's Eq. 11 cost for the current
+// task after previous rung p, as in qoeInto, against the top rung.
+func (s *taskScorer) scoreInto(p int, costs []float64) {
+	s.qoeInto(p, costs)
+	obj, energyJ := &s.obj, s.energyJ
+	k := len(costs)
+	ref := Estimate{EnergyJ: energyJ[k-1], QoE: costs[k-1]}
+	for j, q := range costs {
+		costs[j] = obj.Cost(Estimate{EnergyJ: energyJ[j], QoE: q}, ref)
 	}
-	return nil
 }
 
 // ArgminCost returns the index of the smallest cost (ties go to the

@@ -190,11 +190,11 @@ func TestArgminCost(t *testing.T) {
 	}
 }
 
-// ScoreRungsCompiled must be bit-identical to ScoreRungsInto across
-// randomized candidates: the simulator and the online algorithm switch
-// between the two paths depending on whether a compiled table is
-// available, and the campaign determinism tests compare runs with ==.
-func TestScoreRungsCompiledBitIdentical(t *testing.T) {
+// The scorer must be bit-identical to the ScoreRungsInto oracle across
+// random tasks, first segments included: Online, the joint policy and
+// the optimal planner all score through it, and the campaign
+// determinism tests and the metrics digests compare runs with ==.
+func TestTaskScorerBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	obj := testObjective(t, 0.5)
 	for trial := 0; trial < 200; trial++ {
@@ -207,15 +207,23 @@ func TestScoreRungsCompiledBitIdentical(t *testing.T) {
 			sizes[j] = r / 8 * 2 * (0.8 + 0.4*rng.Float64())
 			r += rng.Float64() * 2
 		}
-		prevRung := rng.Intn(k+1) - 1 // -1 = first segment
-		base := Candidate{
+		prevRung := rng.Intn(k + 1) // k = first segment
+		task := TaskObservation{
+			SizesMB:       sizes,
 			DurationSec:   2,
 			SignalDBm:     -120 + rng.Float64()*40,
 			BandwidthMbps: rng.Float64() * 40,
 			BufferSec:     rng.Float64() * 40,
 			Vibration:     rng.Float64() * 6,
 		}
-		if prevRung >= 0 {
+		base := Candidate{
+			DurationSec:   task.DurationSec,
+			SignalDBm:     task.SignalDBm,
+			BandwidthMbps: task.BandwidthMbps,
+			BufferSec:     task.BufferSec,
+			Vibration:     task.Vibration,
+		}
+		if prevRung < k {
 			base.PrevBitrateMbps = bitrates[prevRung]
 		}
 		wantCosts := make([]float64, k)
@@ -223,38 +231,19 @@ func TestScoreRungsCompiledBitIdentical(t *testing.T) {
 		if err := obj.ScoreRungsInto(base, bitrates, sizes, wantCosts, wantEsts); err != nil {
 			t.Fatal(err)
 		}
-		rt := obj.QoE.CompileRungs(bitrates)
+		var sc taskScorer
+		sc.init(obj, bitrates)
+		sc.beginTask(task)
+		gotQoE := make([]float64, k)
+		sc.qoeInto(prevRung, gotQoE)
 		gotCosts := make([]float64, k)
-		gotEsts := make([]Estimate, k)
-		if err := obj.ScoreRungsCompiled(base, rt, prevRung, sizes, gotCosts, gotEsts); err != nil {
-			t.Fatal(err)
-		}
+		sc.scoreInto(prevRung, gotCosts)
 		for j := 0; j < k; j++ {
-			if gotCosts[j] != wantCosts[j] || gotEsts[j] != wantEsts[j] {
-				t.Fatalf("trial %d rung %d (prev %d): compiled cost=%v est=%+v, reference cost=%v est=%+v",
-					trial, j, prevRung, gotCosts[j], gotEsts[j], wantCosts[j], wantEsts[j])
+			got := Estimate{EnergyJ: sc.energyJ[j], QoE: gotQoE[j]}
+			if gotCosts[j] != wantCosts[j] || got != wantEsts[j] {
+				t.Fatalf("trial %d rung %d (prev %d): scorer cost=%v est=%+v, reference cost=%v est=%+v",
+					trial, j, prevRung, gotCosts[j], got, wantCosts[j], wantEsts[j])
 			}
 		}
-	}
-}
-
-func TestScoreRungsCompiledErrors(t *testing.T) {
-	obj := testObjective(t, 0.5)
-	rt := obj.QoE.CompileRungs([]float64{1, 2})
-	costs := make([]float64, 2)
-	ests := make([]Estimate, 2)
-	if err := obj.ScoreRungsCompiled(Candidate{}, rt, -1, []float64{1}, costs, ests); err == nil {
-		t.Error("mismatched sizes accepted")
-	}
-	if err := obj.ScoreRungsCompiled(Candidate{}, rt, 2, []float64{1, 2}, costs, ests); err == nil {
-		t.Error("out-of-range previous rung accepted")
-	}
-	if err := obj.ScoreRungsCompiled(Candidate{}, rt, -1, []float64{1, 2}, costs[:1], ests); err == nil {
-		t.Error("short cost buffer accepted")
-	}
-	other := obj.QoE
-	other.P01 *= 2
-	if err := obj.ScoreRungsCompiled(Candidate{}, other.CompileRungs([]float64{1, 2}), -1, []float64{1, 2}, costs, ests); err == nil {
-		t.Error("foreign-model table accepted")
 	}
 }

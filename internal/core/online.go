@@ -7,7 +7,6 @@ import (
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
 	"ecavs/internal/netsim"
-	"ecavs/internal/qoe"
 )
 
 // Online is the paper's online bitrate-selection algorithm
@@ -30,16 +29,13 @@ type Online struct {
 	// Per-decision scratch, reused across ChooseRung calls so the
 	// steady-state decision path does not allocate. An Online instance
 	// is owned by one session and must not be shared across goroutines.
-	costs []float64
-	ests  []Estimate
-
-	// rungs is the compiled per-rung QoE table for the ladder last seen
-	// by ChooseRung, keyed by the ladder's backing array identity (the
-	// simulator hands the same ladder slice every segment, so this
-	// compiles once per session and the decision path evaluates no
-	// transcendentals).
-	rungs    *qoe.RungTable
-	rungsKey *dash.Representation
+	// sc scores the ladder last seen by ChooseRung, keyed by the
+	// ladder's backing array identity and length (the simulator hands
+	// the same ladder slice every segment, so the rung table compiles
+	// once per session).
+	sc     taskScorer
+	ladder *dash.Representation
+	costs  []float64
 }
 
 var _ abr.Algorithm = (*Online)(nil)
@@ -102,28 +98,23 @@ func (o *Online) ChooseRung(ctx abr.Context) (int, error) {
 		prevRung = len(ctx.Ladder) - 1
 	}
 
-	base := Candidate{
-		DurationSec:     ctx.SegmentDurationSec,
-		SignalDBm:       ctx.SignalDBm,
-		BandwidthMbps:   bw,
-		BufferSec:       ctx.BufferSec,
-		Vibration:       ctx.VibrationLevel,
-		PrevBitrateMbps: ctx.Ladder[prevRung].BitrateMbps,
-	}
-	if k := len(ctx.Ladder); cap(o.costs) < k {
-		o.costs = make([]float64, k)
-		o.ests = make([]Estimate, k)
-	} else {
+	if k := len(ctx.Ladder); o.ladder != &ctx.Ladder[0] || len(o.costs) != k {
+		o.sc.init(o.obj, ctx.Ladder.Bitrates())
+		o.ladder = &ctx.Ladder[0]
+		if cap(o.costs) < k {
+			o.costs = make([]float64, k)
+		}
 		o.costs = o.costs[:k]
-		o.ests = o.ests[:k]
 	}
-	if o.rungs == nil || o.rungsKey != &ctx.Ladder[0] || o.rungs.Len() != len(ctx.Ladder) {
-		o.rungs = o.obj.QoE.CompileRungs(ctx.Ladder.Bitrates())
-		o.rungsKey = &ctx.Ladder[0]
-	}
-	if err := o.obj.ScoreRungsCompiled(base, o.rungs, prevRung, sizes, o.costs, o.ests); err != nil {
-		return 0, err
-	}
+	o.sc.beginTask(TaskObservation{
+		SizesMB:       sizes,
+		DurationSec:   ctx.SegmentDurationSec,
+		SignalDBm:     ctx.SignalDBm,
+		BandwidthMbps: bw,
+		Vibration:     ctx.VibrationLevel,
+		BufferSec:     ctx.BufferSec,
+	})
+	o.sc.scoreInto(prevRung, o.costs)
 	ref := ArgminCost(o.costs)
 	if o.direct {
 		return ref, nil

@@ -325,3 +325,45 @@ func TestOnlineAlphaEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineMonotoneInSignal pins a property the objective implies: a
+// weaker signal makes every download dearer in radio energy, so
+// weakening the signal by up to 10 dB never raises Online's rung, with
+// or without gradual switching. Vibration has no such property while
+// each decision's QoE terms are normalised by the top rung's QoE at
+// that decision's own vibration (DESIGN.md §1).
+func TestOnlineMonotoneInSignal(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	ladder := dash.EvalLadder()
+	for _, alpha := range []float64{0.1, 0.2, 0.5, 0.8, 0.9} {
+		obj := testObjective(t, alpha)
+		for trial := 0; trial < 3000; trial++ {
+			var opts []OnlineOption
+			if trial%2 == 1 {
+				opts = append(opts, WithDirectReference())
+			}
+			bw := rng.Float64()*40 + 0.5
+			ctx := onlineCtx(func(c *abr.Context) {
+				c.PrevRung = rng.Intn(len(ladder))
+				c.BufferSec = rng.Float64() * 30
+				c.SignalDBm = -80 - rng.Float64()*40
+				c.VibrationLevel = rng.Float64() * 7
+			})
+			weak := ctx
+			weak.SignalDBm -= rng.Float64() * 10
+			choose := func(c abr.Context) int {
+				o := NewOnline(obj, opts...)
+				o.ObserveDownload(bw)
+				rung, err := o.ChooseRung(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rung
+			}
+			if got, want := choose(weak), choose(ctx); got > want {
+				t.Fatalf("alpha %v trial %d: %.2f dBm picks rung %d, above %d at %.2f dBm (prev %d, buffer %.2f s, vibration %.2f, %.2f Mbps, direct %v)",
+					alpha, trial, weak.SignalDBm, got, want, ctx.SignalDBm, ctx.PrevRung, ctx.BufferSec, ctx.VibrationLevel, bw, len(opts) > 0)
+			}
+		}
+	}
+}

@@ -7,8 +7,6 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
-	"ecavs/internal/power"
-	"ecavs/internal/qoe"
 	"ecavs/internal/trace"
 )
 
@@ -47,83 +45,6 @@ var (
 	ErrSizeMismatch = errors.New("core: task sizes do not match the ladder")
 )
 
-// taskScorer evaluates the Eq. 11 cost of every ladder rung of one
-// task, reusing its buffers across tasks so planning allocates
-// nothing per task. The energy term of a candidate does not depend on
-// the previous segment's bitrate, so it is computed once per task
-// (beginTask) and shared across all previous-rung rows (scoreInto).
-type taskScorer struct {
-	obj      Objective
-	bitrates []float64
-	// rungs is the ladder's compiled Eq. 1 curve table: Q0(r_j), the
-	// regrouped impairment coefficients, and the clamp, all computed
-	// once at construction. It replaces the per-task OriginalQuality /
-	// PerceivedQuality calls the scorer previously made, removing the
-	// last transcendentals from the planner entirely; the table path is
-	// bit-identical to the model's curve functions, so the DP's costs
-	// do not change by a single bit.
-	rungs *qoe.RungTable
-	// Per-rung, previous-rung-independent terms of the current task:
-	// energy and stall time from the power model and the perceived
-	// quality at the task's vibration level. Hoisting them out of
-	// scoreInto's inner loop keeps the O(n·k²) hot path multiply-add
-	// only.
-	energyJ   []float64
-	rebufSec  []float64
-	perceived []float64
-}
-
-func newTaskScorer(obj Objective, bitrates []float64) *taskScorer {
-	k := len(bitrates)
-	return &taskScorer{
-		obj:       obj,
-		bitrates:  bitrates,
-		rungs:     obj.QoE.CompileRungs(bitrates),
-		energyJ:   make([]float64, k),
-		rebufSec:  make([]float64, k),
-		perceived: make([]float64, k),
-	}
-}
-
-// beginTask computes the previous-rung-independent per-rung terms.
-func (s *taskScorer) beginTask(t TaskObservation) {
-	task := power.SegmentTask{
-		DurationSec:    t.DurationSec,
-		SignalDBm:      t.SignalDBm,
-		ThroughputMBps: t.BandwidthMbps / 8,
-		BufferSec:      t.BufferSec,
-	}
-	for j, r := range s.bitrates {
-		task.BitrateMbps, task.SizeMB = r, t.SizesMB[j]
-		b := s.obj.Power.SegmentEnergy(task)
-		s.energyJ[j] = b.TotalJ()
-		s.rebufSec[j] = b.RebufferSec
-		s.perceived[j] = s.rungs.Perceived(j, t.Vibration)
-	}
-}
-
-// scoreInto fills costs[j] with the Eq. 11 cost of rung j for the
-// current task given previous rung p; p == len(bitrates) means "no
-// previous segment" (the first task). beginTask must have been called
-// for the task first. The arithmetic — energy and QoE estimates, then
-// the Eq. 11 scalarisation against the top-rung reference — is
-// bit-identical to the test oracle Objective.ScoreRungs.
-func (s *taskScorer) scoreInto(t TaskObservation, p int, costs []float64) {
-	prev, q0Prev := 0.0, 0.0
-	if p < len(s.bitrates) {
-		prev = s.bitrates[p]
-		q0Prev = s.rungs.OriginalQuality(p)
-	}
-	for j := range s.bitrates {
-		costs[j] = s.obj.QoE.SegmentQoEParts(s.perceived[j], s.rungs.OriginalQuality(j), prev, q0Prev, s.rebufSec[j])
-	}
-	k := len(s.bitrates)
-	ref := Estimate{EnergyJ: s.energyJ[k-1], QoE: costs[k-1]}
-	for j := range costs {
-		costs[j] = s.obj.Cost(Estimate{EnergyJ: s.energyJ[j], QoE: costs[j]}, ref)
-	}
-}
-
 // PlanOptimal solves the bitrate-selection problem of Fig. 4 — one
 // node per (task, rung), a source, and a sink, with edge weights
 // carrying the Eq. 11 objective of the destination task's candidate
@@ -148,7 +69,8 @@ func PlanOptimal(obj Objective, ladder dash.Ladder, tasks []TaskObservation) (Pl
 		}
 	}
 	n := len(tasks)
-	sc := newTaskScorer(obj, ladder.Bitrates())
+	var sc taskScorer
+	sc.init(obj, ladder.Bitrates())
 
 	// Rolling DP over the implicit layered DAG. dist[j] is the best
 	// cost of any plan prefix ending with rung j at the current task;
@@ -163,7 +85,7 @@ func PlanOptimal(obj Objective, ladder dash.Ladder, tasks []TaskObservation) (Pl
 	choice := make([]int32, n*k)
 
 	sc.beginTask(tasks[0])
-	sc.scoreInto(tasks[0], k, dist)
+	sc.scoreInto(k, dist)
 	for i := 1; i < n; i++ {
 		for j := range next {
 			next[j] = math.Inf(1)
@@ -171,7 +93,7 @@ func PlanOptimal(obj Objective, ladder dash.Ladder, tasks []TaskObservation) (Pl
 		sc.beginTask(tasks[i])
 		row := choice[i*k : (i+1)*k]
 		for p := 0; p < k; p++ {
-			sc.scoreInto(tasks[i], p, costs)
+			sc.scoreInto(p, costs)
 			dp := dist[p]
 			for j, c := range costs {
 				if nd := dp + c; nd < next[j] {

@@ -77,7 +77,7 @@ func TestPlanFastPathMatchesVerifyPath(t *testing.T) {
 		}
 		// The oracle errors on any mismatch between the fast path and
 		// either graph solver: rungs, and the exact float64 total cost.
-		if err := verifyPlan(newTaskScorer(obj, ladder.Bitrates()), tasks, plan); err != nil {
+		if err := verifyPlan(obj, ladder, tasks, plan); err != nil {
 			t.Fatalf("iter %d (n=%d k=%d alpha=%v): %v", iter, n, len(ladder), alpha, err)
 		}
 	}

@@ -249,13 +249,14 @@ func TestOptimalNoWorseThanOnline(t *testing.T) {
 			if len(online.Segments) != len(tasks) {
 				t.Fatalf("alpha %v trace %d: Online fetched %d segments of %d", alpha, tr.ID, len(online.Segments), len(tasks))
 			}
-			sc := newTaskScorer(obj, ladder.Bitrates())
+			var sc taskScorer
+			sc.init(obj, ladder.Bitrates())
 			costs := make([]float64, len(ladder))
 			score := func(rungs []int) float64 {
 				total, prev := 0.0, len(ladder)
 				for i, r := range rungs {
 					sc.beginTask(tasks[i])
-					sc.scoreInto(tasks[i], prev, costs)
+					sc.scoreInto(prev, costs)
 					total += costs[r]
 					prev = r
 				}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"ecavs/internal/dash"
+	"ecavs/internal/power"
+	"ecavs/internal/qoe"
 )
 
 // The planner's test oracle: the explicit layered-DAG solvers of
@@ -21,7 +23,7 @@ func planVerified(t *testing.T, obj Objective, ladder dash.Ladder, tasks []TaskO
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verifyPlan(newTaskScorer(obj, ladder.Bitrates()), tasks, plan); err != nil {
+	if err := verifyPlan(obj, ladder, tasks, plan); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	return plan
@@ -34,9 +36,11 @@ func planVerified(t *testing.T, obj Objective, ladder dash.Ladder, tasks []TaskO
 // relaxation order, same float64 additions); Dijkstra runs on weights
 // shifted to non-negative and is checked within a relative tolerance,
 // as its different accumulation order forfeits bitwise equality.
-func verifyPlan(sc *taskScorer, tasks []TaskObservation, plan Plan) error {
+func verifyPlan(obj Objective, ladder dash.Ladder, tasks []TaskObservation, plan Plan) error {
 	n := len(tasks)
-	k := len(sc.bitrates)
+	k := len(ladder)
+	var sc taskScorer
+	sc.init(obj, ladder.Bitrates())
 
 	// Materialise every per-task, per-(prev, rung) cost row: costs
 	// [i][p][j] is the cost of rung j at task i given previous rung p;
@@ -48,7 +52,7 @@ func verifyPlan(sc *taskScorer, tasks []TaskObservation, plan Plan) error {
 		sc.beginTask(t)
 		for p := 0; p <= k; p++ {
 			row := make([]float64, k)
-			sc.scoreInto(t, p, row)
+			sc.scoreInto(p, row)
 			costs[i][p] = row
 			for _, c := range row {
 				if c < minCost {
@@ -144,7 +148,47 @@ func verifyPlan(sc *taskScorer, tasks []TaskObservation, plan Plan) error {
 
 // The scoring oracle: ScoreRungs and ScoreRungsInto estimate every rung
 // through the model's curve functions, which production replaced with
-// the compiled rung table of ScoreRungsCompiled. Only tests call them.
+// the compiled rung table of taskScorer. Only tests call them.
+
+// Candidate describes one (task, bitrate) pair to score.
+type Candidate struct {
+	// BitrateMbps is the candidate encoded bitrate.
+	BitrateMbps float64
+	// SizeMB is the segment payload at this bitrate.
+	SizeMB float64
+	// DurationSec is the segment playback duration.
+	DurationSec float64
+	// SignalDBm is the expected signal strength during download.
+	SignalDBm float64
+	// BandwidthMbps is the predicted link rate.
+	BandwidthMbps float64
+	// BufferSec is the playable buffer when the download starts.
+	BufferSec float64
+	// Vibration is the expected Eq. 5 vibration level.
+	Vibration float64
+	// PrevBitrateMbps is the previous segment's bitrate (0 = none).
+	PrevBitrateMbps float64
+}
+
+// Estimate predicts a candidate's energy and QoE using the models.
+func (o Objective) Estimate(c Candidate) Estimate {
+	thMBps := c.BandwidthMbps / 8
+	b := o.Power.SegmentEnergy(power.SegmentTask{
+		BitrateMbps:    c.BitrateMbps,
+		DurationSec:    c.DurationSec,
+		SizeMB:         c.SizeMB,
+		SignalDBm:      c.SignalDBm,
+		ThroughputMBps: thMBps,
+		BufferSec:      c.BufferSec,
+	})
+	q := o.QoE.SegmentQoE(qoe.Segment{
+		BitrateMbps:     c.BitrateMbps,
+		PrevBitrateMbps: c.PrevBitrateMbps,
+		Vibration:       c.Vibration,
+		RebufferSec:     b.RebufferSec,
+	})
+	return Estimate{EnergyJ: b.TotalJ(), QoE: q}
+}
 
 // ScoreRungs estimates and scores every ladder rung of one task.
 // sizesMB[j] is the segment payload at rung j; base carries the shared

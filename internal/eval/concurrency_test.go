@@ -61,9 +61,9 @@ func TestComparisonConcurrent(t *testing.T) {
 			t.Errorf("caller %d received a different *Comparison than caller 0", i)
 		}
 	}
-	env.mu.Lock()
+	env.compMu.Lock()
 	runs := env.compRuns
-	env.mu.Unlock()
+	env.compMu.Unlock()
 	if runs != 1 {
 		t.Errorf("compRuns = %d, want 1 (concurrent callers must share one evaluation)", runs)
 	}

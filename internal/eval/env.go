@@ -35,10 +35,15 @@ type Env struct {
 	// memoized per-trace artifacts depend on them.
 	Alpha float64
 
-	mu       sync.Mutex
-	traces   []*trace.Trace
+	mu     sync.Mutex
+	traces []*trace.Trace
+
+	// compMu is held across a full evaluation, so concurrent
+	// Comparison callers wait for the first one's result; it guards
+	// comp and compRuns. It is separate from mu, which the evaluation
+	// itself takes.
+	compMu   sync.Mutex
 	comp     *Comparison
-	inflight *inflightComparison
 	compRuns int // full evaluations actually executed (test hook)
 
 	// artifacts memoizes per-trace derived state (manifest, base
@@ -48,15 +53,6 @@ type Env struct {
 	// Pointer keys keep re-seeded campaign traces (which reuse the
 	// Table V IDs) from colliding with the cached originals.
 	artifacts map[*trace.Trace]*traceArtifacts
-}
-
-// inflightComparison carries one in-progress full evaluation so that
-// concurrent Comparison callers share it instead of racing to compute
-// their own (singleflight).
-type inflightComparison struct {
-	done chan struct{} // closed when comp/err are set
-	comp *Comparison
-	err  error
 }
 
 // traceArtifacts caches what the evaluation derives per trace.
@@ -128,35 +124,21 @@ type Comparison struct {
 
 // Comparison runs (or returns the cached) full evaluation. Concurrent
 // callers share a single computation: the first caller computes, the
-// rest wait on it and receive the same result (or the same error). A
-// failed computation is not cached, so a later call retries.
+// rest wait for it and read the cached result. A failed computation is
+// not cached, so the next caller retries.
 func (e *Env) Comparison() (*Comparison, error) {
-	e.mu.Lock()
+	e.compMu.Lock()
+	defer e.compMu.Unlock()
 	if e.comp != nil {
-		c := e.comp
-		e.mu.Unlock()
-		return c, nil
+		return e.comp, nil
 	}
-	if in := e.inflight; in != nil {
-		e.mu.Unlock()
-		<-in.done
-		return in.comp, in.err
-	}
-	in := &inflightComparison{done: make(chan struct{})}
-	e.inflight = in
 	e.compRuns++
-	e.mu.Unlock()
-
-	in.comp, in.err = e.computeComparison()
-
-	e.mu.Lock()
-	e.inflight = nil
-	if in.err == nil {
-		e.comp = in.comp
+	comp, err := e.computeComparison()
+	if err != nil {
+		return nil, err
 	}
-	e.mu.Unlock()
-	close(in.done)
-	return in.comp, in.err
+	e.comp = comp
+	return comp, nil
 }
 
 // computeComparison runs the full five-trace, five-algorithm

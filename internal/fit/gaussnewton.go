@@ -2,6 +2,7 @@ package fit
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -23,7 +24,8 @@ type GradientModel interface {
 }
 
 // ErrNoConverge is returned when Gauss-Newton exceeds its iteration
-// budget without meeting the tolerance.
+// budget without meeting the tolerance, or when an iteration's step is
+// not finite (NaN or infinite), which no further iteration can mend.
 var ErrNoConverge = errors.New("fit: Gauss-Newton did not converge")
 
 // The solver's fixed settings: it stops after gnMaxIter iterations, or
@@ -81,12 +83,17 @@ func GaussNewton(m Model, xs, ys, init []float64) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
+		// math.Max propagates NaN, so a NaN step cannot pass for
+		// convergence.
 		var maxStep float64
-		for i := 0; i < p; i++ {
+		for _, d := range delta {
+			maxStep = math.Max(maxStep, math.Abs(d))
+		}
+		if math.IsNaN(maxStep) || math.IsInf(maxStep, 0) {
+			return params, fmt.Errorf("%w: non-finite step at iteration %d", ErrNoConverge, iter)
+		}
+		for i := range params {
 			params[i] += delta[i]
-			if s := math.Abs(delta[i]); s > maxStep {
-				maxStep = s
-			}
 		}
 		if maxStep < gnTol {
 			return params, nil

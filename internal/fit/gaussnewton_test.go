@@ -114,6 +114,35 @@ func TestGaussNewtonNoConverge(t *testing.T) {
 	}
 }
 
+// nanModel is a line that is undefined (NaN) for a negative first
+// parameter, as a model taking a parameter's logarithm or square root
+// would be.
+type nanModel struct{}
+
+func (nanModel) NumParams() int { return 2 }
+func (nanModel) Eval(x float64, p []float64) float64 {
+	if p[0] < 0 {
+		return math.NaN()
+	}
+	return p[0] + p[1]*x
+}
+
+// A NaN step ends the solve with ErrNoConverge. It used to pass for
+// convergence, since a NaN step compares false against the tolerance,
+// and the solver returned NaN parameters with a nil error.
+func TestGaussNewtonNonFiniteStep(t *testing.T) {
+	xs := []float64{0, 1, 2, 3}
+	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
+	got, err := GaussNewton(nanModel{}, xs, ys, []float64{-1, 0})
+	if !errors.Is(err, ErrNoConverge) {
+		t.Fatalf("err = %v (params %v), want ErrNoConverge", err, got)
+	}
+	// The last finite iterate, here the start, is returned beside it.
+	if len(got) != 2 || got[0] != -1 || got[1] != 0 {
+		t.Errorf("params = %v, want the start [-1 0]", got)
+	}
+}
+
 func TestRateQualityModelShape(t *testing.T) {
 	p := []float64{1.036, 0.782}
 	m := RateQualityModel{}
