@@ -62,12 +62,15 @@ fuzz:
 # obs exercises the telemetry layer end to end under the race detector:
 # registry/exposition correctness and concurrency in internal/telemetry,
 # then the wiring — per-rung server snapshots and client counters
-# (httpdash), decision-trace recording (sim), live campaign metrics and
-# the zero-overhead/determinism pins (campaign, root). -count=1 defeats
-# the test cache so the concurrent hammers actually run.
+# (httpdash), live campaign metrics and the zero-overhead/determinism
+# pins (campaign, root), and the decision trace: the segment log (sim)
+# and its NDJSON export (cmd/streamsim). -count=1 defeats the test
+# cache so the concurrent hammers actually run.
 obs:
 	go test -race -count=1 ./internal/telemetry/
-	go test -race -count=1 -run 'Telemetry|Snapshot|Recorder|DecisionTrace|Live|NDJSON' ./internal/httpdash/ ./internal/sim/ ./internal/campaign/
+	go test -race -count=1 -run 'Telemetry|Snapshot|Live' ./internal/httpdash/ ./internal/campaign/
+	go test -race -count=1 -run 'TestSegmentLogRecordsDecisionContext' ./internal/sim/
+	go test -race -count=1 -run 'TestTraceOut|TestTraceWriteFailure' ./cmd/streamsim/
 	go test -count=1 -run 'TestSessionAllocsTelemetryDisabled' .
 
 # loadtest smokes the serving path end to end: cmd/loadgen stands up an

@@ -9,14 +9,16 @@
 //	streamsim -trace 1 -algo ours -trace-out decisions.ndjson
 //	streamsim -trace 1 -algo bba -trace-out - | jq .rung
 //
-// -trace-out records the per-segment decision trace (what the
-// algorithm saw and chose) and writes it as NDJSON to the given file,
-// or to stdout with "-". -trace-sample keeps every Nth decision.
+// -trace-out writes the per-segment decision trace (what the algorithm
+// saw and chose) from the session's segment log as NDJSON to the given
+// file, or to stdout with "-". -trace-sample keeps every Nth decision.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -39,7 +41,6 @@ func run(args []string) error {
 	verbose := fs.Bool("v", false, "print per-segment log")
 	traceOut := fs.String("trace-out", "", "write the NDJSON decision trace to this file (\"-\" for stdout)")
 	traceSample := fs.Int("trace-sample", 1, "keep every Nth decision in the trace")
-	traceCap := fs.Int("trace-cap", 4096, "decision-trace ring capacity (oldest events overwritten)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,23 +90,12 @@ func run(args []string) error {
 		return fmt.Errorf("unknown policy %q", *algo)
 	}
 
-	var (
-		recorder *ecavs.DecisionRecorder
-		opts     []ecavs.StreamOption
-	)
-	if *traceOut != "" {
-		if recorder, err = ecavs.NewDecisionRecorder(*traceCap, *traceSample); err != nil {
-			return err
-		}
-		opts = append(opts, ecavs.WithDecisionRecorder(recorder))
-	}
-
-	m, err := ecavs.Stream(tr, alg, opts...)
+	m, err := ecavs.Stream(tr, alg)
 	if err != nil {
 		return err
 	}
-	if recorder != nil {
-		if err := writeTrace(*traceOut, recorder); err != nil {
+	if *traceOut != "" {
+		if err := writeTrace(*traceOut, m, *traceSample); err != nil {
 			return err
 		}
 	}
@@ -136,20 +126,60 @@ func run(args []string) error {
 	return nil
 }
 
-// writeTrace emits the recorded decision trace as NDJSON to path, or
+// writeTrace emits the session's decision trace as NDJSON to path, or
 // to stdout for "-". The session summary goes to stdout too, so piping
 // the trace usually wants a file path instead.
-func writeTrace(path string, r *ecavs.DecisionRecorder) error {
+func writeTrace(path string, m *ecavs.Metrics, sample int) error {
 	if path == "-" {
-		return r.WriteNDJSON(os.Stdout)
+		return writeDecisions(os.Stdout, m, sample)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteNDJSON(f); err != nil {
+	if err := writeDecisions(f, m, sample); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// decision is one NDJSON line of the decision trace.
+type decision struct {
+	Segment     int     `json:"segment"`
+	Rung        int     `json:"rung"`
+	BitrateMbps float64 `json:"bitrate_mbps"`
+	BufferSec   float64 `json:"buffer_sec"`
+	SignalDBm   float64 `json:"signal_dbm"`
+	Vibration   float64 `json:"vibration"`
+	// PowerW is the draw the choice implies: decode power at the
+	// chosen bitrate plus radio power at the decision's signal.
+	PowerW float64 `json:"power_w"`
+	QoE    float64 `json:"qoe"`
+}
+
+// writeDecisions encodes every sample-th entry of m's segment log (a
+// sample below 1 means every entry) as one JSON line. A failed write
+// names the segment whose line was lost, so a full disk or a closed
+// pipe aborts the export instead of truncating the trace.
+func writeDecisions(w io.Writer, m *ecavs.Metrics, sample int) error {
+	sample = max(sample, 1)
+	pm := ecavs.EvalPower()
+	enc := json.NewEncoder(w)
+	for i := 0; i < len(m.Segments); i += sample {
+		s := &m.Segments[i]
+		if err := enc.Encode(decision{
+			Segment:     s.Index,
+			Rung:        s.Rung,
+			BitrateMbps: s.BitrateMbps,
+			BufferSec:   s.BufferSec,
+			SignalDBm:   s.SignalDBm,
+			Vibration:   s.Vibration,
+			PowerW:      pm.PlaybackPowerW(s.BitrateMbps) + pm.RadioPowerW(s.SignalDBm),
+			QoE:         s.QoE,
+		}); err != nil {
+			return fmt.Errorf("write decision trace at segment %d: %w", s.Index, err)
+		}
+	}
+	return nil
 }

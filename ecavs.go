@@ -57,11 +57,6 @@ type (
 	Objective = core.Objective
 	// Plan is an offline-optimal bitrate schedule.
 	Plan = core.Plan
-	// DecisionRecorder is a sampled ring buffer of per-segment ABR
-	// decision events (see WithDecisionRecorder).
-	DecisionRecorder = sim.DecisionRecorder
-	// DecisionEvent is one recorded ABR decision snapshot.
-	DecisionEvent = sim.DecisionEvent
 )
 
 // DefaultAlpha is the paper's evaluation weighting (energy and QoE
@@ -182,26 +177,10 @@ func WithLTETailEnergy() StreamOption {
 	}
 }
 
-// NewDecisionRecorder returns a decision-trace recorder holding the
-// most recent `capacity` sampled events, keeping every sampleEvery-th
-// decision (values below 1 mean every decision). Emit the trace with
-// its WriteNDJSON method.
-func NewDecisionRecorder(capacity, sampleEvery int) (*DecisionRecorder, error) {
-	return sim.NewDecisionRecorder(capacity, sampleEvery)
-}
-
-// WithDecisionRecorder attaches a decision-trace recorder to the
-// session: one sampled event per segment capturing what the algorithm
-// saw (buffer, signal, vibration) and what it chose (rung, implied
-// power draw, realized QoE). A nil recorder leaves the session's hot
-// path untouched.
-func WithDecisionRecorder(r *DecisionRecorder) StreamOption {
-	return func(c *sim.Config) { c.Recorder = r }
-}
-
 // Stream replays a policy over a trace with the paper's evaluation
 // setup (fourteen-rung ladder, 30 s buffer threshold, evaluation power
-// model) and returns the session metrics.
+// model) and returns the session metrics, whose Segments log every
+// decision: the buffer, signal and vibration it saw, and the outcome.
 func Stream(tr *Trace, alg Algorithm, opts ...StreamOption) (*Metrics, error) {
 	if tr == nil {
 		return nil, errors.New("ecavs: nil trace")

@@ -30,9 +30,10 @@ type Online struct {
 	// steady-state decision path does not allocate. An Online instance
 	// is owned by one session and must not be shared across goroutines.
 	// sc scores the ladder last seen by ChooseRung, keyed by the
-	// ladder's backing array identity and length (the simulator hands
-	// the same ladder slice every segment, so the rung table compiles
-	// once per session).
+	// ladder's backing array identity and length and recompiled only
+	// when a new key brings new bitrates (the simulator hands the same
+	// ladder slice every segment, so the rung table compiles once per
+	// session).
 	sc     taskScorer
 	ladder *dash.Representation
 	costs  []float64
@@ -99,12 +100,15 @@ func (o *Online) ChooseRung(ctx abr.Context) (int, error) {
 	}
 
 	if k := len(ctx.Ladder); o.ladder != &ctx.Ladder[0] || len(o.costs) != k {
-		o.sc.init(o.obj, ctx.Ladder.Bitrates())
-		o.ladder = &ctx.Ladder[0]
-		if cap(o.costs) < k {
-			o.costs = make([]float64, k)
+		// An HTTP session parses its ladder afresh from each MPD.
+		if !sameBitrates(ctx.Ladder, o.sc.bitrates) {
+			o.sc.init(o.obj, ctx.Ladder.Bitrates())
+			if cap(o.costs) < k {
+				o.costs = make([]float64, k)
+			}
+			o.costs = o.costs[:k]
 		}
-		o.costs = o.costs[:k]
+		o.ladder = &ctx.Ladder[0]
 	}
 	o.sc.beginTask(TaskObservation{
 		SizesMB:       sizes,
@@ -140,6 +144,20 @@ func (o *Online) ChooseRung(ctx abr.Context) (int, error) {
 	default:
 		return prevRung, nil
 	}
+}
+
+// sameBitrates reports whether ladder's bitrates are bitrates, rung
+// for rung.
+func sameBitrates(ladder dash.Ladder, bitrates []float64) bool {
+	if len(ladder) != len(bitrates) {
+		return false
+	}
+	for j, r := range ladder {
+		if r.BitrateMbps != bitrates[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // ObserveDownload implements abr.Algorithm.

@@ -331,7 +331,8 @@ func TestOnlineAlphaEndpoints(t *testing.T) {
 // weakening the signal by up to 10 dB never raises Online's rung, with
 // or without gradual switching. Vibration has no such property while
 // each decision's QoE terms are normalised by the top rung's QoE at
-// that decision's own vibration (DESIGN.md §1).
+// that decision's own vibration (DESIGN.md §1); see
+// TestReferenceMonotoneInVibrationFixedNormaliser.
 func TestOnlineMonotoneInSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ladder := dash.EvalLadder()
@@ -365,5 +366,128 @@ func TestOnlineMonotoneInSignal(t *testing.T) {
 					alpha, trial, weak.SignalDBm, got, want, ctx.SignalDBm, ctx.PrevRung, ctx.BufferSec, ctx.VibrationLevel, bw, len(opts) > 0)
 			}
 		}
+	}
+}
+
+// TestReferenceMonotoneInVibrationFixedNormaliser pins what does hold
+// for vibration: with each decision's Eq. 11 normaliser held at a still
+// phone (the top rung's energy and QoE at v = 0), raising the vibration
+// by up to 3 m/s² never raises the reference rung, since vibration
+// costs a higher rung more QoE. The production normaliser, the top
+// rung's QoE at the decision's own vibration, raises it on the same
+// draws, so the reversals come from the normaliser.
+func TestReferenceMonotoneInVibrationFixedNormaliser(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ctx := onlineCtx(nil)
+	bitrates, k := ctx.Ladder.Bitrates(), len(ctx.Ladder)
+	q, costs := make([]float64, k), make([]float64, k)
+	rises := 0
+	for _, alpha := range []float64{0.1, 0.2, 0.5, 0.8, 0.9} {
+		obj := testObjective(t, alpha)
+		var sc taskScorer
+		sc.init(obj, bitrates)
+		fixed := func(task TaskObservation, p int) int {
+			still := task
+			still.Vibration = 0
+			sc.beginTask(still)
+			sc.qoeInto(p, q)
+			ref := Estimate{EnergyJ: sc.energyJ[k-1], QoE: q[k-1]}
+			sc.beginTask(task)
+			sc.qoeInto(p, q)
+			for j := range costs {
+				costs[j] = obj.Cost(Estimate{EnergyJ: sc.energyJ[j], QoE: q[j]}, ref)
+			}
+			return ArgminCost(costs)
+		}
+		perTask := func(task TaskObservation, p int) int {
+			sc.beginTask(task)
+			sc.scoreInto(p, costs)
+			return ArgminCost(costs)
+		}
+		alphaRises := 0
+		for trial := 0; trial < 3000; trial++ {
+			task := TaskObservation{
+				SizesMB:       ctx.SegmentSizesMB,
+				DurationSec:   ctx.SegmentDurationSec,
+				BandwidthMbps: rng.Float64()*40 + 0.5,
+				SignalDBm:     -80 - rng.Float64()*40,
+				Vibration:     rng.Float64() * 7,
+				BufferSec:     rng.Float64() * 30,
+			}
+			p := rng.Intn(k + 1) // k: no previous rung
+			shaken := task
+			shaken.Vibration += rng.Float64() * 3
+			if got, want := fixed(shaken, p), fixed(task, p); got > want {
+				t.Fatalf("alpha %v trial %d: vibration %.2f picks reference rung %d, above %d at %.2f (prev %d, buffer %.2f s, signal %.2f dBm, %.2f Mbps)",
+					alpha, trial, shaken.Vibration, got, want, task.Vibration, p, task.BufferSec, task.SignalDBm, task.BandwidthMbps)
+			}
+			if perTask(shaken, p) > perTask(task, p) {
+				alphaRises++
+			}
+		}
+		t.Logf("alpha %v: the per-task normaliser raises the reference rung in %d of 3000 contexts", alpha, alphaRises)
+		rises += alphaRises
+	}
+	if rises == 0 {
+		t.Error("the per-task normaliser never raised the reference rung either, so these draws cannot show the normaliser's part")
+	}
+}
+
+// An Online reused across sessions whose ladders are equal but freshly
+// built, as an HTTP client's are from each MPD, keeps its compiled
+// scorer: alternating two copies of one ladder allocates nothing and
+// decides as a fresh instance does. A ladder with other bitrates still
+// recompiles it.
+func TestOnlineKeepsScorerAcrossEqualLadders(t *testing.T) {
+	obj := testObjective(t, DefaultAlpha)
+	ctxs := [2]abr.Context{onlineCtx(nil), onlineCtx(nil)}
+	for i := range ctxs {
+		c := &ctxs[i]
+		c.PrevRung, c.SignalDBm, c.VibrationLevel = 11, float64(-85-30*i), float64(7*i)
+	}
+	fresh := func(ctx abr.Context) int {
+		o := NewOnline(obj, WithDirectReference())
+		o.ObserveDownload(15)
+		rung, err := o.ChooseRung(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rung
+	}
+	if &ctxs[0].Ladder[0] == &ctxs[1].Ladder[0] {
+		t.Fatal("the contexts share one ladder")
+	}
+	want := [2]int{fresh(ctxs[0]), fresh(ctxs[1])}
+	if want[0] == want[1] {
+		t.Fatalf("both contexts pick rung %d; the check needs two answers", want[0])
+	}
+
+	o := NewOnline(obj, WithDirectReference())
+	o.ObserveDownload(15)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		rung, err := o.ChooseRung(ctxs[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rung != want[i%2] {
+			t.Fatalf("decision %d picks rung %d, a fresh instance %d", i, rung, want[i%2])
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("alternating equal ladders allocates %.1f per decision, want 0", allocs)
+	}
+
+	other := ctxs[0]
+	other.Ladder = dash.EvalLadder()
+	for j := range other.Ladder {
+		other.Ladder[j].BitrateMbps *= 1.1
+	}
+	if _, err := o.ChooseRung(other); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBitrates(other.Ladder, o.sc.bitrates) {
+		t.Errorf("scorer kept bitrates %v for ladder %v", o.sc.bitrates, other.Ladder.Bitrates())
 	}
 }

@@ -178,3 +178,69 @@ func TestBaseEnergyJ(t *testing.T) {
 		t.Errorf("YouTube %.0f J below base %.0f J", yt.TotalJ(), baseJ)
 	}
 }
+
+// decisionSpy passes every decision to the algorithm it wraps and keeps
+// each one's context and chosen rung, by segment.
+type decisionSpy struct {
+	abr.Algorithm
+	ctx  map[int]abr.Context
+	rung map[int]int
+}
+
+func (s *decisionSpy) ChooseRung(ctx abr.Context) (int, error) {
+	rung, err := s.Algorithm.ChooseRung(ctx)
+	s.ctx[ctx.SegmentIndex], s.rung[ctx.SegmentIndex] = ctx, rung
+	return rung, err
+}
+
+// TestSegmentLogRecordsDecisionContext pins the segment log as the
+// session's decision trace: on a trace whose signal and vibration vary,
+// every entry carries the rung chosen for its segment and the buffer,
+// signal and vibration of the context it was chosen in.
+func TestSegmentLogRecordsDecisionContext(t *testing.T) {
+	traces, err := trace.GenerateTableV(power.EvalModel().NominalThroughputMBps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := traces[2]
+	man, err := ManifestForTrace(tr, dash.EvalLadder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := tr.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &decisionSpy{Algorithm: abr.NewFESTIVE(), ctx: map[int]abr.Context{}, rung: map[int]int{}}
+	m, err := Run(Config{
+		Manifest:    man,
+		Link:        comp.Link(),
+		VibrationAt: comp.Vibration(0),
+		Algorithm:   spy,
+		Power:       power.EvalModel(),
+		QoE:         qoe.Default(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Segments) == 0 || len(m.Segments) != len(spy.ctx) {
+		t.Fatalf("%d log entries for %d decisions", len(m.Segments), len(spy.ctx))
+	}
+	signals, vibrations, buffers := map[float64]bool{}, map[float64]bool{}, map[float64]bool{}
+	for i, log := range m.Segments {
+		ctx, ok := spy.ctx[log.Index]
+		if log.Index != i || !ok {
+			t.Fatalf("log entry %d is segment %d (decided: %v)", i, log.Index, ok)
+		}
+		if log.Rung != spy.rung[i] || log.BufferSec != ctx.BufferSec ||
+			log.SignalDBm != ctx.SignalDBm || log.Vibration != ctx.VibrationLevel {
+			t.Errorf("segment %d: log rung %d buffer %v signal %v vibration %v, decision rung %d buffer %v signal %v vibration %v",
+				i, log.Rung, log.BufferSec, log.SignalDBm, log.Vibration,
+				spy.rung[i], ctx.BufferSec, ctx.SignalDBm, ctx.VibrationLevel)
+		}
+		signals[log.SignalDBm], vibrations[log.Vibration], buffers[log.BufferSec] = true, true, true
+	}
+	if len(signals) < 2 || len(vibrations) < 2 || len(buffers) < 2 {
+		t.Errorf("context never varied: %d signals, %d vibrations, %d buffer levels", len(signals), len(vibrations), len(buffers))
+	}
+}

@@ -19,8 +19,8 @@ import (
 
 // SessionParams are the optional knobs of one session, beside the
 // manifest, link, algorithm and models Config names: early abandonment,
-// vibration scaling, outages, metrics-only replay, decision recording
-// and the compiled QoE table. Config embeds them, so callers write flat
+// vibration scaling, outages, metrics-only replay and the compiled QoE
+// table. Config embeds them, so callers write flat
 // selectors (cfg.AbandonAtSec = 90).
 type SessionParams struct {
 	// AbandonAtSec, when positive, ends the session once playback
@@ -45,12 +45,6 @@ type SessionParams struct {
 	// allocation-free; the default (full logs) is what cmd/experiments
 	// and the figure pipelines consume.
 	MetricsOnly bool
-	// Recorder, when non-nil, receives one DecisionEvent per segment —
-	// the sampled decision trace behind the telemetry layer's NDJSON
-	// output. Nil (the default) keeps the hot path untouched: the only
-	// cost is one pointer comparison per segment, preserving the
-	// 15-alloc session pin and bit-identical campaign determinism.
-	Recorder *DecisionRecorder
 	// RungQoE, when non-nil, is a per-rung QoE table compiled from the
 	// QoE model over the manifest ladder's bitrates
 	// (qoe.Model.CompileRungs); the realized per-segment QoE is then
@@ -104,7 +98,8 @@ type Config struct {
 	TCPRampSec float64
 }
 
-// SegmentLog records one task's outcome.
+// SegmentLog records one task's decision and outcome: a full-log
+// session's Segments are its decision trace.
 type SegmentLog struct {
 	// Index is the segment number.
 	Index int
@@ -121,7 +116,10 @@ type SegmentLog struct {
 	ThroughputMbps float64
 	// MeanSignalDBm is the transfer-weighted signal strength.
 	MeanSignalDBm float64
-	// Vibration is the vibration level at decision time.
+	// BufferSec, SignalDBm and Vibration are the buffer level, signal
+	// strength and vibration level the decision saw.
+	BufferSec float64
+	SignalDBm float64
 	Vibration float64
 	// StallSec is the rebuffering attributed to this segment.
 	StallSec float64

@@ -16,11 +16,10 @@ import (
 // play timeline of Section V, which Run, multisim and the HTTP client
 // each drive with their own clock and transport. It owns the player,
 // each decision's abr.Context, the Eq. 6 power and Eq. 1 QoE meters,
-// the segment log and decision recorder, the abandonment waste and the
-// final Metrics. Its driver says how long playback ran, with the radio
-// idle (Play) or on (Transfer), and what each download delivered
-// (Deliver). Decisions may run ahead of deliveries, which come in
-// segment order.
+// the segment log, the abandonment waste and the final Metrics. Its
+// driver says how long playback ran, with the radio idle (Play) or on
+// (Transfer), and what each download delivered (Deliver). Decisions
+// may run ahead of deliveries, which come in segment order.
 type Session struct {
 	m   Metrics
 	cfg Config        // validated, threshold resolved; only its session part is read
@@ -193,7 +192,7 @@ func (s *Session) Transfer(dt, signalDBm float64) (stallSec float64) {
 
 // Deliver queues decision d's segment, fetched at rung with sizeMB of
 // payload as dl reports, for playback; the algorithm observes the
-// throughput, and the segment's QoE, log and decision event are kept.
+// throughput, and the segment's QoE and log are kept.
 // It reads d and keeps no reference to it.
 func (s *Session) Deliver(d *Decision, rung int, sizeMB float64, dl netsim.Result) {
 	br := d.Ladder[rung].BitrateMbps
@@ -216,18 +215,6 @@ func (s *Session) Deliver(d *Decision, rung int, sizeMB float64, dl netsim.Resul
 			RebufferSec:     s.segStall,
 		})
 	}
-	if s.cfg.Recorder != nil {
-		s.cfg.Recorder.Record(DecisionEvent{
-			Segment:     d.SegmentIndex,
-			Rung:        rung,
-			BitrateMbps: br,
-			BufferSec:   d.BufferSec,
-			SignalDBm:   d.SignalDBm,
-			Vibration:   d.VibrationLevel,
-			PowerW:      s.cfg.Power.PlaybackPowerW(br) + s.cfg.Power.RadioPowerW(d.SignalDBm),
-			QoE:         segQoE,
-		})
-	}
 	if !s.cfg.MetricsOnly {
 		s.m.Segments = append(s.m.Segments, SegmentLog{
 			Index:          d.SegmentIndex,
@@ -238,6 +225,8 @@ func (s *Session) Deliver(d *Decision, rung int, sizeMB float64, dl netsim.Resul
 			DownloadSec:    dl.DurationSec,
 			ThroughputMbps: thMbps,
 			MeanSignalDBm:  dl.MeanSignalDBm,
+			BufferSec:      d.BufferSec,
+			SignalDBm:      d.SignalDBm,
 			Vibration:      d.VibrationLevel,
 			StallSec:       s.segStall,
 			QoE:            segQoE,
