@@ -84,6 +84,13 @@ type admission struct {
 	// telQueued is the optional registry mirror, nil = no-op).
 	queuedTotal atomic.Int64
 	telQueued   *telemetry.Counter
+
+	// timers recycles the QueueWait timers of queued requests, so a
+	// request that waits allocates none. A pooled timer is expired with
+	// its value received, or stopped before it fired: either way its
+	// channel is empty, under the timer semantics of go.mod's go 1.22
+	// (a fired timer's value waits in its channel) and of later ones.
+	timers sync.Pool
 }
 
 // admitResult says how an admission attempt ended.
@@ -117,18 +124,29 @@ func (a *admission) admit(r *http.Request, rung, rungs int) admitResult {
 	}
 	a.queuedTotal.Add(1)
 	a.telQueued.Inc()
-	timer := time.NewTimer(a.cfg.QueueWait)
-	defer timer.Stop()
+	timer, _ := a.timers.Get().(*time.Timer)
+	if timer == nil {
+		timer = time.NewTimer(a.cfg.QueueWait)
+	} else {
+		timer.Reset(a.cfg.QueueWait)
+	}
+	res := admitted
 	select {
 	case a.slots <- struct{}{}:
-		return admitted
 	case <-timer.C:
 		a.pending.Add(-1)
+		a.timers.Put(timer)
 		return shed
 	case <-r.Context().Done():
 		a.pending.Add(-1)
-		return gone
+		res = gone
 	}
+	// A timer that fired as the wait ended may hold its value, or be
+	// about to send it: it is dropped rather than drained and reused.
+	if timer.Stop() {
+		a.timers.Put(timer)
+	}
+	return res
 }
 
 // release frees an in-flight slot. The pending count drops first, so a

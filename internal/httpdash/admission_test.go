@@ -511,3 +511,50 @@ func TestShutdownDeadline(t *testing.T) {
 	cancelReq() // release the stalled transfer so the test server closes cleanly
 	<-done
 }
+
+// TestAdmissionReusesQueueTimers drives one admission through rounds
+// that end each way a queued wait can end, so every round after the
+// first waits on a pooled timer: shed when QueueWait expires, admitted
+// when the slot frees, gone when the client leaves. A reused timer
+// holding a stale value would shed the next round's request early.
+func TestAdmissionReusesQueueTimers(t *testing.T) {
+	a := &admission{cfg: AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueWait: 150 * time.Millisecond}.withDefaults(),
+		slots: make(chan struct{}, 1)}
+	req := httptest.NewRequest(http.MethodGet, "/", nil)
+	if a.admit(req, 0, 1) != admitted {
+		t.Fatal("the free slot was not admitted")
+	}
+	for round := 0; round < 9; round++ {
+		queued := a.queuedTotal.Load()
+		ctx, cancel := context.WithCancel(context.Background())
+		r := req.WithContext(ctx)
+		done := make(chan admitResult)
+		start := time.Now()
+		go func() { done <- a.admit(r, 0, 1) }()
+		for a.queuedTotal.Load() == queued {
+			time.Sleep(100 * time.Microsecond)
+		}
+		var want admitResult
+		switch round % 3 {
+		case 0:
+			want = shed // nobody frees the slot
+		case 1:
+			want = admitted
+			a.release() // the holder leaves; the waiter takes its slot
+		case 2:
+			want = gone
+			cancel()
+		}
+		got := <-done
+		cancel()
+		if got != want {
+			t.Fatalf("round %d: admit = %d, want %d", round, got, want)
+		}
+		if want == shed && time.Since(start) < a.cfg.QueueWait {
+			t.Fatalf("round %d: shed after %v, before QueueWait %v", round, time.Since(start), a.cfg.QueueWait)
+		}
+	}
+	if n := a.pending.Load(); n != 1 {
+		t.Errorf("pending = %d after the rounds, want 1 (the slot holder)", n)
+	}
+}

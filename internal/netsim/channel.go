@@ -149,6 +149,23 @@ func (c *Channel) Advance(dt float64) {
 	}
 }
 
+// Hold implements Link. Every Advance by a positive dt draws a new
+// signal and fade, so the rates hold for the current step only.
+func (c *Channel) Hold(dt float64, limit int) (n int, th, sig float64) {
+	n = 1
+	if !(dt > 0) {
+		n = max(1, limit)
+	}
+	return n, c.ThroughputMBps(), c.signal
+}
+
+// AdvanceSteps implements Link.
+func (c *Channel) AdvanceSteps(n int, dt float64) {
+	for ; n > 0; n-- {
+		c.Advance(dt)
+	}
+}
+
 // TracePoint is one sample of a recorded (or generated) network trace.
 type TracePoint struct {
 	// TimeSec is the sample time from trace start.
@@ -210,5 +227,30 @@ func (t *TraceLink) ThroughputMBps() float64 { return t.current().ThroughputMBps
 func (t *TraceLink) Advance(dt float64) {
 	if dt > 0 {
 		t.now += dt
+	}
+}
+
+// Hold implements Link: the active point holds while the clock, moved
+// by the same additions Advance makes, stays before the next point.
+func (t *TraceLink) Hold(dt float64, limit int) (n int, th, sig float64) {
+	p := t.current()
+	n = 1
+	if !(dt > 0) || t.idx+1 == len(t.points) {
+		n = max(1, limit)
+	} else {
+		next := t.points[t.idx+1].TimeSec
+		for now := t.now + dt; n < limit && now < next; now += dt {
+			n++
+		}
+	}
+	return n, p.ThroughputMBps, p.SignalDBm
+}
+
+// AdvanceSteps implements Link.
+func (t *TraceLink) AdvanceSteps(n int, dt float64) {
+	if dt > 0 {
+		for ; n > 0; n-- {
+			t.now += dt
+		}
 	}
 }

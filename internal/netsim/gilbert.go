@@ -112,3 +112,24 @@ func (g *GilbertElliott) Advance(dt float64) {
 		g.left = g.sojourn(g.bad)
 	}
 }
+
+// Hold implements Link: the state holds while each step ends before
+// its sojourn does.
+func (g *GilbertElliott) Hold(dt float64, limit int) (n int, th, sig float64) {
+	n = 1
+	if !(dt > 0) {
+		n = max(1, limit)
+	} else {
+		for left := g.left; n < limit && dt < left; left -= dt {
+			n++
+		}
+	}
+	return n, g.ThroughputMBps(), g.SignalDBm()
+}
+
+// AdvanceSteps implements Link.
+func (g *GilbertElliott) AdvanceSteps(n int, dt float64) {
+	for ; n > 0; n-- {
+		g.Advance(dt)
+	}
+}

@@ -86,27 +86,3 @@ func TestGilbertElliottClockAdvances(t *testing.T) {
 		t.Error("non-positive Advance moved the clock")
 	}
 }
-
-// Downloads ride through bad bursts: a payload that needs several good
-// seconds completes despite interleaved outage states.
-func TestGilbertElliottDownloadCompletes(t *testing.T) {
-	cfg := DefaultGilbertElliott()
-	cfg.MeanGoodSec = 5
-	cfg.MeanBadSec = 2
-	g, err := NewGilbertElliott(cfg, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := DownloadRamped(g, 30, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 30 MB needs ~9.6 s of pure good state; with bad bursts the wall
-	// time is longer but bounded.
-	if res.DurationSec < 9 {
-		t.Errorf("duration %v s implausibly fast", res.DurationSec)
-	}
-	if res.DurationSec > 120 {
-		t.Errorf("duration %v s implausibly slow", res.DurationSec)
-	}
-}

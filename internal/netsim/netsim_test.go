@@ -8,102 +8,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// constLink is a fixed-rate Link for exercising DownloadRamped.
-type constLink struct {
-	now    float64
-	signal float64
-	rate   float64
-}
-
-func (l *constLink) Now() float64            { return l.now }
-func (l *constLink) SignalDBm() float64      { return l.signal }
-func (l *constLink) ThroughputMBps() float64 { return l.rate }
-func (l *constLink) Advance(dt float64)      { l.now += dt }
-
-func TestDownloadConstantRate(t *testing.T) {
-	link := &constLink{signal: -95, rate: 2.0}
-	res, err := DownloadRamped(link, 10, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(res.DurationSec, 5, 1e-9) {
-		t.Errorf("DurationSec = %v, want 5", res.DurationSec)
-	}
-	if !almostEqual(res.MeanThroughputMBps, 2, 1e-9) {
-		t.Errorf("MeanThroughputMBps = %v, want 2", res.MeanThroughputMBps)
-	}
-	if !almostEqual(res.MeanSignalDBm, -95, 1e-9) {
-		t.Errorf("MeanSignalDBm = %v, want -95", res.MeanSignalDBm)
-	}
-	if !almostEqual(link.Now(), 5, 1e-9) {
-		t.Errorf("link clock = %v, want 5", link.Now())
-	}
-}
-
-func TestDownloadStepCallbackConservation(t *testing.T) {
-	link := &constLink{signal: -100, rate: 1.5}
-	var moved, dur float64
-	res, err := DownloadRamped(link, 7.3, 0, func(dt, signalDBm float64) {
-		moved += link.ThroughputMBps() * dt
-		dur += dt
-		if signalDBm != -100 {
-			t.Errorf("step signal = %v, want -100", signalDBm)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(moved, 7.3, 1e-9) {
-		t.Errorf("link rate integrated over the steps = %v MB, want 7.3", moved)
-	}
-	if !almostEqual(dur, res.DurationSec, 1e-9) {
-		t.Errorf("sum of Dt = %v, want %v", dur, res.DurationSec)
-	}
-}
-
-func TestDownloadZeroSize(t *testing.T) {
-	link := &constLink{rate: 1}
-	res, err := DownloadRamped(link, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DurationSec != 0 {
-		t.Errorf("zero download duration = %v, want 0", res.DurationSec)
-	}
-	if link.Now() != 0 {
-		t.Error("zero download advanced the link")
-	}
-}
-
-func TestDownloadStalledLink(t *testing.T) {
-	link := &constLink{rate: 0}
-	_, err := DownloadRamped(link, 1, 0, nil)
-	if !errors.Is(err, ErrStalledLink) {
-		t.Errorf("err = %v, want ErrStalledLink", err)
-	}
-}
-
-// recoveringLink is down for the first 2 s, then serves at 1 MB/s.
-type recoveringLink struct{ constLink }
-
-func (l *recoveringLink) ThroughputMBps() float64 {
-	if l.now < 2 {
-		return 0
-	}
-	return 1
-}
-
-func TestDownloadRecoversFromOutage(t *testing.T) {
-	link := &recoveringLink{}
-	res, err := DownloadRamped(link, 1, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DurationSec < 2.9 || res.DurationSec > 3.2 {
-		t.Errorf("DurationSec = %v, want ≈ 3 (2 s outage + 1 s transfer)", res.DurationSec)
-	}
-}
-
 func TestNewChannelValidation(t *testing.T) {
 	if _, err := NewChannel(RoomSignal, nil, 1); !errors.Is(err, ErrNilRateMap) {
 		t.Errorf("err = %v, want ErrNilRateMap", err)
@@ -238,69 +142,5 @@ func TestTraceLinkReplay(t *testing.T) {
 	link.Advance(100)
 	if link.SignalDBm() != -110 {
 		t.Errorf("past end signal = %v, want clamped -110", link.SignalDBm())
-	}
-}
-
-func TestTraceLinkDownload(t *testing.T) {
-	pts := []TracePoint{
-		{TimeSec: 0, SignalDBm: -90, ThroughputMBps: 2},
-		{TimeSec: 5, SignalDBm: -110, ThroughputMBps: 0.5},
-	}
-	link, err := ReplayTraceLink(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 12 MB: 10 MB in the first 5 s at 2 MB/s, then 2 MB at 0.5 MB/s.
-	res, err := DownloadRamped(link, 12, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One 0.1 s integration step may straddle the rate change, so allow
-	// up to one step's worth of fast transfer (0.2 MB at 2 MB/s instead
-	// of 0.4 s at 0.5 MB/s).
-	if !almostEqual(res.DurationSec, 9, 0.35) {
-		t.Errorf("DurationSec = %v, want ≈ 9", res.DurationSec)
-	}
-}
-
-func TestDownloadRampedSlowerThanFull(t *testing.T) {
-	full := &constLink{signal: -95, rate: 2}
-	resFull, err := DownloadRamped(full, 1, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ramped := &constLink{signal: -95, rate: 2}
-	resRamp, err := DownloadRamped(ramped, 1, 1.0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resRamp.DurationSec <= resFull.DurationSec {
-		t.Errorf("ramped %v s not slower than full %v s", resRamp.DurationSec, resFull.DurationSec)
-	}
-	// The ramp costs roughly half the ramp window on a transfer that
-	// outlasts it.
-	if resRamp.DurationSec > resFull.DurationSec+1.0 {
-		t.Errorf("ramped %v s overshoots expected penalty", resRamp.DurationSec)
-	}
-}
-
-// Small transfers suffer proportionally more from the ramp — the
-// segment-duration efficiency effect.
-func TestDownloadRampedHurtsSmallTransfersMore(t *testing.T) {
-	effRate := func(sizeMB float64) float64 {
-		link := &constLink{signal: -95, rate: 4}
-		res, err := DownloadRamped(link, sizeMB, 1.0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MeanThroughputMBps
-	}
-	small := effRate(0.2)
-	large := effRate(24) // ramp cost amortised: 24/(6+0.5) ≈ 3.7 MB/s
-	if small >= large {
-		t.Errorf("small transfer rate %v >= large %v", small, large)
-	}
-	if large < 3.5 {
-		t.Errorf("large transfer rate %v should approach the 4 MB/s link", large)
 	}
 }

@@ -130,6 +130,11 @@ func (o *OutageLink) Advance(dt float64) {
 		return
 	}
 	o.under.Advance(dt)
+	o.walk(dt)
+}
+
+// walk moves the outage state machine forward dt > 0 seconds.
+func (o *OutageLink) walk(dt float64) {
 	for dt > 0 {
 		if dt < o.left {
 			o.left -= dt
@@ -147,5 +152,36 @@ func (o *OutageLink) Advance(dt float64) {
 			o.downCount++
 		}
 		o.left = o.sojourn(o.down)
+	}
+}
+
+// Hold implements Link: the underlying link's hold, cut where a step
+// would reach the end of the current outage state.
+func (o *OutageLink) Hold(dt float64, limit int) (n int, th, sig float64) {
+	n, th, sig = o.under.Hold(dt, limit)
+	if o.down {
+		th *= o.cfg.DownRateFrac
+		sig -= o.cfg.SignalDropDB
+	}
+	if dt > 0 {
+		k := 1
+		for left := o.left; k < n && dt < left; left -= dt {
+			k++
+		}
+		n = k
+	}
+	return n, th, sig
+}
+
+// AdvanceSteps implements Link: the underlying link and the outage
+// state machine each take their n steps. They share no state, so the
+// order between them moves no bit.
+func (o *OutageLink) AdvanceSteps(n int, dt float64) {
+	if dt <= 0 {
+		return
+	}
+	o.under.AdvanceSteps(n, dt)
+	for ; n > 0; n-- {
+		o.walk(dt)
 	}
 }

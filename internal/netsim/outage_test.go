@@ -20,6 +20,14 @@ func (l *steadyLink) Advance(dt float64) {
 		l.now += dt
 	}
 }
+func (l *steadyLink) Hold(_ float64, limit int) (int, float64, float64) {
+	return max(1, limit), l.rate, l.signal
+}
+func (l *steadyLink) AdvanceSteps(n int, dt float64) {
+	for ; n > 0; n-- {
+		l.Advance(dt)
+	}
+}
 
 func TestOutageConfigValidation(t *testing.T) {
 	cases := []OutageConfig{
@@ -129,26 +137,6 @@ func TestOutageAdvancesUnderlyingOnce(t *testing.T) {
 	}
 	if o.Now() != under.now {
 		t.Errorf("Now() = %v, want underlying %v", o.Now(), under.now)
-	}
-}
-
-// A download across a zero-residual outage still conserves payload.
-func TestOutageDownloadConservation(t *testing.T) {
-	o, err := WithOutages(&steadyLink{signal: -95, rate: 2},
-		OutageConfig{MeanUpSec: 2, MeanDownSec: 1, DownRateFrac: 0, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var moved float64
-	res, err := DownloadRamped(o, 10, 0, func(dt, _ float64) { moved += o.ThroughputMBps() * dt })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(moved-10) > 1e-6 {
-		t.Errorf("moved %v MB, want 10", moved)
-	}
-	if res.DurationSec <= 5 {
-		t.Errorf("duration %v s too short for 10 MB at 2 MB/s with outages", res.DurationSec)
 	}
 }
 

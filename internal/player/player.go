@@ -186,6 +186,46 @@ func (p *Player) DrainInto(dt float64, emit func(Played)) (stallSec float64) {
 	return stallSec
 }
 
+// PlaySteps plays up to limit steps of dt seconds, each one DrainInto's
+// one-step path: the head segment covers the step, which plays at the
+// head's bitrate br. Before each step the buffer must compare above
+// levelSec (CompareBuffer(levelSec) > 0) and PlayedSec() must not have
+// reached stopAt. The run ends after a step that empties the head, so
+// every step plays at br. It returns the steps played, n, leaving the
+// player as n calls of DrainInto(dt) would, each emitting one stretch
+// of dt at br and stalling for 0 s. A negative infinite level and an
+// infinite stopAt test nothing.
+func (p *Player) PlaySteps(dt, levelSec, stopAt float64, limit int) (n int, br float64) {
+	if !(dt > 1e-12) || p.head == len(p.queue) {
+		return 0, 0
+	}
+	q := &p.queue[p.head]
+	br = q.BitrateMbps
+	rest, played := q.DurationSec, p.playedSec
+	// CompareBuffer's O(1) estimate, from the head's remaining time,
+	// and its error bound; a level inside the bound asks CompareBuffer.
+	tail, count := p.tailSec, float64(len(p.queue)-p.head)
+	for n < limit && !(played >= stopAt) && rest >= dt {
+		est := rest + tail
+		if d, bound := est-levelSec, est*count*0x1p-51+0x1p-1022; !(d > bound) {
+			q.DurationSec = rest
+			if d < -bound || p.CompareBuffer(levelSec) <= 0 {
+				break
+			}
+		}
+		rest -= dt
+		played += dt
+		n++
+		if rest <= 1e-12 {
+			q.DurationSec, p.playedSec = rest, played
+			p.pop()
+			return n, br
+		}
+	}
+	q.DurationSec, p.playedSec = rest, played
+	return n, br
+}
+
 // pop consumes the head segment, compacting the ring so the backing
 // array never grows past roughly twice the deepest live queue, and
 // recomputes tailSec for the new head.

@@ -398,6 +398,56 @@ func TestDrainIntoMatchesLoopOracle(t *testing.T) {
 	}
 }
 
+// TestPlayStepsMatchesDrainInto checks PlaySteps against one DrainInto
+// step at a time under the same tests: before each step the buffer
+// compares above the level, playback is short of stopAt and the head
+// covers the step, which must then emit one stretch of dt at the run's
+// bitrate and stall for 0 s; the run ends after a step that empties
+// the head. Both players must end bit-equal. Levels sit at the buffer,
+// its ulp neighbours and whole steps below it, where the O(1) estimate
+// must defer to the full sum.
+func TestPlayStepsMatchesDrainInto(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	durs := []float64{0.05, 0.1, 0.3, 1, 2, 2, 2.0000001, 3.7}
+	dts := []float64{0.1, 0.1, 0.05, 0.3, 1e-13}
+	for trial := 0; trial < 3000; trial++ {
+		a, _ := New(30)
+		for i := r.Intn(12); i > 0; i-- {
+			d, br := durs[r.Intn(len(durs))], float64(1+r.Intn(3))
+			a.OnSegment(d, br)
+		}
+		a.DrainInto(3*r.Float64(), nil)
+		b := *a
+		b.queue = append([]Queued(nil), a.queue...)
+
+		dt := dts[r.Intn(len(dts))]
+		buf := a.BufferSec()
+		level := []float64{math.Inf(-1), buf - dt*float64(r.Intn(30)), math.Nextafter(buf, 0), buf, math.NaN(), -1}[r.Intn(6)]
+		stopAt := []float64{math.Inf(1), a.playedSec + dt*float64(r.Intn(30)), a.playedSec}[r.Intn(3)]
+		limit := 1 + r.Intn(40)
+
+		n, br := a.PlaySteps(dt, level, stopAt, limit)
+		k := 0
+		for k < limit && !(b.playedSec >= stopAt) && b.CompareBuffer(level) > 0 &&
+			dt > 1e-12 && b.head < len(b.queue) && b.queue[b.head].DurationSec >= dt {
+			last := b.queue[b.head].DurationSec-dt <= 1e-12
+			var got []Played
+			if stall := b.DrainInto(dt, func(st Played) { got = append(got, st) }); stall != 0 ||
+				len(got) != 1 || got[0] != (Played{DurationSec: dt, BitrateMbps: br}) {
+				t.Fatalf("trial %d step %d: DrainInto emitted %v with stall %v, want one stretch of %v at %v", trial, k, got, stall, dt, br)
+			}
+			k++
+			if last {
+				break
+			}
+		}
+		if n != k || fmt.Sprintf("%v", *a) != fmt.Sprintf("%v", b) {
+			t.Fatalf("trial %d: PlaySteps(%v, %v, %v, %d) = %d steps, DrainInto took %d\n%v\n%v",
+				trial, dt, level, stopAt, limit, n, k, *a, b)
+		}
+	}
+}
+
 // CompareBuffer's NaN and empty-queue answers follow the comparison
 // operators: 0 for an unordered level, and the empty buffer is 0 s.
 func TestCompareBufferEdges(t *testing.T) {
@@ -414,10 +464,11 @@ func TestCompareBufferEdges(t *testing.T) {
 	}
 }
 
-// BenchmarkPacingStep is one step of sim.Run's pacing loop while the
-// buffer sits above the threshold: a 0.1 s drain of a 16-deep queue of
-// 2 s segments, then the threshold comparison. A segment is pushed
-// whenever the queue falls below 16.
+// BenchmarkPacingStep is one single step of the pacing loop while the
+// buffer sits above the threshold, as sim.Run's reference stepper takes
+// every step: a 0.1 s drain of a 16-deep queue of 2 s segments, then
+// the threshold comparison. A segment is pushed whenever the queue
+// falls below 16.
 func BenchmarkPacingStep(b *testing.B) {
 	p, err := New(DefaultBufferThresholdSec)
 	if err != nil {
@@ -442,6 +493,36 @@ func BenchmarkPacingStep(b *testing.B) {
 		}
 	}
 	benchSink = playedSec + float64(above)
+}
+
+// BenchmarkPacingRunStep is BenchmarkPacingStep's step taken the way
+// sim.Run takes it, inside a PlaySteps run: the runs go up to the end
+// of each head segment, testing the buffer against a level below it.
+func BenchmarkPacingRunStep(b *testing.B) {
+	p, err := New(DefaultBufferThresholdSec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const depth = 16
+	for i := 0; i < depth; i++ {
+		p.OnSegment(2, float64(i%3)+1)
+	}
+	var playedSec float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		n, br := p.PlaySteps(0.1, 1, math.Inf(1), b.N-i)
+		if n == 0 { // a step across two segments
+			p.DrainInto(0.1, nil)
+			n = 1
+		}
+		playedSec += float64(n) * br
+		i += n
+		if len(p.queue)-p.head < depth {
+			p.OnSegment(2, float64(i%3)+1)
+		}
+	}
+	benchSink = playedSec
 }
 
 var benchSink float64

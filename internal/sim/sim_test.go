@@ -29,6 +29,14 @@ func (l *fixedLink) Advance(dt float64) {
 		l.now += dt
 	}
 }
+func (l *fixedLink) Hold(_ float64, limit int) (int, float64, float64) {
+	return max(1, limit), l.rate, l.signal
+}
+func (l *fixedLink) AdvanceSteps(n int, dt float64) {
+	for ; n > 0; n-- {
+		l.Advance(dt)
+	}
+}
 
 func testManifest(t *testing.T, durationSec float64) *dash.Manifest {
 	t.Helper()
