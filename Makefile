@@ -8,9 +8,10 @@ all: build vet test
 # the race detector, the observability suite, a load-generator smoke
 # run, the overload shed-path smoke, the request-tracing smoke, the
 # edge-cache smoke, the benchmark module's own vet and tests, the
-# committed evaluation output, and the campaign goldens at every seed.
-# CI runs the same targets as one named step each.
-check: build vet fmt test race obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check goldens
+# committed evaluation output, the campaign goldens at every seed, and
+# a run of every example. CI runs the same targets as one named step
+# each.
+check: build vet fmt test race obs loadtest overload tracesmoke edgesmoke perfbench-test experiments-check goldens examples
 
 build:
 	go build ./...
@@ -191,6 +192,8 @@ goldens:
 experiments:
 	go run ./cmd/experiments | tee experiments_output.txt
 
+# examples runs every program under examples/ to completion; each must
+# exit 0. go build compiles them but never runs them.
 examples:
 	go run ./examples/quickstart
 	go run ./examples/busride

@@ -17,7 +17,6 @@ import (
 	"ecavs/internal/dash"
 	"ecavs/internal/eval"
 	"ecavs/internal/netsim"
-	"ecavs/internal/player"
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
 	"ecavs/internal/sim"
@@ -164,7 +163,7 @@ func BenchmarkOptimalPlanner(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tasks, err := core.ObserveTasks(tr, man, player.DefaultBufferThresholdSec, 6)
+	tasks, err := core.ObserveTasks(tr, man)
 	if err != nil {
 		b.Fatal(err)
 	}

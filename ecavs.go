@@ -138,7 +138,7 @@ func PlanOptimalForTrace(tr *Trace, alpha float64) (Algorithm, Plan, error) {
 	if err != nil {
 		return nil, Plan{}, err
 	}
-	tasks, err := core.ObserveTasks(tr, man, player.DefaultBufferThresholdSec, 6)
+	tasks, err := core.ObserveTasks(tr, man)
 	if err != nil {
 		return nil, Plan{}, err
 	}
@@ -232,5 +232,5 @@ func BaseEnergyJ(tr *Trace) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sim.BaseEnergyJ(tr, man, power.EvalModel(), qoe.Default())
+	return sim.BaseEnergyJ(tr, man)
 }

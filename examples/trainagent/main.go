@@ -13,8 +13,6 @@ import (
 	"ecavs"
 	"ecavs/internal/dash"
 	"ecavs/internal/learn"
-	"ecavs/internal/power"
-	"ecavs/internal/qoe"
 	"ecavs/internal/sim"
 )
 
@@ -82,7 +80,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	m, err := sim.RunOnTrace(tr, man, frozen, power.EvalModel(), qoe.Default(), 30)
+	m, err := sim.RunOnTrace(tr, man, frozen)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"ecavs/internal/abr"
 	"ecavs/internal/power"
@@ -22,38 +21,23 @@ type JointDecision struct {
 // JointOnline extends the online algorithm's objective over brightness
 // as well as bitrate: the energy term gains the screen power over the
 // segment, the QoE term gains the legibility impairment, and the
-// reference is (top rung, full brightness).
+// reference is (top rung, full brightness). The screen is
+// power.DefaultScreen, legibility is qoe.DefaultBrightness, and the
+// backlight steps through jointLevels.
 //
 // Construct with NewJointOnline; the zero value is unusable.
 type JointOnline struct {
 	obj        Objective
 	screen     power.Screen
 	brightness qoe.BrightnessModel
-	levels     []float64
 }
 
-// DefaultBrightnessLevels is the selectable backlight grid.
-func DefaultBrightnessLevels() []float64 {
-	return []float64{0.3, 0.45, 0.6, 0.75, 0.9, 1.0}
-}
+// jointLevels is the selectable backlight grid.
+var jointLevels = []float64{0.3, 0.45, 0.6, 0.75, 0.9, 1.0}
 
-// NewJointOnline builds the joint policy.
-func NewJointOnline(obj Objective, screen power.Screen, bm qoe.BrightnessModel, levels []float64) (*JointOnline, error) {
-	if err := screen.Validate(); err != nil {
-		return nil, err
-	}
-	if err := bm.Validate(); err != nil {
-		return nil, err
-	}
-	if len(levels) == 0 {
-		levels = DefaultBrightnessLevels()
-	}
-	for _, l := range levels {
-		if l < 0 || l > 1 {
-			return nil, fmt.Errorf("core: brightness level %v out of [0, 1]", l)
-		}
-	}
-	return &JointOnline{obj: obj, screen: screen, brightness: bm, levels: levels}, nil
+// NewJointOnline builds the joint policy over obj.
+func NewJointOnline(obj Objective) *JointOnline {
+	return &JointOnline{obj: obj, screen: power.DefaultScreen(), brightness: qoe.DefaultBrightness()}
 }
 
 // ErrNoBandwidth is returned when no bandwidth estimate is supplied.
@@ -112,10 +96,10 @@ func (j *JointOnline) Choose(ctx abr.Context, ambient01, bwMbps float64) (JointD
 		return JointDecision{}, errors.New("core: degenerate joint reference")
 	}
 
-	best := JointDecision{Rung: 0, Brightness: j.levels[0]}
+	best := JointDecision{Rung: 0, Brightness: jointLevels[0]}
 	bestCost := 1e18
 	for rung, q := range qoes {
-		for _, level := range j.levels {
+		for _, level := range jointLevels {
 			est := Estimate{
 				EnergyJ: sc.energyJ[rung] + j.screen.PowerW(level)*dur,
 				QoE:     q - j.brightness.Impairment(level, ambient01),

@@ -12,11 +12,7 @@ import (
 
 func newJoint(t *testing.T) *JointOnline {
 	t.Helper()
-	j, err := NewJointOnline(testObjective(t, 0.5), power.DefaultScreen(), qoe.DefaultBrightness(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
+	return NewJointOnline(testObjective(t, 0.5))
 }
 
 func jointCtx(vibration, signal float64) abr.Context {
@@ -34,21 +30,6 @@ func jointCtx(vibration, signal float64) abr.Context {
 		PrevRung:           7,
 		SignalDBm:          signal,
 		VibrationLevel:     vibration,
-	}
-}
-
-func TestNewJointOnlineValidation(t *testing.T) {
-	obj := testObjective(t, 0.5)
-	badScreen := power.Screen{MinPowerW: 1, MaxPowerW: 0.5}
-	if _, err := NewJointOnline(obj, badScreen, qoe.DefaultBrightness(), nil); err == nil {
-		t.Error("invalid screen accepted")
-	}
-	badBM := qoe.BrightnessModel{MaxImpairment: -1}
-	if _, err := NewJointOnline(obj, power.DefaultScreen(), badBM, nil); err == nil {
-		t.Error("invalid brightness model accepted")
-	}
-	if _, err := NewJointOnline(obj, power.DefaultScreen(), qoe.DefaultBrightness(), []float64{2}); err == nil {
-		t.Error("out-of-range level accepted")
 	}
 }
 
@@ -125,9 +106,6 @@ func TestJointFallbackSizesAndDuration(t *testing.T) {
 
 func TestScreenPower(t *testing.T) {
 	s := power.DefaultScreen()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if got := s.PowerW(0); got != s.MinPowerW {
 		t.Errorf("PowerW(0) = %v, want %v", got, s.MinPowerW)
 	}
@@ -144,9 +122,6 @@ func TestScreenPower(t *testing.T) {
 
 func TestBrightnessModel(t *testing.T) {
 	m := qoe.DefaultBrightness()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Meeting the demand costs nothing.
 	if got := m.Impairment(1, 1); got != 0 {
 		t.Errorf("full bright in sunlight = %v, want 0", got)
@@ -165,9 +140,5 @@ func TestBrightnessModel(t *testing.T) {
 	// Clamps.
 	if m.Impairment(-1, 2) <= 0 {
 		t.Error("clamped inputs should still yield impairment")
-	}
-	bad := qoe.BrightnessModel{DemandFloor: 2}
-	if err := bad.Validate(); err == nil {
-		t.Error("invalid demand floor accepted")
 	}
 }

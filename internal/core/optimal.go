@@ -7,7 +7,9 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/dash"
+	"ecavs/internal/player"
 	"ecavs/internal/trace"
+	"ecavs/internal/vibration"
 )
 
 // TaskObservation is one task's (segment's) context as the offline
@@ -126,8 +128,10 @@ func PlanOptimal(obj Objective, ladder dash.Ladder, tasks []TaskObservation) (Pl
 // ObserveTasks derives per-task observations from a recorded trace and
 // a manifest, placing task i at the nominal playback-paced time
 // i x segment duration — the timeline the paper's offline planner
-// assumes. bufferSec is the steady-state buffer assumption (typically
-// the 30 s threshold); windowSec is the vibration window.
+// assumes. Every task assumes the steady-state buffer of the 30 s
+// threshold (player.DefaultBufferThresholdSec) and reads the vibration
+// level over the 6 s window (vibration.DefaultWindowSec, 0.2 x the
+// threshold).
 //
 // Observations are built from the trace's compiled form (validated and
 // memoized on first use): signal and bandwidth come from the same
@@ -136,7 +140,7 @@ func PlanOptimal(obj Objective, ladder dash.Ladder, tasks []TaskObservation) (Pl
 // reference two-pass computation within 1e-9 (DESIGN.md §10). Each
 // observation's SizesMB aliases the manifest's internal per-segment
 // row and must be treated as read-only.
-func ObserveTasks(tr *trace.Trace, m *dash.Manifest, bufferSec, windowSec float64) ([]TaskObservation, error) {
+func ObserveTasks(tr *trace.Trace, m *dash.Manifest) ([]TaskObservation, error) {
 	if tr == nil || m == nil {
 		return nil, errors.New("core: nil trace or manifest")
 	}
@@ -162,8 +166,8 @@ func ObserveTasks(tr *trace.Trace, m *dash.Manifest, bufferSec, windowSec float6
 			DurationSec:   dur,
 			SignalDBm:     cur.SignalAt(t),
 			BandwidthMbps: cur.ThroughputMBpsAt(t) * 8,
-			Vibration:     cur.VibrationAt(t, windowSec),
-			BufferSec:     bufferSec,
+			Vibration:     cur.VibrationAt(t, vibration.DefaultWindowSec),
+			BufferSec:     player.DefaultBufferThresholdSec,
 		})
 	}
 	return out, nil

@@ -179,7 +179,7 @@ func TestObserveTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := ObserveTasks(tr, m, 30, 6)
+	tasks, err := ObserveTasks(tr, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestOptimalNoWorseThanOnline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tasks, err := ObserveTasks(tr, m, 30, 6)
+			tasks, err := ObserveTasks(tr, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestOptimalNoWorseThanOnline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			online, err := sim.RunOnTrace(tr, m, NewOnline(obj), pm, qm, 30)
+			online, err := sim.RunOnTrace(tr, m, NewOnline(obj))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +277,7 @@ func TestOptimalNoWorseThanOnline(t *testing.T) {
 }
 
 func TestObserveTasksErrors(t *testing.T) {
-	if _, err := ObserveTasks(nil, nil, 30, 6); err == nil {
+	if _, err := ObserveTasks(nil, nil); err == nil {
 		t.Error("nil inputs accepted")
 	}
 	bad := &trace.Trace{}
@@ -286,7 +286,7 @@ func TestObserveTasksErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ObserveTasks(bad, m, 30, 6); err == nil {
+	if _, err := ObserveTasks(bad, m); err == nil {
 		t.Error("invalid trace accepted")
 	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"ecavs/internal/core"
 	"ecavs/internal/netsim"
-	"ecavs/internal/player"
-	"ecavs/internal/pool"
 	"ecavs/internal/sim"
 	"ecavs/internal/trace"
 )
@@ -19,58 +17,28 @@ type variantResult struct {
 }
 
 // runOursVariant replays the five traces with a customised "Ours"
-// instance and averages them into a variantResult. The replays fan out
-// over the worker pool (each unit builds its own algorithm instance);
-// the averages are then accumulated sequentially in trace order, so
-// the floating-point summation — and therefore the reported numbers —
-// match the sequential evaluation exactly. Each session replays its
-// trace's link and vibration signal; session, when non-nil, then
-// adjusts the config with the trace's compiled form at hand.
-func (e *Env) runOursVariant(build func(obj core.Objective) *core.Online, session func(*sim.Config, *trace.Compiled)) (variantResult, error) {
+// instance and averages them into a variantResult, folding the traces
+// in order. build makes each session's algorithm; adjust, when
+// non-nil, then changes the session's config with the trace's compiled
+// form at hand.
+func (e *Env) runOursVariant(build func() *core.Online, adjust func(*sim.Config, *trace.Compiled)) (variantResult, error) {
 	comp, err := e.Comparison()
 	if err != nil {
 		return variantResult{}, err
 	}
-	obj, err := core.NewObjective(e.Alpha, e.EvalPower, e.QoE)
+	metrics, err := e.replay(1, func(_ int, a *traceArtifacts, cfg *sim.Config) {
+		cfg.Algorithm = build()
+		if adjust != nil {
+			adjust(cfg, a.tc)
+		}
+	})
 	if err != nil {
-		return variantResult{}, err
-	}
-	metrics := make([]*sim.Metrics, len(comp.Results))
-	if err := pool.Run(len(comp.Results), 0, func(i int) error {
-		r := comp.Results[i]
-		man, err := e.Manifest(r.Trace)
-		if err != nil {
-			return err
-		}
-		tc, err := r.Trace.Compiled()
-		if err != nil {
-			return err
-		}
-		cfg := sim.Config{
-			Manifest:           man,
-			Link:               tc.Link(),
-			VibrationAt:        tc.Vibration(0),
-			Algorithm:          build(obj),
-			Power:              e.EvalPower,
-			QoE:                e.QoE,
-			BufferThresholdSec: player.DefaultBufferThresholdSec,
-		}
-		if session != nil {
-			session(&cfg, tc)
-		}
-		m, err := sim.Run(cfg)
-		if err != nil {
-			return err
-		}
-		metrics[i] = m
-		return nil
-	}); err != nil {
 		return variantResult{}, err
 	}
 	var sum variantResult
 	var n float64
 	for i, r := range comp.Results {
-		m := metrics[i]
+		m := metrics[0][i]
 		yt := r.ByAlgorithm["Youtube"]
 		sum.save += 1 - m.TotalJ()/yt.TotalJ()
 		if ytExtra := yt.TotalJ() - r.BaseJ; ytExtra > 0 {
@@ -94,17 +62,12 @@ func (e *Env) AblationAlphaSweep() (*Table, error) {
 			"alpha = 0.5 is the paper's evaluation setting; smaller alpha favours QoE",
 		},
 	}
-	savedAlpha := e.Alpha
-	defer func() { e.Alpha = savedAlpha }()
 	for _, alpha := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		e.Alpha = savedAlpha // Comparison cache key does not depend on alpha; keep env stable
-		obj, err := core.NewObjective(alpha, e.EvalPower, e.QoE)
+		obj, err := core.NewObjective(alpha, evalPower, evalQoE)
 		if err != nil {
 			return nil, err
 		}
-		v, err := e.runOursVariant(func(core.Objective) *core.Online {
-			return core.NewOnline(obj)
-		}, nil)
+		v, err := e.runOursVariant(func() *core.Online { return core.NewOnline(obj) }, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -124,20 +87,17 @@ func (e *Env) AblationNoContext() (*Table, error) {
 			"without vibration sensing the algorithm cannot discount high bitrates on a shaking phone",
 		},
 	}
-	for _, alpha := range []float64{e.Alpha, 0.2} {
-		obj, err := core.NewObjective(alpha, e.EvalPower, e.QoE)
+	for _, alpha := range []float64{core.DefaultAlpha, 0.2} {
+		obj, err := core.NewObjective(alpha, evalPower, evalQoE)
 		if err != nil {
 			return nil, err
 		}
-		withCtx, err := e.runOursVariant(func(core.Objective) *core.Online {
-			return core.NewOnline(obj)
-		}, nil)
+		build := func() *core.Online { return core.NewOnline(obj) }
+		withCtx, err := e.runOursVariant(build, nil)
 		if err != nil {
 			return nil, err
 		}
-		noCtx, err := e.runOursVariant(func(core.Objective) *core.Online {
-			return core.NewOnline(obj)
-		}, func(cfg *sim.Config, _ *trace.Compiled) {
+		noCtx, err := e.runOursVariant(build, func(cfg *sim.Config, _ *trace.Compiled) {
 			cfg.VibrationAt = nil // a still phone
 		})
 		if err != nil {
@@ -164,11 +124,11 @@ func (e *Env) AblationNoGradualSwitch() (*Table, error) {
 	}
 	variants := []struct {
 		name  string
-		build func(obj core.Objective) *core.Online
+		build func() *core.Online
 	}{
-		{name: "gradual (Algorithm 1)", build: func(obj core.Objective) *core.Online { return core.NewOnline(obj) }},
-		{name: "direct-to-reference", build: func(obj core.Objective) *core.Online {
-			return core.NewOnline(obj, core.WithDirectReference())
+		{name: "gradual (Algorithm 1)", build: func() *core.Online { return core.NewOnline(evalObj) }},
+		{name: "direct-to-reference", build: func() *core.Online {
+			return core.NewOnline(evalObj, core.WithDirectReference())
 		}},
 	}
 	for _, v := range variants {
@@ -200,8 +160,8 @@ func (e *Env) AblationEstimators() (*Table, error) {
 		{name: "last-sample", make: func() netsim.BandwidthEstimator { return netsim.NewLastSampleEstimator() }},
 	}
 	for _, v := range variants {
-		r, err := e.runOursVariant(func(obj core.Objective) *core.Online {
-			return core.NewOnline(obj, core.WithEstimator(v.make()))
+		r, err := e.runOursVariant(func() *core.Online {
+			return core.NewOnline(evalObj, core.WithEstimator(v.make()))
 		}, nil)
 		if err != nil {
 			return nil, err
@@ -225,7 +185,7 @@ func (e *Env) AblationVibrationWindow() (*Table, error) {
 	}
 	for _, w := range []float64{1, 3, 6, 15, 30} {
 		w := w
-		r, err := e.runOursVariant(func(obj core.Objective) *core.Online { return core.NewOnline(obj) }, func(cfg *sim.Config, tc *trace.Compiled) {
+		r, err := e.runOursVariant(func() *core.Online { return core.NewOnline(evalObj) }, func(cfg *sim.Config, tc *trace.Compiled) {
 			cfg.VibrationAt = tc.Vibration(w)
 		})
 		if err != nil {

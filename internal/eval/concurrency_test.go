@@ -92,6 +92,56 @@ func TestComparisonConcurrentFigures(t *testing.T) {
 	wg.Wait()
 }
 
+// TestExperimentsShareEnvConcurrently runs the comparison, then three
+// ablations at once on one Env (run under -race), and requires each
+// table to render as a sequential run renders it: experiments that
+// share an Env share only read-only state.
+func TestExperimentsShareEnvConcurrently(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the ablations replay many sessions")
+	}
+	ablations := []func(*Env) (*Table, error){
+		(*Env).AblationAlphaSweep, (*Env).AblationNoContext, (*Env).AblationNoGradualSwitch,
+	}
+	want := make([]string, len(ablations))
+	for i, run := range ablations {
+		tbl, err := run(sharedEnv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = tbl.String()
+	}
+
+	env := NewEnv()
+	if _, err := env.Comparison(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(ablations))
+	errs := make([]error, len(ablations))
+	var wg sync.WaitGroup
+	for i, run := range ablations {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tbl, err := run(env)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = tbl.String()
+		}()
+	}
+	wg.Wait()
+	for i := range ablations {
+		if errs[i] != nil {
+			t.Fatalf("ablation %d: %v", i, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("ablation %d run concurrently renders\n%s\nsequentially\n%s", i, got[i], want[i])
+		}
+	}
+}
+
 // TestMetricsMissingAlgorithm checks that a comparison missing an
 // algorithm's metrics surfaces a descriptive error rather than the
 // nil-map panic the old direct ByAlgorithm lookups produced.

@@ -16,62 +16,58 @@ import (
 	"ecavs/internal/trace"
 )
 
-// Env is the shared experiment environment: calibrated models, the
-// evaluation ladder, and lazily generated Table V traces with cached
-// per-algorithm session results (the Fig. 5-7 experiments all consume
-// the same five-trace comparison).
-type Env struct {
-	// Power is the Table VI calibration (validation experiments).
-	Power power.Model
-	// EvalPower is the trace-evaluation phone (Figs. 5-7).
-	EvalPower power.Model
-	// QoE is the Table III model.
-	QoE qoe.Model
-	// Ladder is the fourteen-rung Section V-A ladder.
-	Ladder dash.Ladder
-	// Alpha is the objective weight (Section V-A: 0.5). It may be
-	// swapped mid-run (the alpha-sweep ablation does); every other
-	// field is assumed fixed after the Env's first use, because the
-	// memoized per-trace artifacts depend on them.
-	Alpha float64
+// The paper's evaluation setup (Section V-A), fixed for every
+// experiment.
+var (
+	// tablePower is the Table VI calibration (validation experiments).
+	tablePower = power.Default()
+	// evalPower is the trace-evaluation phone (Figs. 5-7).
+	evalPower = power.EvalModel()
+	// evalQoE is the Table III model.
+	evalQoE = qoe.Default()
+	// evalLadder is the fourteen-rung Section V-A ladder.
+	evalLadder = dash.EvalLadder()
+	// evalObj is the Eq. 11 objective at alpha = 0.5.
+	evalObj = core.Objective{Alpha: core.DefaultAlpha, Power: evalPower, QoE: evalQoE}
+	// evalRungs is evalQoE compiled over evalLadder, shared by every
+	// replayed session.
+	evalRungs = evalQoE.CompileRungs(evalLadder.Bitrates())
+)
 
-	mu     sync.Mutex
+// Env is the shared experiment environment: lazily generated Table V
+// traces, their derived evaluation state, and the cached five-algorithm
+// comparison the Fig. 5-7 experiments all consume.
+type Env struct {
+	mu     sync.Mutex // guards traces
 	traces []*trace.Trace
+
+	// artMu is held while the per-trace artifacts are derived, so
+	// concurrent callers wait for the first one's result; it guards
+	// arts.
+	artMu sync.Mutex
+	arts  []*traceArtifacts // one per Table V trace, in trace order
 
 	// compMu is held across a full evaluation, so concurrent
 	// Comparison callers wait for the first one's result; it guards
-	// comp and compRuns. It is separate from mu, which the evaluation
-	// itself takes.
+	// comp and compRuns.
 	compMu   sync.Mutex
 	comp     *Comparison
 	compRuns int // full evaluations actually executed (test hook)
-
-	// artifacts memoizes per-trace derived state (manifest, base
-	// energy, planner observations, optimal plans) keyed by trace
-	// pointer, so the ablations and extended experiments stop
-	// recomputing what the headline comparison already derived.
-	// Pointer keys keep re-seeded campaign traces (which reuse the
-	// Table V IDs) from colliding with the cached originals.
-	artifacts map[*trace.Trace]*traceArtifacts
 }
 
-// traceArtifacts caches what the evaluation derives per trace.
+// traceArtifacts is what the evaluation derives once per Table V
+// trace.
 type traceArtifacts struct {
+	tr    *trace.Trace
+	tc    *trace.Compiled
 	man   *dash.Manifest
 	baseJ float64
-	tasks []core.TaskObservation
-	plans map[float64]core.Plan // keyed by objective alpha
+	plan  core.Plan // the Optimal schedule under evalObj
 }
 
 // NewEnv returns the paper's evaluation environment.
 func NewEnv() *Env {
-	return &Env{
-		Power:     power.Default(),
-		EvalPower: power.EvalModel(),
-		QoE:       qoe.Default(),
-		Ladder:    dash.EvalLadder(),
-		Alpha:     core.DefaultAlpha,
-	}
+	return &Env{}
 }
 
 // Traces returns the five Table V traces, generating them on first
@@ -80,7 +76,7 @@ func (e *Env) Traces() ([]*trace.Trace, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.traces == nil {
-		ts, err := trace.GenerateTableV(e.EvalPower.NominalThroughputMBps)
+		ts, err := trace.GenerateTableV(evalPower.NominalThroughputMBps)
 		if err != nil {
 			return nil, err
 		}
@@ -141,157 +137,125 @@ func (e *Env) Comparison() (*Comparison, error) {
 	return comp, nil
 }
 
-// computeComparison runs the full five-trace, five-algorithm
-// evaluation. The sessions are independent trace replays, so the work
-// fans out over a bounded pool in two waves: per-trace artifact
-// derivation (manifest, base energy, task observations, optimal
-// plan), then one unit per trace × algorithm session. Results land in
-// slots indexed by (trace, algorithm), so assembly — ordered by trace
-// ID, with per-trace aggregation untouched — is deterministic and the
-// output matches the sequential evaluation byte for byte.
+// computeComparison replays the five algorithms on the five traces and
+// assembles the results in trace order.
 func (e *Env) computeComparison() (*Comparison, error) {
-	traces, err := e.Traces()
+	arts, err := e.artifacts()
 	if err != nil {
 		return nil, err
 	}
-	obj, err := core.NewObjective(e.Alpha, e.EvalPower, e.QoE)
+	builders := []func(a *traceArtifacts) abr.Algorithm{
+		func(*traceArtifacts) abr.Algorithm { return abr.NewYoutube() },
+		func(*traceArtifacts) abr.Algorithm { return abr.NewFESTIVE() },
+		func(*traceArtifacts) abr.Algorithm { return abr.NewBBA() },
+		func(*traceArtifacts) abr.Algorithm { return core.NewOnline(evalObj) },
+		func(a *traceArtifacts) abr.Algorithm { return core.NewPlannedAlgorithm("Optimal", a.plan) },
+	}
+	metrics, err := e.replay(len(builders), func(row int, a *traceArtifacts, cfg *sim.Config) {
+		cfg.Algorithm = builders[row](a)
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Wave 1: derive per-trace artifacts.
-	arts := make([]*traceArtifacts, len(traces))
-	if err := pool.Run(len(traces), 0, func(ti int) error {
-		a, err := e.artifactsFor(traces[ti])
-		if err != nil {
-			return err
-		}
-		if _, err := e.optimalPlanLocked(traces[ti], a, obj); err != nil {
-			return err
-		}
-		arts[ti] = a
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Wave 2: one unit per trace × algorithm session.
-	builders := []func(ti int) (abr.Algorithm, error){
-		func(int) (abr.Algorithm, error) { return abr.NewYoutube(), nil },
-		func(int) (abr.Algorithm, error) { return abr.NewFESTIVE(), nil },
-		func(int) (abr.Algorithm, error) { return abr.NewBBA(), nil },
-		func(int) (abr.Algorithm, error) { return core.NewOnline(obj), nil },
-		func(ti int) (abr.Algorithm, error) {
-			plan, err := e.optimalPlanLocked(traces[ti], arts[ti], obj)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewPlannedAlgorithm("Optimal", plan), nil
-		},
-	}
-	metrics := make([]*sim.Metrics, len(traces)*len(builders))
-	if err := pool.Run(len(metrics), 0, func(unit int) error {
-		ti, ai := unit/len(builders), unit%len(builders)
-		tr := traces[ti]
-		alg, err := builders[ai](ti)
-		if err != nil {
-			return err
-		}
-		m, err := sim.RunOnTrace(tr, arts[ti].man, alg, e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
-		if err != nil {
-			return fmt.Errorf("eval: trace %d %s: %w", tr.ID, alg.Name(), err)
-		}
-		metrics[unit] = m
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
 	comp := &Comparison{}
-	for ti, tr := range traces {
-		res := TraceResult{Trace: tr, BaseJ: arts[ti].baseJ, ByAlgorithm: make(map[string]*sim.Metrics, len(AlgorithmNames))}
+	for ti, a := range arts {
+		res := TraceResult{Trace: a.tr, BaseJ: a.baseJ, ByAlgorithm: make(map[string]*sim.Metrics, len(AlgorithmNames))}
 		for ai, name := range AlgorithmNames {
-			res.ByAlgorithm[name] = metrics[ti*len(builders)+ai]
+			res.ByAlgorithm[name] = metrics[ai][ti]
 		}
 		comp.Results = append(comp.Results, res)
 	}
 	return comp, nil
 }
 
-// artifactsFor returns (computing and memoizing on first use) the
-// trace's derived evaluation state. Artifacts are keyed by trace
-// pointer and depend on the Env's ladder and models, which must not
-// change after first use.
-func (e *Env) artifactsFor(tr *trace.Trace) (*traceArtifacts, error) {
-	e.mu.Lock()
-	if a, ok := e.artifacts[tr]; ok {
-		e.mu.Unlock()
-		return a, nil
+// artifacts returns (deriving them on first use, one pool unit per
+// trace) the Table V traces' artifacts in trace order: compiled form,
+// manifest, base energy and Optimal plan.
+func (e *Env) artifacts() ([]*traceArtifacts, error) {
+	e.artMu.Lock()
+	defer e.artMu.Unlock()
+	if e.arts != nil {
+		return e.arts, nil
 	}
-	e.mu.Unlock()
-
-	// Compile first: it validates the trace once and every downstream
-	// artifact (base-energy replay, task observation, ablation/sweep
-	// sessions) shares the one compiled form via the trace's memo.
-	if _, err := tr.Compiled(); err != nil {
-		return nil, fmt.Errorf("eval: trace %d compile: %w", tr.ID, err)
-	}
-	man, err := sim.ManifestForTrace(tr, e.Ladder)
-	if err != nil {
-		return nil, fmt.Errorf("eval: trace %d manifest: %w", tr.ID, err)
-	}
-	baseJ, err := sim.BaseEnergyJ(tr, man, e.EvalPower, e.QoE)
-	if err != nil {
-		return nil, fmt.Errorf("eval: trace %d base energy: %w", tr.ID, err)
-	}
-	tasks, err := core.ObserveTasks(tr, man, player.DefaultBufferThresholdSec, 6)
-	if err != nil {
-		return nil, fmt.Errorf("eval: trace %d tasks: %w", tr.ID, err)
-	}
-	a := &traceArtifacts{man: man, baseJ: baseJ, tasks: tasks, plans: make(map[float64]core.Plan)}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cached, ok := e.artifacts[tr]; ok { // lost a benign compute race
-		return cached, nil
-	}
-	if e.artifacts == nil {
-		e.artifacts = make(map[*trace.Trace]*traceArtifacts)
-	}
-	e.artifacts[tr] = a
-	return a, nil
-}
-
-// optimalPlanLocked returns the trace's memoized optimal plan for the
-// objective's alpha, computing it on first use.
-func (e *Env) optimalPlanLocked(tr *trace.Trace, a *traceArtifacts, obj core.Objective) (core.Plan, error) {
-	e.mu.Lock()
-	if plan, ok := a.plans[obj.Alpha]; ok {
-		e.mu.Unlock()
-		return plan, nil
-	}
-	e.mu.Unlock()
-
-	plan, err := core.PlanOptimal(obj, e.Ladder, a.tasks)
-	if err != nil {
-		return core.Plan{}, fmt.Errorf("eval: trace %d plan: %w", tr.ID, err)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cached, ok := a.plans[obj.Alpha]; ok {
-		return cached, nil
-	}
-	a.plans[obj.Alpha] = plan
-	return plan, nil
-}
-
-// Manifest returns the trace's memoized evaluation manifest.
-func (e *Env) Manifest(tr *trace.Trace) (*dash.Manifest, error) {
-	a, err := e.artifactsFor(tr)
+	traces, err := e.Traces()
 	if err != nil {
 		return nil, err
 	}
-	return a.man, nil
+	arts := make([]*traceArtifacts, len(traces))
+	if err := pool.Run(len(traces), 0, func(ti int) error {
+		tr := traces[ti]
+		// Compile first: it validates the trace once, and every session
+		// of the trace shares the one compiled form via its memo.
+		tc, err := tr.Compiled()
+		if err != nil {
+			return fmt.Errorf("eval: trace %d compile: %w", tr.ID, err)
+		}
+		man, err := sim.ManifestForTrace(tr, evalLadder)
+		if err != nil {
+			return fmt.Errorf("eval: trace %d manifest: %w", tr.ID, err)
+		}
+		baseJ, err := sim.BaseEnergyJ(tr, man)
+		if err != nil {
+			return fmt.Errorf("eval: trace %d base energy: %w", tr.ID, err)
+		}
+		tasks, err := core.ObserveTasks(tr, man)
+		if err != nil {
+			return fmt.Errorf("eval: trace %d tasks: %w", tr.ID, err)
+		}
+		plan, err := core.PlanOptimal(evalObj, evalLadder, tasks)
+		if err != nil {
+			return fmt.Errorf("eval: trace %d plan: %w", tr.ID, err)
+		}
+		arts[ti] = &traceArtifacts{tr: tr, tc: tc, man: man, baseJ: baseJ, plan: plan}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	e.arts = arts
+	return arts, nil
+}
+
+// replay runs rows × traces sessions on the worker pool, one unit per
+// session, and returns their metrics by row, each row in trace order.
+// Every session starts from its Table V trace's evaluation config —
+// the memoized manifest, the compiled link and vibration signal, the
+// evaluation models and rung table, the 30 s threshold — and set gives
+// it the row's algorithm and any setting of its own. Units share no
+// mutable state, and callers fold the rows in order, so every sum
+// runs in the sequential evaluation's order at any worker count.
+func (e *Env) replay(rows int, set func(row int, a *traceArtifacts, cfg *sim.Config)) ([][]*sim.Metrics, error) {
+	arts, err := e.artifacts()
+	if err != nil {
+		return nil, err
+	}
+	nt := len(arts)
+	flat := make([]*sim.Metrics, rows*nt)
+	if err := pool.Run(len(flat), 0, func(unit int) error {
+		a := arts[unit%nt]
+		cfg := sim.Config{
+			SessionParams:      sim.SessionParams{RungQoE: evalRungs},
+			Manifest:           a.man,
+			Link:               a.tc.Link(),
+			VibrationAt:        a.tc.Vibration(0),
+			Power:              evalPower,
+			QoE:                evalQoE,
+			BufferThresholdSec: player.DefaultBufferThresholdSec,
+		}
+		set(unit/nt, a, &cfg)
+		m, err := sim.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("eval: trace %d %s: %w", a.tr.ID, cfg.Algorithm.Name(), err)
+		}
+		flat[unit] = m
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	metrics := make([][]*sim.Metrics, rows)
+	for r := range metrics {
+		metrics[r] = flat[r*nt : (r+1)*nt]
+	}
+	return metrics, nil
 }
 
 // Savings aggregates one algorithm's average whole-phone and

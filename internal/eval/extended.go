@@ -7,9 +7,7 @@ import (
 	"ecavs/internal/core"
 	"ecavs/internal/learn"
 	"ecavs/internal/player"
-	"ecavs/internal/pool"
 	"ecavs/internal/power"
-	"ecavs/internal/qoe"
 	"ecavs/internal/sim"
 )
 
@@ -37,11 +35,6 @@ func (e *Env) ExtendedBaselines() (*Table, error) {
 	addRow := func(name string, avgJ, save, q, degr float64) {
 		t.Rows = append(t.Rows, []string{name, f1(avgJ), pct(save), f3(q), pct(degr)})
 	}
-	var ytAvg float64
-	for _, r := range comp.Results {
-		ytAvg += r.ByAlgorithm["Youtube"].TotalJ()
-	}
-	ytAvg /= float64(len(comp.Results))
 	for _, name := range AlgorithmNames {
 		var sumJ float64
 		for _, r := range comp.Results {
@@ -51,8 +44,7 @@ func (e *Env) ExtendedBaselines() (*Table, error) {
 		addRow(name, sumJ/float64(len(comp.Results)), whole, comp.AverageQoE(name), comp.QoEDegradation(name))
 	}
 
-	// The two new baselines, replayed fresh: one pool unit per
-	// baseline × trace, accumulated in the sequential order afterwards.
+	// The two new baselines, replayed fresh.
 	builders := []struct {
 		name string
 		make func() abr.Algorithm
@@ -60,34 +52,23 @@ func (e *Env) ExtendedBaselines() (*Table, error) {
 		{name: "BOLA", make: func() abr.Algorithm { return abr.NewBOLA() }},
 		{name: "RobustMPC", make: func() abr.Algorithm { return abr.NewMPC() }},
 	}
-	nt := len(comp.Results)
-	metrics := make([]*sim.Metrics, len(builders)*nt)
-	if err := pool.Run(len(metrics), 0, func(unit int) error {
-		b, r := builders[unit/nt], comp.Results[unit%nt]
-		man, err := e.Manifest(r.Trace)
-		if err != nil {
-			return err
-		}
-		m, err := sim.RunOnTrace(r.Trace, man, b.make(), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
-		if err != nil {
-			return fmt.Errorf("eval: %s on trace %d: %w", b.name, r.Trace.ID, err)
-		}
-		metrics[unit] = m
-		return nil
-	}); err != nil {
+	metrics, err := e.replay(len(builders), func(row int, _ *traceArtifacts, cfg *sim.Config) {
+		cfg.Algorithm = builders[row].make()
+	})
+	if err != nil {
 		return nil, err
 	}
 	for bi, b := range builders {
 		var sumJ, sumSave, sumQ, sumDegr float64
 		for ti, r := range comp.Results {
-			m := metrics[bi*nt+ti]
+			m := metrics[bi][ti]
 			yt := r.ByAlgorithm["Youtube"]
 			sumJ += m.TotalJ()
 			sumSave += 1 - m.TotalJ()/yt.TotalJ()
 			sumQ += m.MeanQoE
 			sumDegr += 1 - m.MeanQoE/yt.MeanQoE
 		}
-		n := float64(nt)
+		n := float64(len(comp.Results))
 		addRow(b.name, sumJ/n, sumSave/n, sumQ/n, sumDegr/n)
 	}
 	return t, nil
@@ -103,7 +84,11 @@ func (e *Env) ExtendedLearned() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	agent, err := learn.Train(learn.DefaultTrainConfig(e.Ladder))
+	arts, err := e.artifacts()
+	if err != nil {
+		return nil, err
+	}
+	agent, err := learn.Train(learn.DefaultTrainConfig(evalLadder))
 	if err != nil {
 		return nil, err
 	}
@@ -119,12 +104,8 @@ func (e *Env) ExtendedLearned() (*Table, error) {
 	}
 	// The shared agent carries replay state (Reset per run), so these
 	// sessions stay sequential; the manifests come from the cache.
-	for _, r := range comp.Results {
-		man, err := e.Manifest(r.Trace)
-		if err != nil {
-			return nil, err
-		}
-		m, err := sim.RunOnTrace(r.Trace, man, agent, e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+	for i, r := range comp.Results {
+		m, err := sim.RunOnTrace(r.Trace, arts[i].man, agent)
 		if err != nil {
 			return nil, fmt.Errorf("eval: QLearn on trace %d: %w", r.Trace.ID, err)
 		}
@@ -144,14 +125,7 @@ func (e *Env) ExtendedLearned() (*Table, error) {
 // and motion contexts, showing which (bitrate, backlight) pair the
 // extended Eq. 11 objective selects in each.
 func (e *Env) ExtendedBrightness() (*Table, error) {
-	obj, err := core.NewObjective(e.Alpha, e.EvalPower, e.QoE)
-	if err != nil {
-		return nil, err
-	}
-	joint, err := core.NewJointOnline(obj, power.DefaultScreen(), qoe.DefaultBrightness(), nil)
-	if err != nil {
-		return nil, err
-	}
+	joint := core.NewJointOnline(evalObj)
 	t := &Table{
 		ID:      "ext-brightness",
 		Caption: "Extended: joint rate-and-brightness adaptation per context (beyond the paper)",
@@ -160,8 +134,8 @@ func (e *Env) ExtendedBrightness() (*Table, error) {
 			"extends the Eq. 11 objective over the backlight: screen power joins the energy term, legibility joins QoE",
 		},
 	}
-	sizes := make([]float64, len(e.Ladder))
-	for i, rep := range e.Ladder {
+	sizes := make([]float64, len(evalLadder))
+	for i, rep := range evalLadder {
 		sizes[i] = rep.BitrateMbps / 8 * 2
 	}
 	contexts := []struct {
@@ -177,7 +151,7 @@ func (e *Env) ExtendedBrightness() (*Table, error) {
 	}
 	for _, c := range contexts {
 		ctx := abr.Context{
-			Ladder:             e.Ladder,
+			Ladder:             evalLadder,
 			SegmentSizesMB:     sizes,
 			SegmentDurationSec: 2,
 			BufferSec:          25,
@@ -192,7 +166,7 @@ func (e *Env) ExtendedBrightness() (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			c.name, f2(c.ambient), f2(c.vib), f1(c.signal),
-			f2(e.Ladder[d.Rung].BitrateMbps), f2(d.Brightness),
+			f2(evalLadder[d.Rung].BitrateMbps), f2(d.Brightness),
 		})
 	}
 	return t, nil
@@ -203,10 +177,6 @@ func (e *Env) ExtendedBrightness() (*Table, error) {
 // third of the way into each trace, and deeper prefetch buffers leave
 // more downloaded-but-unwatched payload behind.
 func (e *Env) AblationAbandonment() (*Table, error) {
-	comp, err := e.Comparison()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "abl-abandon",
 		Caption: "Ablation: buffer depth vs. wasted download under early quits (Youtube policy)",
@@ -216,44 +186,28 @@ func (e *Env) AblationAbandonment() (*Table, error) {
 		},
 	}
 	thresholds := []float64{10, 30, 60}
-	nt := len(comp.Results)
-	metrics := make([]*sim.Metrics, len(thresholds)*nt)
-	if err := pool.Run(len(metrics), 0, func(unit int) error {
-		threshold, r := thresholds[unit/nt], comp.Results[unit%nt]
-		man, err := e.Manifest(r.Trace)
-		if err != nil {
-			return err
-		}
-		tc, err := r.Trace.Compiled()
-		if err != nil {
-			return err
-		}
-		m, err := sim.Run(sim.Config{
-			SessionParams:      sim.SessionParams{AbandonAtSec: r.Trace.LengthSec / 3},
-			Manifest:           man,
-			Link:               tc.Link(),
-			Algorithm:          abr.NewYoutube(),
-			Power:              e.EvalPower,
-			QoE:                e.QoE,
-			BufferThresholdSec: threshold,
-		})
-		if err != nil {
-			return err
-		}
-		metrics[unit] = m
-		return nil
-	}); err != nil {
+	metrics, err := e.replay(len(thresholds), func(row int, a *traceArtifacts, cfg *sim.Config) {
+		cfg.Algorithm = abr.NewYoutube()
+		cfg.VibrationAt = nil
+		cfg.AbandonAtSec = a.tr.LengthSec / 3
+		cfg.BufferThresholdSec = thresholds[row]
+	})
+	if err != nil {
+		return nil, err
+	}
+	traces, err := e.Traces()
+	if err != nil {
 		return nil, err
 	}
 	for hi, threshold := range thresholds {
 		var wastedMB, wastedJ, totJ float64
-		for ti, r := range comp.Results {
-			m := metrics[hi*nt+ti]
+		for ti, tr := range traces {
+			m := metrics[hi][ti]
 			wastedMB += m.WastedMB
-			wastedJ += m.WastedMB * e.EvalPower.EnergyPerMBJ(r.Trace.AvgSignalDBm())
+			wastedJ += m.WastedMB * evalPower.EnergyPerMBJ(tr.AvgSignalDBm())
 			totJ += m.TotalJ()
 		}
-		n := float64(nt)
+		n := float64(len(traces))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f", threshold), f1(wastedMB / n), f1(wastedJ / n), f1(totJ / n),
 		})
@@ -266,14 +220,6 @@ func (e *Env) AblationAbandonment() (*Table, error) {
 // bursty prefetching (the mechanism behind the paper's references
 // [7, 29, 30]).
 func (e *Env) AblationTailEnergy() (*Table, error) {
-	comp, err := e.Comparison()
-	if err != nil {
-		return nil, err
-	}
-	obj, err := core.NewObjective(e.Alpha, e.EvalPower, e.QoE)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "abl-tail",
 		Caption: "Ablation: LTE tail energy vs. download-pacing hysteresis (Ours, RRC on)",
@@ -285,46 +231,22 @@ func (e *Env) AblationTailEnergy() (*Table, error) {
 	}
 	rrc := power.DefaultRRC()
 	resumes := []float64{30, 20, 10, 5}
-	nt := len(comp.Results)
-	metrics := make([]*sim.Metrics, len(resumes)*nt)
-	if err := pool.Run(len(metrics), 0, func(unit int) error {
-		resumeSec, r := resumes[unit/nt], comp.Results[unit%nt]
-		man, err := e.Manifest(r.Trace)
-		if err != nil {
-			return err
-		}
-		tc, err := r.Trace.Compiled()
-		if err != nil {
-			return err
-		}
-		m, err := sim.Run(sim.Config{
-			Manifest:           man,
-			Link:               tc.Link(),
-			VibrationAt:        tc.Vibration(0),
-			Algorithm:          core.NewOnline(obj),
-			Power:              e.EvalPower,
-			QoE:                e.QoE,
-			BufferThresholdSec: player.DefaultBufferThresholdSec,
-			ResumeThresholdSec: resumeSec,
-			RRC:                &rrc,
-		})
-		if err != nil {
-			return err
-		}
-		metrics[unit] = m
-		return nil
-	}); err != nil {
+	metrics, err := e.replay(len(resumes), func(row int, _ *traceArtifacts, cfg *sim.Config) {
+		cfg.Algorithm = core.NewOnline(evalObj)
+		cfg.ResumeThresholdSec = resumes[row]
+		cfg.RRC = &rrc
+	})
+	if err != nil {
 		return nil, err
 	}
 	for ri, resumeSec := range resumes {
 		var ctlJ, totJ, rebufSec float64
-		for ti := 0; ti < nt; ti++ {
-			m := metrics[ri*nt+ti]
+		for _, m := range metrics[ri] {
 			ctlJ += m.RadioCtlJ
 			totJ += m.TotalJ()
 			rebufSec += m.RebufferSec
 		}
-		n := float64(nt)
+		n := float64(len(metrics[ri]))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f", resumeSec), f1(ctlJ / n), f1(totJ / n), f1(rebufSec / n),
 		})

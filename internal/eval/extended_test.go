@@ -5,7 +5,6 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/core"
-	"ecavs/internal/player"
 	"ecavs/internal/sim"
 	"ecavs/internal/trace"
 )
@@ -187,27 +186,22 @@ func TestOursSavesOnEveryReseededTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twenty trace sets replay 200 sessions")
 	}
-	e := NewEnv()
-	obj, err := core.NewObjective(0.5, e.EvalPower, e.QoE)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for c := 0; c < 20; c++ {
 		for _, spec := range trace.TableVSpecs() {
 			spec.Seed += int64(1000 * c)
-			tr, err := trace.Generate(spec, e.EvalPower.NominalThroughputMBps)
+			tr, err := trace.Generate(spec, evalPower.NominalThroughputMBps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			man, err := sim.ManifestForTrace(tr, e.Ladder)
+			man, err := sim.ManifestForTrace(tr, evalLadder)
 			if err != nil {
 				t.Fatal(err)
 			}
-			yt, err := sim.RunOnTrace(tr, man, abr.NewYoutube(), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+			yt, err := sim.RunOnTrace(tr, man, abr.NewYoutube())
 			if err != nil {
 				t.Fatal(err)
 			}
-			ours, err := sim.RunOnTrace(tr, man, core.NewOnline(obj), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+			ours, err := sim.RunOnTrace(tr, man, core.NewOnline(evalObj))
 			if err != nil {
 				t.Fatal(err)
 			}

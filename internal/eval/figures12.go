@@ -20,9 +20,9 @@ func (e *Env) Fig1a() (*Table, error) {
 	for s := -90.0; s >= -115; s -= 5 {
 		t.Rows = append(t.Rows, []string{
 			f1(s),
-			f1(e.Power.DownloadEnergyJ(100, s)),
-			f3(e.Power.EnergyPerMBJ(s)),
-			f1(e.Power.NominalThroughputMbps(s)),
+			f1(tablePower.DownloadEnergyJ(100, s)),
+			f3(tablePower.EnergyPerMBJ(s)),
+			f1(tablePower.NominalThroughputMbps(s)),
 		})
 	}
 	return t, nil
@@ -45,26 +45,26 @@ func (e *Env) Fig1b() (*Table, error) {
 			"energy room (J)", "energy vehicle (J)"},
 	}
 	ladder := dash.TableIILadder()
-	baseRoom := e.Power.SessionEnergyJ(ladder.Lowest().BitrateMbps, sessionSec, roomDBm)
-	baseVeh := e.Power.SessionEnergyJ(ladder.Lowest().BitrateMbps, sessionSec, vehicleDBm)
+	baseRoom := tablePower.SessionEnergyJ(ladder.Lowest().BitrateMbps, sessionSec, roomDBm)
+	baseVeh := tablePower.SessionEnergyJ(ladder.Lowest().BitrateMbps, sessionSec, vehicleDBm)
 	for _, rep := range ladder {
 		r := rep.BitrateMbps
 		t.Rows = append(t.Rows, []string{
 			f2(r),
 			rep.Name,
-			f2(e.QoE.PerceivedQuality(r, roomVib)),
-			f2(e.QoE.PerceivedQuality(r, vehicleVib)),
-			f1(e.Power.SessionEnergyJ(r, sessionSec, roomDBm) - baseRoom),
-			f1(e.Power.SessionEnergyJ(r, sessionSec, vehicleDBm) - baseVeh),
+			f2(evalQoE.PerceivedQuality(r, roomVib)),
+			f2(evalQoE.PerceivedQuality(r, vehicleVib)),
+			f1(tablePower.SessionEnergyJ(r, sessionSec, roomDBm) - baseRoom),
+			f1(tablePower.SessionEnergyJ(r, sessionSec, vehicleDBm) - baseVeh),
 		})
 	}
 	// Annotations the paper prints on the figure.
-	room1080 := e.QoE.PerceivedQuality(5.8, roomVib)
-	room480 := e.QoE.PerceivedQuality(1.5, roomVib)
-	veh1080 := e.QoE.PerceivedQuality(5.8, vehicleVib)
-	veh480 := e.QoE.PerceivedQuality(1.5, vehicleVib)
-	e1080 := e.Power.SessionEnergyJ(5.8, sessionSec, vehicleDBm) - baseVeh
-	e480 := e.Power.SessionEnergyJ(1.5, sessionSec, vehicleDBm) - baseVeh
+	room1080 := evalQoE.PerceivedQuality(5.8, roomVib)
+	room480 := evalQoE.PerceivedQuality(1.5, roomVib)
+	veh1080 := evalQoE.PerceivedQuality(5.8, vehicleVib)
+	veh480 := evalQoE.PerceivedQuality(1.5, vehicleVib)
+	e1080 := tablePower.SessionEnergyJ(5.8, sessionSec, vehicleDBm) - baseVeh
+	e480 := tablePower.SessionEnergyJ(1.5, sessionSec, vehicleDBm) - baseVeh
 	t.Notes = append(t.Notes,
 		"paper annotations: room QoE drop 1080p->480p 12%, vehicle 4%, vehicle energy saving 65%",
 		"measured: room drop "+pct((room1080-room480)/room1080)+
@@ -96,7 +96,7 @@ func (e *Env) raterStudy(vibrations []float64) (rs, vs, q5s []float64) {
 	const subjects = 20
 	ladder := dash.TableIILadder()
 	for s := 0; s < subjects; s++ {
-		rater := qoe.NewRater(e.QoE, 0.5, int64(7000+s))
+		rater := qoe.NewRater(evalQoE, 0.5, int64(7000+s))
 		for _, rep := range ladder {
 			for _, v := range vibrations {
 				rs = append(rs, rep.BitrateMbps)
@@ -122,7 +122,7 @@ func (e *Env) Fig2b() (*Table, error) {
 		Header:  []string{"bitrate (Mbps)", "mean rating", "fitted Q0"},
 		Notes: []string{
 			"fitted c1=" + f3(params[0]) + " c2=" + f3(params[1]) +
-				" (ground truth c1=" + f3(e.QoE.C1) + " c2=" + f3(e.QoE.C2) + ")",
+				" (ground truth c1=" + f3(evalQoE.C1) + " c2=" + f3(evalQoE.C2) + ")",
 		},
 	}
 	ladder := dash.TableIILadder()
@@ -186,7 +186,7 @@ func (e *Env) Fig2c() (*Table, error) {
 		for _, v := range []float64{2, 6} {
 			t.Rows = append(t.Rows, []string{
 				f2(r), f1(v),
-				f3(e.QoE.Impairment(r, v)),
+				f3(evalQoE.Impairment(r, v)),
 				f3(surface.Eval(r, v)),
 			})
 		}

@@ -5,7 +5,6 @@ import (
 
 	"ecavs/internal/abr"
 	"ecavs/internal/core"
-	"ecavs/internal/player"
 	"ecavs/internal/pool"
 	"ecavs/internal/sim"
 	"ecavs/internal/trace"
@@ -24,10 +23,6 @@ func (e *Env) ExtendedRobustness() (*Table, error) {
 			"each campaign regenerates all five Table V traces with different random seeds",
 		},
 	}
-	obj, err := core.NewObjective(e.Alpha, e.EvalPower, e.QoE)
-	if err != nil {
-		return nil, err
-	}
 	// One pool unit per campaign × trace; a unit regenerates its trace
 	// and replays the three algorithms on it. Units are independent
 	// (fresh traces, fresh algorithm instances), and the per-campaign
@@ -40,23 +35,23 @@ func (e *Env) ExtendedRobustness() (*Table, error) {
 	if err := pool.Run(len(triples), 0, func(unit int) error {
 		campaign, spec := unit/nt, specs[unit%nt]
 		spec.Seed += int64(campaign * 1000)
-		tr, err := trace.Generate(spec, e.EvalPower.NominalThroughputMBps)
+		tr, err := trace.Generate(spec, evalPower.NominalThroughputMBps)
 		if err != nil {
 			return fmt.Errorf("eval: campaign %d trace %d: %w", campaign, spec.ID, err)
 		}
-		man, err := sim.ManifestForTrace(tr, e.Ladder)
+		man, err := sim.ManifestForTrace(tr, evalLadder)
 		if err != nil {
 			return err
 		}
-		yt, err := sim.RunOnTrace(tr, man, abr.NewYoutube(), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+		yt, err := sim.RunOnTrace(tr, man, abr.NewYoutube())
 		if err != nil {
 			return err
 		}
-		ours, err := sim.RunOnTrace(tr, man, core.NewOnline(obj), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+		ours, err := sim.RunOnTrace(tr, man, core.NewOnline(evalObj))
 		if err != nil {
 			return err
 		}
-		fest, err := sim.RunOnTrace(tr, man, abr.NewFESTIVE(), e.EvalPower, e.QoE, player.DefaultBufferThresholdSec)
+		fest, err := sim.RunOnTrace(tr, man, abr.NewFESTIVE())
 		if err != nil {
 			return err
 		}

@@ -43,7 +43,7 @@ func (e *Env) AblationSegmentDuration() (*Table, error) {
 			TemporalInfo: 15,
 			DurationSec:  tr.LengthSec,
 		}
-		man, err := dash.NewManifest(video, e.Ladder, dash.ManifestConfig{
+		man, err := dash.NewManifest(video, evalLadder, dash.ManifestConfig{
 			SegmentSec: segSec,
 			Seed:       int64(2000 + int(segSec)),
 		})
@@ -58,8 +58,8 @@ func (e *Env) AblationSegmentDuration() (*Table, error) {
 			Manifest:   man,
 			Link:       tc.Link(),
 			Algorithm:  abr.NewYoutube(),
-			Power:      e.EvalPower,
-			QoE:        e.QoE,
+			Power:      evalPower,
+			QoE:        evalQoE,
 			TCPRampSec: 0.5,
 		})
 		if err != nil {

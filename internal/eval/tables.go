@@ -70,12 +70,12 @@ func (e *Env) Table3() (*Table, error) {
 		name       string
 		truth, got float64
 	}{
-		{name: "c1 (curve exponent)", truth: e.QoE.C1, got: curve[0]},
-		{name: "c2 (curve knee, Mbps)", truth: e.QoE.C2, got: curve[1]},
-		{name: "p00", truth: e.QoE.P00, got: surface.P00},
-		{name: "p10", truth: e.QoE.P10, got: surface.P10},
-		{name: "p01", truth: e.QoE.P01, got: surface.P01},
-		{name: "p11", truth: e.QoE.P11, got: surface.P11},
+		{name: "c1 (curve exponent)", truth: evalQoE.C1, got: curve[0]},
+		{name: "c2 (curve knee, Mbps)", truth: evalQoE.C2, got: curve[1]},
+		{name: "p00", truth: evalQoE.P00, got: surface.P00},
+		{name: "p10", truth: evalQoE.P10, got: surface.P10},
+		{name: "p01", truth: evalQoE.P01, got: surface.P01},
+		{name: "p11", truth: evalQoE.P11, got: surface.P11},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r.name, f3(r.truth), f3(r.got)})
@@ -126,11 +126,11 @@ func (e *Env) Table6() (*Table, error) {
 	var sumErr float64
 	for i, r := range rates {
 		mo := power.NewMonitor(int64(100 + i))
-		measured, err := mo.MeasureSession(e.Power, r, sessionSec, -90, dash.DefaultSegmentSec)
+		measured, err := mo.MeasureSession(tablePower, r, sessionSec, -90, dash.DefaultSegmentSec)
 		if err != nil {
 			return nil, err
 		}
-		calculated := e.Power.SessionEnergyJ(r, sessionSec, -90)
+		calculated := tablePower.SessionEnergyJ(r, sessionSec, -90)
 		errRatio := math.Abs(measured-calculated) / calculated
 		sumErr += errRatio
 		t.Rows = append(t.Rows, []string{f3(r), f2(measured), f2(calculated), pct(errRatio)})

@@ -234,11 +234,6 @@ func (g *drainGate) drain() {
 	}
 }
 
-// draining reports whether drain has been called.
-func (g *drainGate) draining() bool {
-	return g.state.Load()&drainingBit != 0
-}
-
 // inFlight reports the currently entered request count.
 func (g *drainGate) inFlight() int64 {
 	return g.state.Load() &^ drainingBit

@@ -183,7 +183,7 @@ func TestTrainedAgentBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.RunOnTrace(traces[0], man, agent, pm, qoe.Default(), 30)
+	m, err := sim.RunOnTrace(traces[0], man, agent)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 package power
 
-import "errors"
-
 // Screen models display power as a function of backlight brightness —
 // the other big battery consumer next to the radio, and the knob the
 // rate-and-brightness line of work (the paper's references [11, 12,
@@ -17,14 +15,6 @@ type Screen struct {
 // ~1.4 W at full brightness).
 func DefaultScreen() Screen {
 	return Screen{MinPowerW: 0.3, MaxPowerW: 1.4}
-}
-
-// Validate reports whether the screen model is usable.
-func (s Screen) Validate() error {
-	if s.MinPowerW < 0 || s.MaxPowerW <= s.MinPowerW {
-		return errors.New("power: screen powers must satisfy 0 <= min < max")
-	}
-	return nil
 }
 
 // PowerW returns the display power at the given backlight brightness

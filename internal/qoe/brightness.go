@@ -1,7 +1,5 @@
 package qoe
 
-import "errors"
-
 // BrightnessModel scores the legibility impairment of watching at a
 // given backlight brightness under a given ambient light level: a dim
 // screen outdoors is hard to see, while full backlight in a dark room
@@ -26,17 +24,6 @@ type BrightnessModel struct {
 // which is what keeps the balanced objective from dimming outdoors.
 func DefaultBrightness() BrightnessModel {
 	return BrightnessModel{MaxImpairment: 2.5, DemandFloor: 0.25}
-}
-
-// Validate reports whether the model is usable.
-func (m BrightnessModel) Validate() error {
-	if m.MaxImpairment < 0 {
-		return errors.New("qoe: max impairment must be non-negative")
-	}
-	if m.DemandFloor < 0 || m.DemandFloor > 1 {
-		return errors.New("qoe: demand floor must be in [0, 1]")
-	}
-	return nil
 }
 
 // Demand returns the brightness the ambient light calls for.

@@ -5,22 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestDefaultBrightnessValidates(t *testing.T) {
-	if err := DefaultBrightness().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultBrightness()
-	bad.MaxImpairment = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative impairment accepted")
-	}
-	bad = DefaultBrightness()
-	bad.DemandFloor = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("demand floor above 1 accepted")
-	}
-}
-
 func TestBrightnessDemand(t *testing.T) {
 	m := DefaultBrightness()
 	if got := m.Demand(0); got != m.DemandFloor {

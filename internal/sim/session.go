@@ -11,12 +11,14 @@ import (
 	"ecavs/internal/trace"
 )
 
-// RunOnTrace replays a recorded trace through Run: the link comes from
-// the trace's network points and the vibration signal from its
-// accelerometer stream, windowed the way the online estimator would
-// see it (Section IV-B). Both are read through the trace's compiled
-// form, built once and shared by every session of the trace.
-func RunOnTrace(tr *trace.Trace, m *dash.Manifest, alg abr.Algorithm, pm power.Model, qm qoe.Model, thresholdSec float64) (*Metrics, error) {
+// RunOnTrace replays a recorded trace through Run with the paper's
+// evaluation setup: the evaluation power model, the Table III QoE
+// model and the 30 s buffer threshold. The link comes from the trace's
+// network points and the vibration signal from its accelerometer
+// stream, windowed the way the online estimator would see it (Section
+// IV-B). Both are read through the trace's compiled form, built once
+// and shared by every session of the trace.
+func RunOnTrace(tr *trace.Trace, m *dash.Manifest, alg abr.Algorithm) (*Metrics, error) {
 	if tr == nil {
 		return nil, errors.New("sim: nil trace")
 	}
@@ -24,6 +26,7 @@ func RunOnTrace(tr *trace.Trace, m *dash.Manifest, alg abr.Algorithm, pm power.M
 	if err != nil {
 		return nil, err
 	}
+	qm := qoe.Default()
 	var rt *qoe.RungTable
 	if m != nil {
 		rt = qm.CompileRungs(m.Ladder().Bitrates())
@@ -34,9 +37,9 @@ func RunOnTrace(tr *trace.Trace, m *dash.Manifest, alg abr.Algorithm, pm power.M
 		Link:               comp.Link(),
 		VibrationAt:        comp.Vibration(0),
 		Algorithm:          alg,
-		Power:              pm,
+		Power:              power.EvalModel(),
 		QoE:                qm,
-		BufferThresholdSec: thresholdSec,
+		BufferThresholdSec: player.DefaultBufferThresholdSec,
 	})
 }
 
@@ -59,10 +62,10 @@ func ManifestForTrace(tr *trace.Trace, ladder dash.Ladder) (*dash.Manifest, erro
 
 // BaseEnergyJ returns the Section V-B base energy of a trace session:
 // the total energy when every segment is fetched at the ladder's
-// lowest rung (screen + transfer + decode minimum).
-func BaseEnergyJ(tr *trace.Trace, m *dash.Manifest, pm power.Model, qm qoe.Model) (float64, error) {
-	lowest := &abr.Fixed{Rung: 0}
-	metrics, err := RunOnTrace(tr, m, lowest, pm, qm, player.DefaultBufferThresholdSec)
+// lowest rung (screen + transfer + decode minimum), replayed as
+// RunOnTrace replays it.
+func BaseEnergyJ(tr *trace.Trace, m *dash.Manifest) (float64, error) {
+	metrics, err := RunOnTrace(tr, m, &abr.Fixed{Rung: 0})
 	if err != nil {
 		return 0, err
 	}

@@ -6,7 +6,6 @@ import (
 	"ecavs/internal/abr"
 	"ecavs/internal/core"
 	"ecavs/internal/dash"
-	"ecavs/internal/player"
 	"ecavs/internal/power"
 	"ecavs/internal/qoe"
 	"ecavs/internal/trace"
@@ -31,11 +30,11 @@ func TestManifestForTrace(t *testing.T) {
 }
 
 func TestRunOnTraceValidation(t *testing.T) {
-	if _, err := RunOnTrace(nil, nil, nil, power.EvalModel(), qoe.Default(), 30); err == nil {
+	if _, err := RunOnTrace(nil, nil, nil); err == nil {
 		t.Error("nil trace accepted")
 	}
 	bad := &trace.Trace{}
-	if _, err := RunOnTrace(bad, nil, nil, power.EvalModel(), qoe.Default(), 30); err == nil {
+	if _, err := RunOnTrace(bad, nil, nil); err == nil {
 		t.Error("invalid trace accepted")
 	}
 }
@@ -67,7 +66,7 @@ func TestPaperOrderingsOnTableVTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tasks, err := core.ObserveTasks(tr, man, player.DefaultBufferThresholdSec, 6)
+		tasks, err := core.ObserveTasks(tr, man)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +83,7 @@ func TestPaperOrderingsOnTableVTraces(t *testing.T) {
 		}
 		results := make([]*Metrics, len(algs))
 		for i, a := range algs {
-			m, err := RunOnTrace(tr, man, a, pm, qm, player.DefaultBufferThresholdSec)
+			m, err := RunOnTrace(tr, man, a)
 			if err != nil {
 				t.Fatalf("trace %d %s: %v", tr.ID, a.Name(), err)
 			}
@@ -149,7 +148,6 @@ func TestPaperOrderingsOnTableVTraces(t *testing.T) {
 
 func TestBaseEnergyJ(t *testing.T) {
 	pm := power.EvalModel()
-	qm := qoe.Default()
 	traces, err := trace.GenerateTableV(pm.NominalThroughputMBps)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +157,7 @@ func TestBaseEnergyJ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseJ, err := BaseEnergyJ(tr, man, pm, qm)
+	baseJ, err := BaseEnergyJ(tr, man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +168,7 @@ func TestBaseEnergyJ(t *testing.T) {
 		t.Errorf("BaseEnergyJ = %.0f, want near %.0f", baseJ, approx)
 	}
 	// Every policy's energy is bounded below by the base energy.
-	yt, err := RunOnTrace(tr, man, abr.NewYoutube(), pm, qm, 30)
+	yt, err := RunOnTrace(tr, man, abr.NewYoutube())
 	if err != nil {
 		t.Fatal(err)
 	}
